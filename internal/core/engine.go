@@ -40,17 +40,15 @@ type Config struct {
 	// requests (Figure 4); the rest submit only locally. Use 1 to
 	// make every job redundant.
 	RedundantFraction float64
-	// Routing picks remote clusters for redundant copies (the policy
-	// axis formerly named Selection; the legacy names still parse).
+	// Routing picks remote clusters for redundant copies.
 	Routing Routing
 	// Staleness is the publish interval in seconds of the grid
 	// information service read by informed Routing policies: every
 	// cluster publishes a load snapshot each interval, and a snapshot
 	// becomes visible ControlLatency seconds after capture. 0 defaults
 	// the interval to ControlLatency; a negative value forces live
-	// (omniscient) reads — the pre-split SelQueueLen behavior, which
-	// only the sequential engine can execute. Uninformed policies
-	// ignore it.
+	// (omniscient) reads, which only the sequential engine can
+	// execute. Uninformed policies ignore it.
 	Staleness float64
 	// Ordering is the queue ordering used by every cluster's
 	// scheduler (FCFS — the paper's model — SJF, or slowdown-aged

@@ -40,7 +40,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"Alg":                   func(c *Config) { c.Alg = sched.CBF },
 		"Scheme":                func(c *Config) { c.Scheme = SchemeAll },
 		"RedundantFraction":     func(c *Config) { c.RedundantFraction = 0.5 },
-		"Selection":             func(c *Config) { c.Routing = RouteBiased },
+		"Routing":               func(c *Config) { c.Routing = RouteBiased },
 		"Seed":                  func(c *Config) { c.Seed = 8 },
 		"Horizon":               func(c *Config) { c.Horizon = 1800 },
 		"EstMode":               func(c *Config) { c.EstMode = workload.Phi },

@@ -45,20 +45,9 @@ const (
 	RoutePowerTwo
 )
 
-// Selection is the historical name of the Routing axis, kept as an
-// alias so pre-split call sites and serialized names keep working.
-type Selection = Routing
-
-// Legacy names of the pre-split Selection policies.
-const (
-	SelUniform  = RouteUniform
-	SelBiased   = RouteBiased
-	SelQueueLen = RouteLeastQueue
-)
-
 // Informed reports whether the policy reads cluster load — through
 // the grid information service, or live when the effective staleness
-// interval is zero (the pre-split omniscient SelQueueLen behavior).
+// interval is zero (omniscient reads of the clusters themselves).
 func (r Routing) Informed() bool {
 	switch r {
 	case RouteLeastQueue, RouteLeastWork, RoutePowerTwo:
@@ -84,8 +73,7 @@ func (r Routing) String() string {
 	}
 }
 
-// ParseRouting converts a policy name to a Routing. The pre-split
-// Selection names (uniform, biased, queuelen/queue) parse unchanged.
+// ParseRouting converts a policy name to a Routing.
 func ParseRouting(name string) (Routing, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "uniform":
@@ -101,9 +89,6 @@ func ParseRouting(name string) (Routing, error) {
 	}
 	return 0, fmt.Errorf("core: unknown routing policy %q", name)
 }
-
-// ParseSelection is the historical name of ParseRouting.
-func ParseSelection(name string) (Selection, error) { return ParseRouting(name) }
 
 // RoutingStats summarizes the load information consumed by a run's
 // routing decisions; all-zero under uninformed policies.
@@ -225,8 +210,7 @@ func selectRemotes(src *rng.Source, pol Routing, specs []ClusterSpec, home, node
 		}
 		// Smallest published key first; random tie-break via
 		// pre-shuffle (the stable sort then keeps shuffle order among
-		// equal keys). With live zero-staleness reads this is draw-
-		// for-draw the pre-split SelQueueLen path.
+		// equal keys).
 		src.Shuffle(len(eligible), func(i, j int) {
 			eligible[i], eligible[j] = eligible[j], eligible[i]
 		})

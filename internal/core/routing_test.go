@@ -119,8 +119,7 @@ func TestSelectBiasedWithoutReplacement(t *testing.T) {
 	}
 }
 
-// Live (zero-staleness) reads: the pre-split SelQueueLen behavior,
-// reading *sched.Cluster state directly.
+// Live (zero-staleness) reads take *sched.Cluster state directly.
 func TestSelectQueueLenPrefersShortQueuesLive(t *testing.T) {
 	sim := des.New()
 	clusters := make([]*sched.Cluster, 3)
@@ -330,10 +329,6 @@ func TestParseRouting(t *testing.T) {
 	}
 	if _, err := ParseRouting("zigzag"); err == nil {
 		t.Error("unknown policy accepted")
-	}
-	// The legacy entry point still resolves the legacy names.
-	if got, err := ParseSelection("queuelen"); err != nil || got != SelQueueLen {
-		t.Errorf("ParseSelection(queuelen) = %v, %v", got, err)
 	}
 }
 

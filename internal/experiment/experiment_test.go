@@ -77,36 +77,40 @@ func TestRunMatrixProgress(t *testing.T) {
 	}
 }
 
-// TestRunMatrixProgressOnFailure pins the fix for the progress
-// accounting bug: failed replications used to skip the Progress
-// callback, so done never reached total and progress UIs hung one
-// short (e.g. 49/50).
+// TestRunMatrixProgressOnFailure pins the progress contract on a
+// failing matrix: every (variant, rep) pair — run, failed, or skipped
+// because the feeder stopped at the failure — counts toward done, so
+// Progress fires total times and done reaches total exactly once,
+// however many workers race the feeder.
 func TestRunMatrixProgressOnFailure(t *testing.T) {
-	opts := tinyOpts()
-	bad := opts.base(2)
-	bad.RedundantFraction = 99 // invalid: core.Run fails
-	var calls, final atomic.Int64
-	opts.Progress = func(done, total int) {
-		calls.Add(1)
-		if total != 2*opts.Reps {
-			t.Errorf("total = %d, want %d", total, 2*opts.Reps)
+	for _, workers := range []int{1, 2, 4, 8} {
+		opts := tinyOpts()
+		opts.Workers = workers
+		bad := opts.base(2)
+		bad.RedundantFraction = 99 // invalid: core.Run fails
+		var calls, final atomic.Int64
+		opts.Progress = func(done, total int) {
+			calls.Add(1)
+			if total != 2*opts.Reps {
+				t.Errorf("workers=%d: total = %d, want %d", workers, total, 2*opts.Reps)
+			}
+			if done == total {
+				final.Add(1)
+			}
 		}
-		if done == total {
-			final.Add(1)
+		_, err := runMatrix(opts, []variant{
+			{Name: "bad", Config: bad},
+			{Name: "good", Config: opts.base(2)},
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: failing variant did not surface an error", workers)
 		}
-	}
-	_, err := runMatrix(opts, []variant{
-		{Name: "good", Config: opts.base(2)},
-		{Name: "bad", Config: bad},
-	})
-	if err == nil {
-		t.Fatal("failing variant did not surface an error")
-	}
-	if calls.Load() != int64(2*opts.Reps) {
-		t.Errorf("progress called %d times, want %d", calls.Load(), 2*opts.Reps)
-	}
-	if final.Load() != 1 {
-		t.Errorf("done reached total %d times, want exactly once", final.Load())
+		if calls.Load() != int64(2*opts.Reps) {
+			t.Errorf("workers=%d: progress called %d times, want %d", workers, calls.Load(), 2*opts.Reps)
+		}
+		if final.Load() != 1 {
+			t.Errorf("workers=%d: done reached total %d times, want exactly once", workers, final.Load())
+		}
 	}
 }
 

@@ -75,8 +75,10 @@ type Options struct {
 	// journal, pooled batched clients), or "" for both. Other
 	// experiments ignore it.
 	Stack string
-	// Progress, when non-nil, receives (done, total) after each
-	// completed simulation, successful or not.
+	// Progress, when non-nil, receives (done, total) once per
+	// simulation — completed, failed, or skipped because an earlier
+	// one failed — so done always reaches total. It is called from
+	// several goroutines at once.
 	Progress func(done, total int)
 	// Trace, when non-nil, aggregates every replication's run
 	// internals (DES counters, queue-depth series, redundant
@@ -221,11 +223,20 @@ func runMatrix(opts Options, variants []variant) ([][]*core.Result, error) {
 		done     atomic.Int64
 	)
 	total := len(variants) * opts.Reps
+	// tick reports one more (variant, rep) pair accounted for: run,
+	// failed, or skipped. Progress fires exactly total times however
+	// many workers there are, or progress UIs hang short of total.
+	tick := func() {
+		if opts.Progress != nil {
+			opts.Progress(int(done.Add(1)), total)
+		}
+	}
 	// Stop feeding work as soon as a simulation fails — here or, with
 	// a shared pool, in any concurrently running matrix: the remaining
 	// (variant, rep) pairs would be discarded along with the error
 	// anyway, and a failed run should not burn the full budget.
 	aborted := false
+	enqueued := 0
 enqueue:
 	for v := range variants {
 		for r := 0; r < opts.Reps; r++ {
@@ -237,9 +248,11 @@ enqueue:
 				break enqueue
 			}
 			v, r := v, r
+			enqueued++
 			pending.Add(1)
 			pool.Do(func() {
 				defer pending.Done()
+				defer tick()
 				cfg := variants[v].Config
 				cfg.Seed = opts.BaseSeed + uint64(r)*seedStride
 				if m := variants[v].Mutate; m != nil {
@@ -269,15 +282,13 @@ enqueue:
 					results[v][r] = res
 					opts.Trace.Merge(cfg.Trace)
 				}
-				// Progress must fire on failures too, or done never
-				// reaches total and progress UIs hang at e.g. 49/50.
-				if opts.Progress != nil {
-					opts.Progress(int(done.Add(1)), total)
-				}
 			})
 		}
 	}
 	pending.Wait()
+	for ; enqueued < total; enqueued++ {
+		tick() // pairs the feeder skipped after a failure
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}

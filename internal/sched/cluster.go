@@ -11,6 +11,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"redreq/internal/des"
@@ -138,6 +139,10 @@ func (r *Request) Wait() float64 {
 // Cluster returns the cluster the request was submitted to, or nil.
 func (r *Request) Cluster() *Cluster { return r.cluster }
 
+// requestedEnd is when a running request gives its nodes back as far
+// as the scheduler knows: it does not see actual runtimes.
+func (r *Request) requestedEnd() float64 { return r.Start + r.Estimate }
+
 // Config configures one cluster's scheduler.
 type Config struct {
 	// Nodes is the number of identical compute nodes.
@@ -197,9 +202,12 @@ type Cluster struct {
 	cfg  Config
 	free int
 
-	queue   []*Request // arrival order; may contain nil holes
-	holes   int
-	running []*Request // unordered; compacted lazily
+	queue []*Request // arrival order; may contain nil holes
+	holes int
+	// running is ordered by requested end, ties in start order, so an
+	// EASY pass reads the head's shadow time off a prefix of it
+	// (shadow) instead of rebuilding a Profile.
+	running []*Request
 
 	// queuedWork tracks the pending queue's requested work in
 	// node-seconds (sum of estimate x nodes), maintained incrementally
@@ -225,9 +233,9 @@ type Cluster struct {
 	// capacity was released.
 	relStart, relEnd float64
 
-	// scratch is the reusable availability profile for the transient
-	// EASY/FCFS passes (buildRunningProfile); reusing it keeps
-	// scheduling passes allocation-free after warmup.
+	// scratch is predictNew's reusable availability profile
+	// (buildRunningProfile); reusing it keeps predicting passes
+	// allocation-free after warmup.
 	scratch *Profile
 
 	kickEv *des.Event
@@ -496,7 +504,7 @@ func (c *Cluster) start(r *Request) {
 	c.free -= r.Nodes
 	c.removeFromQueue(r)
 	c.queuedWork -= r.Estimate * float64(r.Nodes)
-	c.running = append(c.running, r)
+	c.insertRunning(r)
 	c.stats.Started++
 	if len(c.running) > c.stats.MaxRunning {
 		c.stats.MaxRunning = len(c.running)
@@ -527,14 +535,8 @@ func (c *Cluster) finish(r *Request) {
 	r.State = Done
 	r.End = now
 	r.finishEv = nil
+	c.removeRunning(r)
 	c.free += r.Nodes
-	for i, q := range c.running {
-		if q == r {
-			c.running[i] = c.running[len(c.running)-1]
-			c.running = c.running[:len(c.running)-1]
-			break
-		}
-	}
 	c.stats.Finished++
 	c.stats.BusyCPUSeconds += (now - r.Start) * float64(r.Nodes)
 	if c.cfg.Alg == CBF {
@@ -554,6 +556,59 @@ func (c *Cluster) finish(r *Request) {
 	if c.OnFinish != nil {
 		c.OnFinish(r)
 	}
+}
+
+// runningAfter returns the index of the first running request whose
+// requested end is after end (len(c.running) when there is none).
+func (c *Cluster) runningAfter(end float64) int {
+	return sort.Search(len(c.running), func(i int) bool { return c.running[i].requestedEnd() > end })
+}
+
+// insertRunning files a request that just started behind every running
+// request with the same or an earlier requested end.
+func (c *Cluster) insertRunning(r *Request) {
+	i := c.runningAfter(r.requestedEnd())
+	c.running = append(c.running, nil)
+	copy(c.running[i+1:], c.running[i:])
+	c.running[i] = r
+}
+
+// removeRunning takes r out of the running set, looking only at the
+// requests that share its requested end.
+func (c *Cluster) removeRunning(r *Request) {
+	end := r.requestedEnd()
+	for i := c.runningAfter(end) - 1; i >= 0 && c.running[i].requestedEnd() == end; i-- {
+		if c.running[i] == r {
+			last := len(c.running) - 1
+			copy(c.running[i:], c.running[i+1:])
+			c.running[last] = nil
+			c.running = c.running[:last]
+			return
+		}
+	}
+	panic(fmt.Sprintf("sched: %s: job %d missing from the running set", c.Name, r.JobID))
+}
+
+// releasedBy returns the nodes the scheduler may count free at now
+// beyond c.free — running requests whose requested end has passed, such
+// as a zero-estimate start of this very pass — and the index of the
+// first running request still holding nodes after now.
+func (c *Cluster) releasedBy(now float64) (nodes, next int) {
+	for next < len(c.running) && c.running[next].requestedEnd() <= now {
+		nodes += c.running[next].Nodes
+		next++
+	}
+	return nodes, next
+}
+
+// nextRelease returns the requested end of c.running[i], the nodes all
+// requests tied at that end give back, and the index after them.
+func (c *Cluster) nextRelease(i int) (end float64, nodes, next int) {
+	end = c.running[i].requestedEnd()
+	for next = i; next < len(c.running) && c.running[next].requestedEnd() == end; next++ {
+		nodes += c.running[next].Nodes
+	}
+	return end, nodes, next
 }
 
 // noteRelease widens the released-capacity window consulted by the
@@ -578,7 +633,8 @@ func (c *Cluster) Pending() []*Request {
 	return out
 }
 
-// Running returns the currently running requests (unordered).
+// Running returns the currently running requests, ordered by requested
+// end (Start + Estimate), ties in start order.
 func (c *Cluster) Running() []*Request {
 	out := make([]*Request, len(c.running))
 	copy(out, c.running)
@@ -603,11 +659,20 @@ func (c *Cluster) Drain() []*Request {
 	return out
 }
 
-// checkInvariants validates node accounting; used by tests.
+// checkInvariants validates node accounting and the running set's
+// order; used by tests.
 func (c *Cluster) checkInvariants() error {
 	used := 0
-	for _, r := range c.running {
+	for i, r := range c.running {
 		used += r.Nodes
+		if i == 0 {
+			continue
+		}
+		prev := c.running[i-1]
+		if pe, e := prev.requestedEnd(), r.requestedEnd(); pe > e || pe == e && prev.Start > r.Start {
+			return fmt.Errorf("sched: %s running set out of order at %d: job %d (start %v, end %v) before job %d (start %v, end %v)",
+				c.Name, i, prev.JobID, prev.Start, pe, r.JobID, r.Start, e)
+		}
 	}
 	if used+c.free != c.cfg.Nodes {
 		return fmt.Errorf("sched: %s node leak: used=%d free=%d total=%d", c.Name, used, c.free, c.cfg.Nodes)

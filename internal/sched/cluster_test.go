@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"testing"
 
 	"redreq/internal/des"
@@ -24,6 +26,17 @@ func newTestCluster(t *testing.T, sim *des.Simulation, nodes int, alg Algorithm)
 	return NewCluster(sim, "test", 0, Config{Nodes: nodes, Alg: alg})
 }
 
+// runChecked runs the simulation to completion, validating the
+// cluster's invariants after every event.
+func runChecked(t *testing.T, sim *des.Simulation, c *Cluster) {
+	t.Helper()
+	for sim.Step() {
+		if err := c.checkInvariants(); err != nil {
+			t.Fatalf("t=%v: %v", sim.Now(), err)
+		}
+	}
+}
+
 func TestFCFSOrdering(t *testing.T) {
 	sim := des.New()
 	c := newTestCluster(t, sim, 4, FCFS)
@@ -33,7 +46,7 @@ func TestFCFSOrdering(t *testing.T) {
 	submitAt(sim, c, 0, a)
 	submitAt(sim, c, 1, b)
 	submitAt(sim, c, 2, d)
-	sim.Run()
+	runChecked(t, sim, c)
 	if a.Start != 0 {
 		t.Errorf("a.Start = %v, want 0", a.Start)
 	}
@@ -54,7 +67,7 @@ func TestEASYBackfill(t *testing.T) {
 	submitAt(sim, c, 0, a)
 	submitAt(sim, c, 1, b)
 	submitAt(sim, c, 2, d)
-	sim.Run()
+	runChecked(t, sim, c)
 	if b.Start != 100 {
 		t.Errorf("b.Start = %v, want 100", b.Start)
 	}
@@ -76,7 +89,7 @@ func TestEASYBackfillJumpsAhead(t *testing.T) {
 	submitAt(sim, c, 1, b)
 	submitAt(sim, c, 2, d)
 	submitAt(sim, c, 3, e)
-	sim.Run()
+	runChecked(t, sim, c)
 	if d.Start != 2 {
 		t.Errorf("d.Start = %v, want 2 (backfill)", d.Start)
 	}
@@ -97,7 +110,7 @@ func TestEASYNoDelayOfHead(t *testing.T) {
 	submitAt(sim, c, 0, a)
 	submitAt(sim, c, 1, b)
 	submitAt(sim, c, 2, d)
-	sim.Run()
+	runChecked(t, sim, c)
 	if b.Start != 100 {
 		t.Errorf("b.Start = %v, want 100", b.Start)
 	}
@@ -113,7 +126,7 @@ func TestEASYEarlyCompletionTriggersBackfill(t *testing.T) {
 	b := testReq(2, 4, 50, 50)
 	submitAt(sim, c, 0, a)
 	submitAt(sim, c, 1, b)
-	sim.Run()
+	runChecked(t, sim, c)
 	if b.Start != 30 {
 		t.Errorf("b.Start = %v, want 30 (start on early completion)", b.Start)
 	}
@@ -134,7 +147,7 @@ func TestCancelFreesBackfillOpportunity(t *testing.T) {
 				t.Errorf("%v: cancel of pending request failed", alg)
 			}
 		})
-		sim.Run()
+		runChecked(t, sim, c)
 		if d.Start != 100 {
 			t.Errorf("%v: d.Start = %v, want 100 after cancellation of b", alg, d.Start)
 		}
@@ -154,7 +167,7 @@ func TestCancelRunningFails(t *testing.T) {
 			t.Error("cancel of running request must fail")
 		}
 	})
-	sim.Run()
+	runChecked(t, sim, c)
 	if a.State != Done {
 		t.Errorf("a.State = %v, want done", a.State)
 	}
@@ -169,7 +182,7 @@ func TestCBFReservationAndCompression(t *testing.T) {
 	submitAt(sim, c, 1, b)
 	var reservedAtSubmit float64
 	sim.ScheduleP(1, 2, func() { reservedAtSubmit = b.Reserved })
-	sim.Run()
+	runChecked(t, sim, c)
 	if reservedAtSubmit != 100 {
 		t.Errorf("b reserved at %v, want 100", reservedAtSubmit)
 	}
@@ -190,7 +203,7 @@ func TestCBFBackfillsIntoHole(t *testing.T) {
 	submitAt(sim, c, 0, a)
 	submitAt(sim, c, 1, b)
 	submitAt(sim, c, 1, d)
-	sim.Run()
+	runChecked(t, sim, c)
 	if d.Start != 1 {
 		t.Errorf("d.Start = %v, want 1 (conservative backfill into hole)", d.Start)
 	}
@@ -206,7 +219,7 @@ func TestCBFNoCompressionAblation(t *testing.T) {
 	b := testReq(2, 4, 50, 50)
 	submitAt(sim, c, 0, a)
 	submitAt(sim, c, 1, b)
-	sim.Run()
+	runChecked(t, sim, c)
 	// Without compression b keeps its reservation at 100 even though
 	// a finished at 40.
 	if b.Start != 100 {
@@ -228,7 +241,7 @@ func TestCBFHoleUsableAfterCancelWithoutCompression(t *testing.T) {
 	e := testReq(4, 4, 40, 40)
 	sim.Schedule(5, func() { c.Cancel(b) })
 	submitAt(sim, c, 6, e)
-	sim.Run()
+	runChecked(t, sim, c)
 	if e.Start != 100 {
 		t.Errorf("e.Start = %v, want 100 (hole released by cancellation)", e.Start)
 	}
@@ -255,7 +268,7 @@ func TestDisableCancelBackfillAblation(t *testing.T) {
 	// immediate pass happens (d still cannot run anyway until a
 	// ends; this exercises the flag path).
 	sim.Schedule(5, func() { c.Cancel(b) })
-	sim.Run()
+	runChecked(t, sim, c)
 	if d.Start != 100 {
 		t.Errorf("d.Start = %v, want 100", d.Start)
 	}
@@ -294,10 +307,7 @@ func TestRandomStressInvariants(t *testing.T) {
 					}
 				})
 			}
-			sim.Run()
-			if err := c.checkInvariants(); err != nil {
-				t.Fatalf("%v trial %d: %v", alg, trial, err)
-			}
+			runChecked(t, sim, c)
 			type edge struct {
 				t     float64
 				delta int
@@ -340,6 +350,32 @@ func TestRandomStressInvariants(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFinishMissingFromRunningSetPanics corrupts the running set and
+// checks that finish names the cluster and the job instead of quietly
+// freeing nodes nobody was recorded as holding.
+func TestFinishMissingFromRunningSetPanics(t *testing.T) {
+	sim := des.New()
+	c := NewCluster(sim, "site7", 0, Config{Nodes: 4, Alg: EASY})
+	a := testReq(42, 2, 100, 100)
+	submitAt(sim, c, 0, a)
+	for a.State != Running {
+		if !sim.Step() {
+			t.Fatal("request never started")
+		}
+	}
+	c.running = c.running[:0]
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "site7") || !strings.Contains(msg, "job 42") {
+			t.Errorf("finish of a request missing from the running set: recovered %q, want a panic naming site7 and job 42", msg)
+		}
+		if c.free != 2 {
+			t.Errorf("free = %d after the refused finish, want 2 (untouched)", c.free)
+		}
+	}()
+	c.finish(a)
 }
 
 func TestSubmitValidation(t *testing.T) {

@@ -43,18 +43,14 @@ func (c *Cluster) passEASY() {
 	// that fit right now for their full requested duration without
 	// pushing the head reservation back.
 	//
-	// The pass profile's free capacity only grows with time — every
-	// busy interval in it (running jobs, earlier backfills) starts at
-	// now — so reserving the head introduces exactly one dip:
-	// shadowFree nodes free just after shadow. A candidate therefore
-	// backfills iff it fits the free nodes now (c.free, already
-	// checked) and, when its requested window crosses shadow, also
-	// fits shadowFree. That is two compares per candidate where a
-	// per-candidate FindAnchor/AddBusy walk used to dominate passes on
-	// deep queues; the start set and order are identical.
-	prof := c.buildRunningProfile(now)
-	shadow := prof.FindAnchor(now, head.Estimate, head.Nodes)
-	shadowFree := prof.AvailAt(shadow) - head.Nodes
+	// Free capacity only grows with time — every busy interval of
+	// the pass (running jobs, earlier backfills) starts at now — so
+	// reserving the head introduces exactly one dip: shadowFree nodes
+	// free just after shadow. A candidate therefore backfills iff it
+	// fits the free nodes now (c.free, already checked) and, when its
+	// requested window crosses shadow, also fits shadowFree: two
+	// compares per candidate, no availability profile.
+	shadow, shadowFree := c.shadow(now, head.Nodes)
 	c.backfilling = true
 	for j := i + 1; j < len(c.queue) && c.free > 0; j++ {
 		r := c.queue[j]
@@ -69,4 +65,20 @@ func (c *Cluster) passEASY() {
 		}
 	}
 	c.backfilling = false
+}
+
+// shadow returns the earliest time at which nodes are free if every
+// running request holds its nodes until its requested end, and how many
+// more than nodes are free at that time. Capacity only comes back as
+// time passes, so the first requested end at which enough has come back
+// is the anchor Profile.FindAnchor would return for any duration, and
+// the walk stops there: O(requests ending by the shadow time).
+func (c *Cluster) shadow(now float64, nodes int) (at float64, spare int) {
+	released, i := c.releasedBy(now)
+	at, avail := now, c.free+released
+	for avail < nodes {
+		end, n, next := c.nextRelease(i)
+		at, avail, i = end, avail+n, next
+	}
+	return at, avail - nodes
 }

@@ -24,24 +24,26 @@ func (c *Cluster) passFCFS() {
 
 // buildRunningProfile returns the free-node profile implied by the
 // running set, assuming every running job holds its nodes until its
-// requested end (the scheduler does not know actual runtimes). The
-// returned profile is the cluster's scratch profile, valid only until
-// the next buildRunningProfile call; every EASY/FCFS pass and every
-// predictNew call rebuilds it in place, so steady-state passes do not
-// allocate.
+// requested end (the scheduler does not know actual runtimes): one
+// segment per distinct requested end after now, appended in the
+// running set's own order. The returned profile is the cluster's
+// scratch profile, valid only until the next call, so steady-state
+// predictions do not allocate.
 func (c *Cluster) buildRunningProfile(now float64) *Profile {
 	p := c.scratch
 	if p == nil {
-		p = NewProfile(now, c.cfg.Nodes)
+		p = new(Profile)
 		c.scratch = p
-	} else {
-		p.Reset(now, c.cfg.Nodes)
 	}
-	for _, r := range c.running {
-		end := r.Start + r.Estimate
-		if end > now {
-			p.AddBusy(now, end, r.Nodes)
-		}
+	released, i := c.releasedBy(now)
+	avail := c.free + released
+	p.Reset(now, avail)
+	for i < len(c.running) {
+		end, n, next := c.nextRelease(i)
+		avail += n
+		p.times = append(p.times, end)
+		p.avail = append(p.avail, avail)
+		i = next
 	}
 	return p
 }

@@ -183,7 +183,7 @@ func TestAgainstReferenceOracle(t *testing.T) {
 				reqs[i] = testReq(int64(i), jobs[i].nodes, jobs[i].runtime, jobs[i].estimate)
 				submitAt(sim, c, jobs[i].arrival, reqs[i])
 			}
-			sim.Run()
+			runChecked(t, sim, c)
 
 			if fcfs {
 				// FCFS order is fully determined: starts must match

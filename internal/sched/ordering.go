@@ -143,9 +143,7 @@ func (c *Cluster) passEASYOrdered() {
 		return
 	}
 
-	prof := c.buildRunningProfile(now)
-	shadow := prof.FindAnchor(now, head.Estimate, head.Nodes)
-	shadowFree := prof.AvailAt(shadow) - head.Nodes
+	shadow, shadowFree := c.shadow(now, head.Nodes)
 	c.backfilling = true
 	for j := i + 1; j < len(view) && c.free > 0; j++ {
 		r := view[j]

@@ -60,7 +60,7 @@ func TestSJFReordersQueue(t *testing.T) {
 	submitAt(sim, c, 0, blocker)
 	submitAt(sim, c, 1, long)
 	submitAt(sim, c, 2, short)
-	sim.Run()
+	runChecked(t, sim, c)
 	if short.Start != 100 {
 		t.Errorf("short.Start = %v, want 100 (SJF must run it first)", short.Start)
 	}
@@ -78,7 +78,7 @@ func TestSJFTieBreaksFCFS(t *testing.T) {
 	submitAt(sim, c, 0, blocker)
 	submitAt(sim, c, 1, first)
 	submitAt(sim, c, 2, second)
-	sim.Run()
+	runChecked(t, sim, c)
 	if first.Start != 50 || second.Start != 60 {
 		t.Errorf("tie-break broke arrival order: first=%v second=%v, want 50/60", first.Start, second.Start)
 	}
@@ -94,7 +94,7 @@ func TestAgedPreventsStarvation(t *testing.T) {
 	submitAt(sim, c, 0, blocker)
 	submitAt(sim, c, 1, old)
 	submitAt(sim, c, 999, fresh) // at t=1000: (1+100)/100 ≈ 1.01
-	sim.Run()
+	runChecked(t, sim, c)
 	if old.Start != 1000 {
 		t.Errorf("old.Start = %v, want 1000 (aged priority must beat the fresh short job)", old.Start)
 	}
@@ -115,7 +115,7 @@ func TestEASYOrderedBackfillRespectsShadow(t *testing.T) {
 	submitAt(sim, c, 1, backfill)
 	submitAt(sim, c, 2, head)
 	submitAt(sim, c, 3, filler)
-	sim.Run()
+	runChecked(t, sim, c)
 	if head.Start != 100 {
 		t.Errorf("head.Start = %v, want 100", head.Start)
 	}
@@ -136,7 +136,7 @@ func TestOrderFCFSMatchesPlainFCFS(t *testing.T) {
 	b := testReq(2, 1, 10, 10)
 	submitAt(sim, c, 0, a)
 	submitAt(sim, c, 1, b)
-	sim.Run()
+	runChecked(t, sim, c)
 	if b.Start != 100 {
 		t.Errorf("b.Start = %v, want 100", b.Start)
 	}
@@ -159,7 +159,7 @@ func TestQueuedWorkAccounting(t *testing.T) {
 			t.Errorf("QueuedWork after cancel = %v, want %v", got, want)
 		}
 	})
-	sim.Run()
+	runChecked(t, sim, c)
 	if got := c.QueuedWork(); got != 0 {
 		t.Errorf("QueuedWork after drain = %v, want 0", got)
 	}

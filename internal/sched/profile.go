@@ -1,8 +1,9 @@
 // Availability profile: the step function of free nodes over time that
-// backfilling schedulers reason about. EASY builds a transient profile
-// from running jobs on every scheduling pass; Conservative Backfilling
-// maintains a persistent profile that also contains the reservations of
-// all queued jobs.
+// backfilling schedulers reason about. Conservative Backfilling
+// maintains a persistent profile of running jobs and the reservations
+// of all queued jobs; EASY/FCFS wait prediction (predictNew) builds a
+// transient one from the running set. EASY passes themselves need only
+// the head's shadow time and read it off the ordered running set.
 
 package sched
 
