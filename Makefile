@@ -1,10 +1,6 @@
 GO ?= go
 
-# Label recorded with `make bench` entries in BENCH_core.json
-# (override: make bench BENCH_LABEL=pr3-after).
-BENCH_LABEL ?= dev
-
-.PHONY: build test check bench bench-all fmt results validate overload-smoke overload-smoke-fast
+.PHONY: build test check bench fmt results validate overload-smoke overload-smoke-fast
 
 # Experiments recorded in results_full.txt: the registry minus sec4,
 # whose wall-clock measurements are not deterministic.
@@ -16,11 +12,12 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the full verification gate: static analysis, the whole test
-# suite under the race detector, and a one-iteration benchmark smoke so
-# bench code cannot silently rot. staticcheck runs when installed and
-# is skipped (with a note) otherwise — CI always installs it, so local
-# environments without it still get the rest of the gate.
+# check is the full verification gate: static analysis and the whole
+# test suite under the race detector. staticcheck runs when installed
+# and is skipped (with a note) otherwise — CI always installs it, so
+# local environments without it still get the rest of the gate. The
+# benchmark program is its own module (bench/); CI tests and smokes it
+# in separate steps.
 check:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -29,23 +26,12 @@ check:
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 	$(GO) test -race ./...
-	$(GO) test -run=NONE -bench=Engine -benchtime=1x .
 
-# bench runs the core simulator benchmarks and appends the numbers to
-# BENCH_core.json (jobs/s from BenchmarkSimulationCore, ns/op and
-# allocs/op from BenchmarkEngine, whole-registry wall-clock from
-# BenchmarkRegistryQuick, daemon fast-vs-legacy pairs/s from
-# BenchmarkPBSDSubmitCancel, batched middleware pairs/s from
-# BenchmarkClientBatch), then prints the delta against the previous
-# entry. See README "Performance".
+# bench runs the repository's benchmark: every workload BENCHMARK.json
+# declares, through the program in bench/ (see bench/README.md for the
+# metrics, the flags and how to compare two commits).
 bench:
-	$(GO) test -run=NONE -bench='SimulationCore$$|Engine|RegistryQuick$$|Routing|PBSDSubmitCancel|ClientBatch' -benchmem . \
-		| $(GO) run ./cmd/benchjson -label '$(BENCH_LABEL)' -out BENCH_core.json
-
-# bench-all runs every benchmark (per-table/figure experiment drivers,
-# middleware, daemon, trace parsing) without recording history.
-bench-all:
-	$(GO) test -bench=. -benchmem
+	bash bench/run.sh
 
 fmt:
 	gofmt -l -w .

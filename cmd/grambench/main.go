@@ -74,7 +74,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "grambench: %v\n", err)
 		return 2
 	}
-	rs, err := parseRedundancies(*redund)
+	rs, err := loadgen.ParseRedundancies(*redund)
 	if err != nil {
 		fmt.Fprintf(stderr, "grambench: %v\n", err)
 		return 2
@@ -82,29 +82,18 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 
 	// (a) Raw marshalling, the gSOAP-style measurement of [20].
 	payload := middleware.NewTripleArray(*items)
-	raw, err := middleware.MarshalTriples(payload)
+	size := 0
+	marshal, err := loadgen.Ceiling(ctx, 1, *dur, func(context.Context) (err error) {
+		size, err = middleware.RoundTripTriples(payload)
+		return err
+	})
 	if err != nil {
 		fmt.Fprintf(stderr, "grambench: %v\n", err)
 		return 1
 	}
-	n := 0
-	start := time.Now()
-	for time.Since(start) < *dur && ctx.Err() == nil {
-		b, err := middleware.MarshalTriples(payload)
-		if err != nil {
-			fmt.Fprintf(stderr, "grambench: %v\n", err)
-			return 1
-		}
-		if _, err := middleware.UnmarshalTriples(b); err != nil {
-			fmt.Fprintf(stderr, "grambench: %v\n", err)
-			return 1
-		}
-		n++
-	}
-	marshalRate := float64(n) / time.Since(start).Seconds()
 	fmt.Fprintf(stdout, "raw marshal+unmarshal of %d-record payload (%d KB): %.1f round-trips/s\n",
-		*items, len(raw)/1024, marshalRate)
-	if interrupted(ctx, stdout) {
+		*items, size/1024, marshal.Goodput)
+	if loadgen.Interrupted(ctx, stdout) {
 		return 0
 	}
 
@@ -140,7 +129,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "grambench: %v\n", err)
 		return 1
 	}
-	if interrupted(ctx, stdout) {
+	if loadgen.Interrupted(ctx, stdout) {
 		return 0
 	}
 
@@ -160,7 +149,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}
 	ot := report.NewTable(fmt.Sprintf("overload response (%s mode, open-loop rate × redundancy)", mode),
 		"rate", "r", "offered/s", "goodput/s", "p50 s", "p95 s", "p99 s", "loss %", "errors")
-	stopped := false
 	gen.batch = *batch
 sweep:
 	for _, rate := range sweepRates {
@@ -175,7 +163,6 @@ sweep:
 				report.Cell(res.P50, 3), report.Cell(res.P95, 3), report.Cell(res.P99, 3),
 				report.Cell(100*res.ErrorRate(), 1), res.ErrorSummary())
 			if res.Interrupted {
-				stopped = true
 				break sweep
 			}
 		}
@@ -184,7 +171,7 @@ sweep:
 		fmt.Fprintf(stderr, "grambench: %v\n", err)
 		return 1
 	}
-	if stopped && interrupted(ctx, stdout) {
+	if loadgen.Interrupted(ctx, stdout) {
 		return 0
 	}
 	fmt.Fprintf(stdout, "\nThe paper measures ~0.5 submit+cancel pairs/s for GT4 WS-GRAM, giving r < 3;\n")
@@ -254,79 +241,9 @@ func measure(ctx context.Context, durable, security bool, rate float64, r int, g
 		if err := cl.Warm(ctx, 16); err != nil {
 			return loadgen.Result{}, err
 		}
-		cfg.DoBatch = func(ctx context.Context, _, copies int) error {
-			return batchPair(ctx, cl, copies)
-		}
+		cfg.DoBatch = func(ctx context.Context, _, copies int) error { return cl.BatchPair(ctx, copies) }
 	} else {
-		cfg.Do = func(ctx context.Context, _ loadgen.Request) error {
-			id, err := cl.SubmitContext(ctx, "open", 1, time.Hour)
-			if err != nil {
-				return err
-			}
-			return cl.CancelContext(ctx, id)
-		}
+		cfg.Do = func(ctx context.Context, _ loadgen.Request) error { return cl.Pair(ctx) }
 	}
 	return loadgen.Run(ctx, cfg)
-}
-
-// batchPair performs one batched logical request: all copies submitted
-// in one envelope, every copy that landed canceled in another.
-func batchPair(ctx context.Context, cl *middleware.Client, copies int) error {
-	jobs := make([]middleware.BatchJob, copies)
-	for i := range jobs {
-		jobs[i] = middleware.BatchJob{Name: "open", Nodes: 1, Walltime: time.Hour}
-	}
-	subs, err := cl.SubmitBatchContext(ctx, jobs)
-	if err != nil {
-		return err
-	}
-	ids := make([]int64, 0, len(subs))
-	var firstErr error
-	for _, r := range subs {
-		if e := r.Err(); e == nil {
-			ids = append(ids, r.JobID)
-		} else if firstErr == nil {
-			firstErr = e
-		}
-	}
-	if len(ids) == 0 {
-		return firstErr
-	}
-	cans, err := cl.CancelBatchContext(ctx, ids)
-	if err != nil {
-		return err
-	}
-	for _, r := range cans {
-		if e := r.Err(); e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// parseRedundancies parses the comma-separated redundancy list.
-func parseRedundancies(s string) ([]int, error) {
-	rates, err := loadgen.ParseRates(s)
-	if err != nil {
-		return nil, fmt.Errorf("bad redundancy list %q", s)
-	}
-	out := make([]int, len(rates))
-	for i, v := range rates {
-		r := int(v)
-		if float64(r) != v || r < 1 {
-			return nil, fmt.Errorf("bad redundancy %g (want positive integer)", v)
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// interrupted reports (and announces) a canceled run: partial results
-// above are already flushed.
-func interrupted(ctx context.Context, stdout io.Writer) bool {
-	if ctx.Err() == nil {
-		return false
-	}
-	fmt.Fprintln(stdout, "\ninterrupted — partial results above (in-flight requests drained)")
-	return true
 }

@@ -1,13 +1,13 @@
 // Command pbsbench reproduces Figure 5 and probes the daemon's
 // overload regime. It first saturates the pbsd batch scheduler daemon
-// with job submissions and head-of-queue deletions at increasing queue
-// sizes (sustained capacity, the Figure 5 shape) and derives the
-// Section 4.1 redundancy bound r < iat * throughput. It then drives
-// the daemon open-loop over its TCP protocol at a swept request rate ×
-// redundancy factor r against a preloaded queue, where a closed loop
-// would politely slow down instead of exposing the overload response
-// (see internal/loadgen). SIGINT drains in-flight requests and flushes
-// partial results.
+// closed-loop with job submissions and head-of-queue deletions at
+// increasing queue sizes (sustained capacity, the Figure 5 shape) and
+// derives the Section 4.1 redundancy bound r < iat * throughput. It
+// then drives the daemon open-loop over its TCP protocol at a swept
+// request rate × redundancy factor r against a preloaded queue, where a
+// closed loop would politely slow down instead of exposing the overload
+// response (see internal/loadgen for both schedules). SIGINT drains
+// in-flight requests and flushes partial results.
 package main
 
 import (
@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -85,7 +86,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "pbsbench: %v\n", err)
 			return 2
 		}
-		if rs, err = parseRedundancies(*redund); err != nil {
+		if rs, err = loadgen.ParseRedundancies(*redund); err != nil {
 			fmt.Fprintf(stderr, "pbsbench: %v\n", err)
 			return 2
 		}
@@ -95,24 +96,28 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The closed-loop capacity sweep, interruptible between points (a
-	// point in flight finishes its bounded window and drains).
+	// The closed-loop capacity sweep: a fresh daemon per queue size,
+	// -clients callers each on its own protocol connection (or on the
+	// direct API). An interrupt drains the point in flight, keeps its
+	// partial reading and skips the rest.
 	if len(qs) == 0 {
 		qs = pbsd.DefaultQueueSizes
 	}
-	var results []pbsd.SaturationResult
+	conns := 0
+	if *tcp {
+		conns = *clients
+	}
+	var results []capacityPoint
 	for _, q := range qs {
 		if ctx.Err() != nil {
 			break
 		}
-		r, err := pbsd.Saturate(pbsd.SaturationConfig{
-			QueueSize: q, Clients: *clients, Duration: *dur, OverTCP: *tcp, FastPath: *fast,
-		})
+		p, err := measureCapacity(ctx, pbsd.Config{Nodes: 16, FullScanCycle: !*fast}, q, conns, *clients, *dur)
 		if err != nil {
 			fmt.Fprintf(stderr, "pbsbench: %v\n", err)
 			return 1
 		}
-		results = append(results, r)
+		results = append(results, p)
 	}
 	title := "Figure 5: daemon throughput vs queue size (maximum-churn submit + delete-head)"
 	if *fast {
@@ -121,8 +126,9 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	t := report.NewTable(title,
 		"queue size", "pairs/s", "ops/s", "avg jobs scanned/cycle")
 	for _, r := range results {
-		t.AddRow(fmt.Sprintf("%d", r.QueueSize),
-			report.Cell(r.PairRate, 1), report.Cell(r.Throughput, 1), report.Cell(r.AvgScan, 0))
+		// A pair is two operations: one submit, one delete.
+		t.AddRow(fmt.Sprintf("%d", r.queueSize),
+			report.Cell(r.pairRate, 1), report.Cell(2*r.pairRate, 1), report.Cell(r.avgScan, 0))
 	}
 	if err := t.Render(stdout); err != nil {
 		fmt.Fprintln(stderr, err)
@@ -131,22 +137,19 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 
 	// Section 4.1 bound at the requested queue size (paper: 6
 	// pairs/s at 10,000 pending -> r < 30 at iat = 5 s).
-	var at *pbsd.SaturationResult
-	for i := range results {
-		if results[i].QueueSize == *boundQ {
-			at = &results[i]
+	if len(results) > 0 {
+		at := results[len(results)-1]
+		for _, r := range results {
+			if r.queueSize == *boundQ {
+				at = r
+			}
 		}
-	}
-	if at == nil && len(results) > 0 {
-		at = &results[len(results)-1]
-	}
-	if at != nil {
-		bound := pbsd.LoadBound(at.PairRate, *iat)
+		bound := pbsd.LoadBound(at.pairRate, *iat)
 		fmt.Fprintf(stdout, "\nSection 4.1 bound: at a %d-deep queue the daemon sustains %.1f submit+cancel pairs/s;\n",
-			at.QueueSize, at.PairRate)
+			at.queueSize, at.pairRate)
 		fmt.Fprintf(stdout, "with iat = %.2f s the scheduler tolerates r < %d redundant requests per job.\n", *iat, bound)
 	}
-	if interrupted(ctx, stdout) {
+	if loadgen.Interrupted(ctx, stdout) {
 		return 0
 	}
 	if len(sweepRates) == 0 {
@@ -156,7 +159,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	// Open-loop overload sweep: one daemon preloaded to -qsize, hit
 	// over TCP at rate × r. Each copy is a full submit + delete-head
 	// pair, so r multiplies the protocol work per logical request.
-	code, err := openLoopSweep(ctx, stdout, sweepConfig{
+	err := openLoopSweep(ctx, stdout, sweepConfig{
 		qsize: *qsize, rates: sweepRates, rs: rs, law: law,
 		dur: *dur, inflight: *inflight, deadline: *deadline,
 	})
@@ -164,7 +167,25 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pbsbench: %v\n", err)
 		return 1
 	}
-	return code
+	return 0
+}
+
+// capacityPoint is one row of the Figure 5 table.
+type capacityPoint struct {
+	queueSize         int
+	pairRate, avgScan float64
+}
+
+// measureCapacity reads one daemon's closed-loop ceiling at one queue
+// depth.
+func measureCapacity(ctx context.Context, cfg pbsd.Config, queueSize, conns, clients int, dur time.Duration) (capacityPoint, error) {
+	ch, err := pbsd.NewChurn(cfg, queueSize, conns)
+	if err != nil {
+		return capacityPoint{}, err
+	}
+	defer ch.Close()
+	res, err := loadgen.Ceiling(ctx, clients, dur, ch.Pair)
+	return capacityPoint{queueSize, res.Goodput, ch.AvgScan()}, err
 }
 
 type sweepConfig struct {
@@ -177,43 +198,18 @@ type sweepConfig struct {
 	deadline time.Duration
 }
 
-func openLoopSweep(ctx context.Context, stdout io.Writer, cfg sweepConfig) (int, error) {
-	srv, err := pbsd.New(pbsd.Config{Nodes: 16})
+func openLoopSweep(ctx context.Context, stdout io.Writer, cfg sweepConfig) error {
+	// One incremental-mode daemon preloaded to -qsize, with a pool of
+	// protocol connections sized for the worst-case copy concurrency.
+	poolSize := min(cfg.inflight*slices.Max(cfg.rs), 256)
+	ch, err := pbsd.NewChurn(pbsd.Config{Nodes: 16}, cfg.qsize, poolSize)
 	if err != nil {
-		return 1, err
+		return err
 	}
-	defer srv.Close()
-	for i := 0; i < cfg.qsize; i++ {
-		if _, err := srv.Submit(fmt.Sprintf("preload-%d", i), 1, time.Hour); err != nil {
-			return 1, err
-		}
-	}
-	ln, err := pbsd.Serve(srv, "127.0.0.1:0")
-	if err != nil {
-		return 1, err
-	}
-	defer ln.Close()
-
-	// A pool of protocol connections sized for the worst-case copy
-	// concurrency: pbsd.Client is sequential-use, so each in-flight
-	// copy needs its own.
-	poolSize := cfg.inflight * maxInt(cfg.rs)
-	if poolSize > 256 {
-		poolSize = 256
-	}
-	pool := make(chan *pbsd.Client, poolSize)
-	for i := 0; i < poolSize; i++ {
-		c, err := pbsd.Dial(ln.Addr())
-		if err != nil {
-			return 1, err
-		}
-		defer c.Close()
-		pool <- c
-	}
+	defer ch.Close()
 
 	t := report.NewTable(fmt.Sprintf("overload response (open-loop rate × redundancy, queue preloaded to %d)", cfg.qsize),
 		"rate", "r", "offered/s", "goodput/s", "p50 s", "p95 s", "p99 s", "loss %", "errors")
-	stopped := false
 sweep:
 	for _, rate := range cfg.rates {
 		for _, r := range cfg.rs {
@@ -224,46 +220,26 @@ sweep:
 				Redundancy:  r,
 				MaxInFlight: cfg.inflight,
 				Deadline:    cfg.deadline,
-				Do: func(ctx context.Context, _ loadgen.Request) error {
-					select {
-					case cl := <-pool:
-						defer func() { pool <- cl }()
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-						if _, err := cl.Submit("open", 1, time.Hour); err != nil {
-							return err
-						}
-						// Delete-head keeps the queue pinned at the
-						// preloaded depth, Figure 5's churn pattern.
-						_, err := cl.DeleteHead()
-						return err
-					case <-ctx.Done():
-						return ctx.Err()
-					}
-				},
-				Classify: classifyDaemonErr,
+				Do:          func(ctx context.Context, _ loadgen.Request) error { return ch.Pair(ctx) },
+				Classify:    classifyDaemonErr,
 			})
 			if err != nil {
-				return 1, err
+				return err
 			}
 			t.AddRow(report.Cell(rate, 0), fmt.Sprintf("%d", r),
 				report.Cell(res.OfferedRate, 1), report.Cell(res.Goodput, 1),
 				report.Cell(res.P50, 3), report.Cell(res.P95, 3), report.Cell(res.P99, 3),
 				report.Cell(100*res.ErrorRate(), 1), res.ErrorSummary())
 			if res.Interrupted {
-				stopped = true
 				break sweep
 			}
 		}
 	}
 	if err := t.Render(stdout); err != nil {
-		return 1, err
+		return err
 	}
-	if stopped {
-		interrupted(ctx, stdout)
-	}
-	return 0, nil
+	loadgen.Interrupted(ctx, stdout)
+	return nil
 }
 
 // classifyDaemonErr buckets protocol-level failures for the report.
@@ -275,41 +251,4 @@ func classifyDaemonErr(err error) string {
 		return "late"
 	}
 	return ""
-}
-
-// parseRedundancies parses the comma-separated redundancy list.
-func parseRedundancies(s string) ([]int, error) {
-	rates, err := loadgen.ParseRates(s)
-	if err != nil {
-		return nil, fmt.Errorf("bad redundancy list %q", s)
-	}
-	out := make([]int, len(rates))
-	for i, v := range rates {
-		r := int(v)
-		if float64(r) != v || r < 1 {
-			return nil, fmt.Errorf("bad redundancy %g (want positive integer)", v)
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-func maxInt(vs []int) int {
-	m := 1
-	for _, v := range vs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// interrupted reports (and announces) a canceled run: partial results
-// above are already flushed.
-func interrupted(ctx context.Context, stdout io.Writer) bool {
-	if ctx.Err() == nil {
-		return false
-	}
-	fmt.Fprintln(stdout, "\ninterrupted — partial results above (in-flight requests drained)")
-	return true
 }

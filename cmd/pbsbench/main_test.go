@@ -65,8 +65,8 @@ func TestInterruptFlushesPartialResults(t *testing.T) {
 	var out, errb bytes.Buffer
 	// Four closed-loop points at 200 ms each guarantee the cancel (at
 	// 300 ms) lands before the sweep finishes; the point in flight
-	// completes its bounded window, the rest are skipped, and the
-	// open-loop phase never starts.
+	// drains and keeps its partial reading, the rest are skipped, and
+	// the open-loop phase never starts.
 	args := []string{"-sizes", "0,10,20,30", "-clients", "1", "-dur", "200ms",
 		"-rates", "10", "-r", "1", "-qsize", "10", "-inflight", "4"}
 	done := make(chan int, 1)

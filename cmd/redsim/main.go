@@ -60,7 +60,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		runNames = fs.String("run", "all", "comma-separated experiment names (see -list), or \"all\"")
-		expName  = fs.String("exp", "", "deprecated alias for -run")
 		list     = fs.Bool("list", false, "list the registered experiments and exit")
 		format   = fs.String("format", "table", "output format: table|csv|json")
 		outDir   = fs.String("out", "", "write one file per experiment into this directory instead of stdout")
@@ -118,12 +117,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	names := *runNames
-	if *expName != "" {
-		fmt.Fprintln(stderr, "redsim: -exp is deprecated, use -run")
-		names = *expName
-	}
-	specs, err := resolve(names)
+	specs, err := resolve(*runNames)
 	if err != nil {
 		fmt.Fprintf(stderr, "redsim: %v\n", err)
 		fs.Usage()

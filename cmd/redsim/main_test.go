@@ -310,15 +310,3 @@ func TestBadOrderingExitsUsage(t *testing.T) {
 		t.Errorf("stderr missing diagnosis:\n%s", errb.String())
 	}
 }
-
-// TestDeprecatedExpFlag checks -exp still selects experiments (with a
-// deprecation note on stderr).
-func TestDeprecatedExpFlag(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "nope"}, &out, &errb); code != 2 {
-		t.Errorf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "-exp is deprecated") {
-		t.Errorf("stderr missing deprecation note:\n%s", errb.String())
-	}
-}

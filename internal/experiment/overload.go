@@ -165,7 +165,7 @@ func overloadTables(opts Options) ([]*report.Table, error) {
 	prev := tr.Snapshot()
 	for _, ph := range phases {
 		stack.blackhole.Store(ph.black)
-		res, err := stack.runPoint(cl, 40, 1, overloadTuning.ChaosWindow)
+		res, err := stack.runPoint(cl, 40, 1, overloadTuning.ChaosWindow, false)
 		if err != nil {
 			return nil, err
 		}
@@ -315,81 +315,34 @@ func (s *overloadStack) Close() {
 // pre-warmed pooled client and batches each logical request's r-way
 // fan-out into one SubmitBatch and one CancelBatch envelope.
 func (s *overloadStack) point(rate float64, r int) (loadgen.Result, error) {
+	cl := s.client
 	if !s.fast {
-		cl := middleware.NewClientOptions(s.url, fmt.Sprintf("overload-%g-%d", rate, r), middleware.ClientOptions{
+		cl = middleware.NewClientOptions(s.url, fmt.Sprintf("overload-%g-%d", rate, r), middleware.ClientOptions{
 			Timeout:   overloadTuning.Deadline,
 			Transport: &http.Transport{MaxIdleConnsPerHost: 2},
 		})
-		return s.runPoint(cl, rate, r, overloadTuning.Window)
 	}
-	return loadgen.Run(context.Background(), loadgen.Config{
-		Rate:        rate,
-		Arrivals:    loadgen.Poisson,
-		Duration:    overloadTuning.Window,
-		Redundancy:  r,
-		MaxInFlight: 128,
-		Deadline:    overloadTuning.Deadline,
-		DoBatch: func(ctx context.Context, _, copies int) error {
-			return s.batchPair(ctx, copies)
-		},
-		Classify: middleware.ErrorClass,
-	})
+	return s.runPoint(cl, rate, r, overloadTuning.Window, s.fast)
 }
 
-// batchPair is the fast stack's logical request: submit all copies in
-// one envelope, then cancel every copy that landed in another — the
-// r-way fan-out and loser-cancel fan-in in two round trips total.
-func (s *overloadStack) batchPair(ctx context.Context, copies int) error {
-	jobs := make([]middleware.BatchJob, copies)
-	for i := range jobs {
-		jobs[i] = middleware.BatchJob{Name: "overload", Nodes: 1, Walltime: time.Hour}
-	}
-	subs, err := s.client.SubmitBatchContext(ctx, jobs)
-	if err != nil {
-		return err
-	}
-	ids := make([]int64, 0, len(subs))
-	var firstErr error
-	for _, r := range subs {
-		if e := r.Err(); e == nil {
-			ids = append(ids, r.JobID)
-		} else if firstErr == nil {
-			firstErr = e
-		}
-	}
-	if len(ids) == 0 {
-		return firstErr
-	}
-	cans, err := s.client.CancelBatchContext(ctx, ids)
-	if err != nil {
-		return err
-	}
-	for _, r := range cans {
-		if e := r.Err(); e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// runPoint drives the generator through an existing client with one
-// round trip per copy (the chaos phases keep one client so breaker
-// state carries across phases).
-func (s *overloadStack) runPoint(cl *middleware.Client, rate float64, r int, window time.Duration) (loadgen.Result, error) {
-	return loadgen.Run(context.Background(), loadgen.Config{
+// runPoint drives the generator through an existing client (the chaos
+// phases keep one client so breaker state carries across phases): one
+// round trip per copy, or with batch one pair of batch envelopes per
+// logical request.
+func (s *overloadStack) runPoint(cl *middleware.Client, rate float64, r int, window time.Duration, batch bool) (loadgen.Result, error) {
+	cfg := loadgen.Config{
 		Rate:        rate,
 		Arrivals:    loadgen.Poisson,
 		Duration:    window,
 		Redundancy:  r,
 		MaxInFlight: 128,
 		Deadline:    overloadTuning.Deadline,
-		Do: func(ctx context.Context, _ loadgen.Request) error {
-			id, err := cl.SubmitContext(ctx, "overload", 1, time.Hour)
-			if err != nil {
-				return err
-			}
-			return cl.CancelContext(ctx, id)
-		},
-		Classify: middleware.ErrorClass,
-	})
+		Classify:    middleware.ErrorClass,
+	}
+	if batch {
+		cfg.DoBatch = func(ctx context.Context, _, copies int) error { return cl.BatchPair(ctx, copies) }
+	} else {
+		cfg.Do = func(ctx context.Context, _ loadgen.Request) error { return cl.Pair(ctx) }
+	}
+	return loadgen.Run(context.Background(), cfg)
 }

@@ -5,10 +5,12 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
 
+	"redreq/internal/loadgen"
 	"redreq/internal/middleware"
 	"redreq/internal/obs"
 	"redreq/internal/pbsd"
@@ -30,9 +32,6 @@ type section4Options struct {
 	// IAT is the mean job interarrival time for the r bounds (the
 	// paper's peak-hour 5.01 s).
 	IAT float64
-	// StateDir holds the middleware's durable state (a temporary
-	// directory when empty).
-	StateDir string
 	// Trace, when non-nil, collects the daemon's and the middleware's
 	// wall-clock latency histograms and error counters across every
 	// measurement.
@@ -42,21 +41,30 @@ type section4Options struct {
 // section4Result aggregates the Section 4 measurements.
 type section4Result struct {
 	// Scheduler is the Figure 5 sweep.
-	Scheduler []pbsd.SaturationResult
+	Scheduler []schedulerPoint
 	// SchedulerBound is r < iat * pair-rate at BoundQueueSize.
 	SchedulerBound int
 	// MarshalPerSec is the [20]-style round-trip rate for the
 	// 30,000-record payload.
 	MarshalPerSec float64
-	// Middleware holds transaction rates: in-memory, durable, and
-	// full GRAM-like (durable + security).
-	Middleware []middleware.RateResult
+	// Middleware holds submit+cancel pairs/s per fidelity mode, in
+	// middlewareLabels order: in-memory, durable, and full GRAM-like
+	// (durable + security).
+	Middleware []float64
 	// MiddlewareBound is the bound implied by the slowest middleware
 	// mode.
 	MiddlewareBound int
 	// Bottleneck names the slower layer ("scheduler" or
 	// "middleware"), the paper's Section 4 conclusion.
 	Bottleneck string
+}
+
+// schedulerPoint is one Figure 5 reading: sustained submit+cancel
+// pairs/s ("submissions/cancellations per second", the paper's y-axis)
+// at a preloaded queue depth.
+type schedulerPoint struct {
+	QueueSize int
+	PairRate  float64
 }
 
 // section4 runs the full system-load analysis. It is wall-clock
@@ -81,47 +89,33 @@ func section4(opts section4Options) (*section4Result, error) {
 
 	out := &section4Result{}
 
-	// (1) Figure 5: scheduler throughput vs queue size. Loop over
-	// Saturate directly (rather than pbsd.Sweep) so the trace can be
-	// threaded into each measurement.
-	sweep := make([]pbsd.SaturationResult, 0, len(opts.QueueSizes))
+	// (1) Figure 5: scheduler throughput vs queue size, over the TCP
+	// protocol in the paper-faithful full-scan mode.
 	for _, q := range opts.QueueSizes {
-		r, err := pbsd.Saturate(pbsd.SaturationConfig{
-			QueueSize: q,
-			Clients:   opts.Clients,
-			Duration:  opts.Window,
-			OverTCP:   true,
-			Trace:     opts.Trace,
-		})
+		rate, err := measureScheduler(opts, q)
 		if err != nil {
 			return nil, err
 		}
-		sweep = append(sweep, r)
+		out.Scheduler = append(out.Scheduler, schedulerPoint{q, rate})
 	}
-	out.Scheduler = sweep
-	at := sweep[len(sweep)-1]
-	for _, r := range sweep {
-		if r.QueueSize == opts.BoundQueueSize {
-			at = r
+	at := out.Scheduler[len(out.Scheduler)-1]
+	for _, p := range out.Scheduler {
+		if p.QueueSize == opts.BoundQueueSize {
+			at = p
 		}
 	}
 	out.SchedulerBound = pbsd.LoadBound(at.PairRate, opts.IAT)
 
 	// (2) Raw marshalling (the gSOAP measurement of [20]).
 	payload := middleware.NewTripleArray(30000)
-	n := 0
-	start := time.Now()
-	for time.Since(start) < opts.Window {
-		raw, err := middleware.MarshalTriples(payload)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := middleware.UnmarshalTriples(raw); err != nil {
-			return nil, err
-		}
-		n++
+	marshal, err := loadgen.Ceiling(context.Background(), 1, opts.Window, func(context.Context) error {
+		_, err := middleware.RoundTripTriples(payload)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	out.MarshalPerSec = float64(n) / time.Since(start).Seconds()
+	out.MarshalPerSec = marshal.Goodput
 
 	// (3) Middleware transaction rates in each fidelity mode.
 	modes := []struct{ durable, security bool }{
@@ -135,7 +129,7 @@ func section4(opts section4Options) (*section4Result, error) {
 		out.Middleware = append(out.Middleware, rate)
 	}
 	slowest := out.Middleware[len(out.Middleware)-1]
-	out.MiddlewareBound = pbsd.LoadBound(slowest.PairRate, opts.IAT)
+	out.MiddlewareBound = pbsd.LoadBound(slowest, opts.IAT)
 	if out.MiddlewareBound < out.SchedulerBound {
 		out.Bottleneck = "middleware"
 	} else {
@@ -144,20 +138,31 @@ func section4(opts section4Options) (*section4Result, error) {
 	return out, nil
 }
 
-func measureMiddleware(opts section4Options, durable, security bool) (middleware.RateResult, error) {
+// measureScheduler reads the daemon's ceiling at one queue depth.
+func measureScheduler(opts section4Options, queueSize int) (float64, error) {
+	ch, err := pbsd.NewChurn(pbsd.Config{Nodes: 16, FullScanCycle: true, Trace: opts.Trace}, queueSize, opts.Clients)
+	if err != nil {
+		return 0, err
+	}
+	defer ch.Close()
+	res, err := loadgen.Ceiling(context.Background(), opts.Clients, opts.Window, ch.Pair)
+	return res.Goodput, err
+}
+
+// measureMiddleware reads the ceiling of a fresh middleware stack in
+// one fidelity mode.
+func measureMiddleware(opts section4Options, durable, security bool) (float64, error) {
 	backend, err := pbsd.New(pbsd.Config{Nodes: 16, Trace: opts.Trace})
 	if err != nil {
-		return middleware.RateResult{}, err
+		return 0, err
 	}
 	defer backend.Close()
-	stateDir := opts.StateDir
-	if durable && stateDir == "" {
-		dir, err := os.MkdirTemp("", "section4-state")
-		if err != nil {
-			return middleware.RateResult{}, err
+	stateDir := ""
+	if durable {
+		if stateDir, err = os.MkdirTemp("", "section4-state"); err != nil {
+			return 0, err
 		}
-		defer os.RemoveAll(dir)
-		stateDir = dir
+		defer os.RemoveAll(stateDir)
 	}
 	svc, err := middleware.NewService(middleware.ServiceConfig{
 		Durable:  durable,
@@ -167,21 +172,28 @@ func measureMiddleware(opts section4Options, durable, security bool) (middleware
 		Trace:    opts.Trace,
 	})
 	if err != nil {
-		return middleware.RateResult{}, err
+		return 0, err
 	}
 	defer svc.Close()
 	ep, err := middleware.Start(svc, "127.0.0.1:0")
 	if err != nil {
-		return middleware.RateResult{}, err
+		return 0, err
 	}
 	defer ep.Close()
+	// One client shared by every caller, a warm connection each, so the
+	// window sees the endpoint's cost rather than connection setup.
+	ctx := context.Background()
+	cl := middleware.NewClient(ep.URL, "section4")
+	if err := cl.Warm(ctx, opts.Clients); err != nil {
+		return 0, err
+	}
 	// Monopolize the pool so saturation submissions stay cancelable,
 	// as the paper's long blocker job does.
-	cl := middleware.NewClient(ep.URL, "section4")
 	if _, err := cl.Submit("blocker", 16, 24*time.Hour); err != nil {
-		return middleware.RateResult{}, err
+		return 0, err
 	}
-	return middleware.MeasureRate(ep.URL, opts.Clients, opts.Window, durable)
+	res, err := loadgen.Ceiling(ctx, opts.Clients, opts.Window, cl.Pair)
+	return res.Goodput, err
 }
 
 // String renders the result in the shape of the paper's Section 4
@@ -193,9 +205,8 @@ func (r *section4Result) String() string {
 	}
 	s += fmt.Sprintf("  scheduler bound: r < %d\n", r.SchedulerBound)
 	s += fmt.Sprintf("  raw marshalling: %.1f round-trips/s (30k-record payload)\n", r.MarshalPerSec)
-	labels := []string{"in-memory", "durable", "durable+security"}
-	for i, m := range r.Middleware {
-		s += fmt.Sprintf("  middleware %-17s %8.1f pairs/s\n", labels[i]+":", m.PairRate)
+	for i, rate := range r.Middleware {
+		s += fmt.Sprintf("  middleware %-17s %8.1f pairs/s\n", middlewareLabels[i]+":", rate)
 	}
 	s += fmt.Sprintf("  middleware bound: r < %d\n", r.MiddlewareBound)
 	s += fmt.Sprintf("  bottleneck: %s\n", r.Bottleneck)
@@ -227,8 +238,8 @@ var sec4Spec = &Spec{
 		bounds := report.NewTable("Section 4 bounds on tolerable redundancy", "metric", "value")
 		bounds.AddRow("scheduler bound (r <)", r.SchedulerBound)
 		bounds.AddRow("raw marshalling (round-trips/s, 30k records)", report.F(r.MarshalPerSec, 1))
-		for i, m := range r.Middleware {
-			bounds.AddRow("middleware pairs/s, "+middlewareLabels[i], report.F(m.PairRate, 1))
+		for i, rate := range r.Middleware {
+			bounds.AddRow("middleware pairs/s, "+middlewareLabels[i], report.F(rate, 1))
 		}
 		bounds.AddRow("middleware bound (r <)", r.MiddlewareBound)
 		bounds.AddRow("bottleneck", r.Bottleneck)

@@ -1,8 +1,11 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,45 +140,43 @@ func TestDeadlineAndClassification(t *testing.T) {
 	}
 }
 
-// Canceling the run context stops arrivals and drains in-flight work:
-// the partial result is returned with Interrupted set, not an error.
+// Canceling the run context stops new requests and drains in-flight
+// work on either schedule: the partial result is returned with
+// Interrupted set, not an error.
 func TestInterruptDrainsAndReturnsPartial(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var inflight, maxSeen atomic.Int32
-	go func() {
-		time.Sleep(40 * time.Millisecond)
-		cancel()
-	}()
-	res, err := Run(ctx, Config{
-		Rate:     200,
-		Arrivals: Uniform,
-		Duration: 10 * time.Second, // the cancel, not the window, ends the run
-		Do: func(ctx context.Context, _ Request) error {
-			n := inflight.Add(1)
+	for name, cfg := range map[string]Config{
+		"open":   {Rate: 200, Arrivals: Uniform},
+		"closed": {MaxInFlight: 4},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(40 * time.Millisecond)
+			cancel()
+		}()
+		var inflight atomic.Int32
+		cfg.Duration = 10 * time.Second // the cancel, not the window, ends the run
+		cfg.Do = func(context.Context, Request) error {
+			inflight.Add(1)
 			defer inflight.Add(-1)
-			for {
-				if m := maxSeen.Load(); n <= m || maxSeen.CompareAndSwap(m, n) {
-					break
-				}
-			}
 			time.Sleep(5 * time.Millisecond)
 			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Interrupted {
-		t.Fatal("canceled run not marked Interrupted")
-	}
-	if res.Offered == 0 || res.OK == 0 {
-		t.Fatalf("no partial results: %+v", res)
-	}
-	if res.Elapsed >= 5*time.Second {
-		t.Fatalf("run did not stop on cancel (elapsed %v)", res.Elapsed)
-	}
-	if got := inflight.Load(); got != 0 {
-		t.Fatalf("%d requests still in flight after Run returned", got)
+		}
+		res, err := Run(ctx, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Interrupted {
+			t.Errorf("%s: canceled run not marked Interrupted", name)
+		}
+		if res.OK == 0 || res.OK != res.Offered {
+			t.Errorf("%s: in-flight requests not drained to completion: %+v", name, res)
+		}
+		if res.Elapsed >= 5*time.Second {
+			t.Errorf("%s: run did not stop on cancel (elapsed %v)", name, res.Elapsed)
+		}
+		if got := inflight.Load(); got != 0 {
+			t.Errorf("%s: %d requests still in flight after Run returned", name, got)
+		}
 	}
 }
 
@@ -253,16 +254,129 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("nil Do accepted")
 	}
 	nop := func(context.Context, Request) error { return nil }
-	if _, err := Run(context.Background(), Config{Rate: 0, Duration: time.Second, Do: nop}); err == nil {
-		t.Error("zero rate accepted")
+	if _, err := Run(context.Background(), Config{Rate: -1, Duration: time.Second, Do: nop}); err == nil {
+		t.Error("negative rate accepted")
 	}
 	if _, err := Run(context.Background(), Config{Rate: 1, Do: nop}); err == nil {
 		t.Error("zero duration accepted")
+	}
+	if _, err := Run(context.Background(), Config{Do: nop}); err == nil {
+		t.Error("closed loop with zero duration accepted")
 	}
 	// Do and DoBatch are mutually exclusive ways to issue a request.
 	batch := func(context.Context, int, int) error { return nil }
 	if _, err := Run(context.Background(), Config{Rate: 1, Duration: time.Second, Do: nop, DoBatch: batch}); err == nil {
 		t.Error("both Do and DoBatch accepted")
+	}
+
+	// Rate == 0 is the closed loop, and with MaxInFlight unset its
+	// callers are the default window of 512: hold every request until
+	// that many are in Do at once.
+	var (
+		inflight atomic.Int32
+		once     sync.Once
+	)
+	full := make(chan struct{})
+	res, err := Run(context.Background(), Config{
+		Duration: 200 * time.Millisecond,
+		Deadline: 5 * time.Second,
+		Do: func(ctx context.Context, _ Request) error {
+			defer inflight.Add(-1)
+			if inflight.Add(1) == 512 {
+				once.Do(func() { close(full) })
+			}
+			select {
+			case <-full:
+				time.Sleep(time.Millisecond)
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("closed loop (Rate 0) rejected: %v", err)
+	}
+	if res.Failed != 0 || res.OK < 512 {
+		t.Fatalf("default window never filled with 512 callers: %+v", res)
+	}
+}
+
+// The closed loop's callers are its only source of concurrency: never
+// more than MaxInFlight requests in Do, none dropped, and every offered
+// request accounted as OK or Failed.
+func TestClosedLoopBoundsConcurrencyAndDropsNothing(t *testing.T) {
+	var inflight, maxSeen atomic.Int32
+	res, err := Run(context.Background(), Config{
+		Duration:    100 * time.Millisecond,
+		MaxInFlight: 3,
+		Do: func(_ context.Context, req Request) error {
+			n := inflight.Add(1)
+			defer inflight.Add(-1)
+			for {
+				if m := maxSeen.Load(); n <= m || maxSeen.CompareAndSwap(m, n) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			if req.Seq%4 == 0 {
+				return errors.New("every fourth fails")
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := maxSeen.Load(); got != 3 {
+		t.Errorf("peak concurrency %d, want exactly the 3 callers", got)
+	}
+	if res.Dropped != 0 {
+		t.Errorf("closed loop dropped %d requests", res.Dropped)
+	}
+	if res.OK == 0 || res.Failed == 0 || res.Offered != res.OK+res.Failed {
+		t.Errorf("Offered %d != OK %d + Failed %d (want a mix)", res.Offered, res.OK, res.Failed)
+	}
+	if res.Copies != res.Offered {
+		t.Errorf("Copies = %d, want one per offered request (%d)", res.Copies, res.Offered)
+	}
+	if res.Interrupted {
+		t.Error("uninterrupted run marked Interrupted")
+	}
+	// Rates are taken over the measured span, start to last completion.
+	if want := float64(res.OK) / res.Elapsed.Seconds(); res.Goodput != want {
+		t.Errorf("Goodput = %g, want OK/Elapsed = %g", res.Goodput, want)
+	}
+}
+
+// The defining closed-loop property (and the reason it cannot overload
+// a system): the offered rate follows the service time. Doubling Do's
+// latency roughly halves it.
+func TestClosedLoopOfferedRateFollowsServiceTime(t *testing.T) {
+	offered := func(service time.Duration) float64 {
+		t.Helper()
+		res, err := Run(context.Background(), Config{
+			Duration:    300 * time.Millisecond,
+			MaxInFlight: 2,
+			Do: func(context.Context, Request) error {
+				time.Sleep(service)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.OfferedRate
+	}
+	fast, slow := offered(5*time.Millisecond), offered(10*time.Millisecond)
+	// Ideal: 400/s and 200/s. Sleep overshoot on a loaded machine
+	// shrinks both, the short sleep proportionally more, so the ratio
+	// can only sag below 2.
+	if ratio := fast / slow; ratio < 1.5 || ratio > 2.3 {
+		t.Errorf("offered %.1f/s at 5 ms vs %.1f/s at 10 ms: ratio %.2f, want ~2", fast, slow, ratio)
+	}
+	if fast > 2/0.005*1.05 {
+		t.Errorf("offered %.1f/s exceeds what 2 callers at 5 ms can issue", fast)
 	}
 }
 
@@ -287,5 +401,42 @@ func TestParseRates(t *testing.T) {
 		if _, err := ParseRates(bad); err == nil {
 			t.Errorf("ParseRates(%q) accepted", bad)
 		}
+	}
+	rs, err := ParseRedundancies("1, 2,4")
+	if err != nil || len(rs) != 3 || rs[0] != 1 || rs[2] != 4 {
+		t.Fatalf("ParseRedundancies = %v, %v", rs, err)
+	}
+	for _, bad := range []string{"", "0", "-1", "1.5", "two"} {
+		if _, err := ParseRedundancies(bad); err == nil {
+			t.Errorf("ParseRedundancies(%q) accepted", bad)
+		}
+	}
+}
+
+// Ceiling reports what failed instead of a rate read off a failing
+// system, and an interrupted read is a partial result, not an error.
+func TestCeilingFailsLoudly(t *testing.T) {
+	_, err := Ceiling(context.Background(), 2, 20*time.Millisecond, func(context.Context) error {
+		time.Sleep(time.Millisecond)
+		return errors.New("backend gone")
+	})
+	if err == nil || !strings.Contains(err.Error(), "backend gone") {
+		t.Errorf("Ceiling over a failing pair = %v, want an error naming the failure", err)
+	}
+	if _, err := Ceiling(context.Background(), 0, time.Second, func(context.Context) error { return nil }); err == nil {
+		t.Error("Ceiling with no callers accepted (would silently run the default window)")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Ceiling(ctx, 2, time.Second, func(ctx context.Context) error { return ctx.Err() })
+	if err != nil || !res.Interrupted {
+		t.Errorf("interrupted Ceiling = %+v, %v; want a partial result", res, err)
+	}
+	var out bytes.Buffer
+	if !Interrupted(ctx, &out) || !strings.Contains(out.String(), "partial results above") {
+		t.Errorf("Interrupted on a canceled context wrote %q", out.String())
+	}
+	if Interrupted(context.Background(), &out) {
+		t.Error("Interrupted reported a live context")
 	}
 }

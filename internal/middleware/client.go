@@ -1,5 +1,4 @@
-// Client side of the middleware service, plus the transaction-rate
-// measurement used by Section 4.2.
+// Client side of the middleware service.
 
 package middleware
 
@@ -495,70 +494,50 @@ func (c *Client) CancelBatchContext(ctx context.Context, ids []int64) ([]BatchRe
 	return r.Batch, nil
 }
 
-// RateResult is one transaction-rate measurement.
-type RateResult struct {
-	Durable      bool
-	Transactions int64
-	Elapsed      time.Duration
-	PerSecond    float64
-	// PairRate is matched submit+cancel pairs per second, comparable
-	// with the pbsd harness and the paper's "0.5 submissions and 0.5
-	// cancellations per second" GRAM figure.
-	PairRate float64
+// Pair is the unit of work of the paper's load measurements (Section
+// 4.2, Figure 5): submit one one-node job and cancel it again, two
+// transactions through the full stack.
+func (c *Client) Pair(ctx context.Context) error {
+	id, err := c.SubmitContext(ctx, "pair", 1, time.Hour)
+	if err != nil {
+		return err
+	}
+	return c.CancelContext(ctx, id)
 }
 
-// MeasureRate drives concurrent submit+cancel pairs through the
-// endpoint for the given duration and reports sustained throughput.
-func MeasureRate(url string, clients int, dur time.Duration, durable bool) (RateResult, error) {
-	if clients < 1 {
-		clients = 2
+// BatchPair is Pair for an r-way redundant request in two round trips:
+// all copies submitted in one SubmitBatch envelope, then every copy
+// that landed canceled in one CancelBatch envelope. It fails with the
+// first entry error when no copy landed or a cancel was refused.
+func (c *Client) BatchPair(ctx context.Context, copies int) error {
+	jobs := make([]BatchJob, copies)
+	for i := range jobs {
+		jobs[i] = BatchJob{Name: "pair", Nodes: 1, Walltime: time.Hour}
 	}
-	// One pooled client shared by every worker: the sequence counter is
-	// atomic, so sharing is free, the pool holds a warm connection per
-	// worker, and the measurement sees the endpoint's cost rather than
-	// per-worker connection setup.
-	cl := NewClientOptions(url, "bench", ClientOptions{PoolSize: clients})
-	if err := cl.Warm(context.Background(), clients); err != nil {
-		return RateResult{}, err
+	subs, err := c.SubmitBatchContext(ctx, jobs)
+	if err != nil {
+		return err
 	}
-	var (
-		tx   atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
-		werr atomic.Pointer[error]
-	)
-	start := time.Now()
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				id, err := cl.Submit("tx", 1, time.Hour)
-				if err == nil {
-					err = cl.Cancel(id)
-				}
-				if err != nil {
-					werr.CompareAndSwap(nil, &err)
-					stop.Store(true)
-					return
-				}
-				tx.Add(2)
-			}
-		}()
+	ids := make([]int64, 0, len(subs))
+	var firstErr error
+	for _, r := range subs {
+		if e := r.Err(); e == nil {
+			ids = append(ids, r.JobID)
+		} else if firstErr == nil {
+			firstErr = e
+		}
 	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-	if p := werr.Load(); p != nil {
-		return RateResult{}, *p
+	if len(ids) == 0 {
+		return firstErr
 	}
-	res := RateResult{
-		Durable:      durable,
-		Transactions: tx.Load(),
-		Elapsed:      elapsed,
-		PerSecond:    float64(tx.Load()) / elapsed.Seconds(),
+	cans, err := c.CancelBatchContext(ctx, ids)
+	if err != nil {
+		return err
 	}
-	res.PairRate = res.PerSecond / 2
-	return res, nil
+	for _, r := range cans {
+		if e := r.Err(); e != nil {
+			return e
+		}
+	}
+	return nil
 }

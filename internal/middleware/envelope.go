@@ -232,3 +232,13 @@ func UnmarshalTriples(b []byte) (*TripleArray, error) {
 	}
 	return &ta, nil
 }
+
+// RoundTripTriples is one iteration of the [20] marshalling benchmark:
+// serialize the payload, parse it back, and report the serialized size.
+func RoundTripTriples(ta *TripleArray) (size int, err error) {
+	b, err := MarshalTriples(ta)
+	if err == nil {
+		_, err = UnmarshalTriples(b)
+	}
+	return len(b), err
+}

@@ -2,12 +2,14 @@ package middleware
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"redreq/internal/loadgen"
 	"redreq/internal/obs"
 	"redreq/internal/pbsd"
 )
@@ -295,17 +297,24 @@ func TestTransactionsCounter(t *testing.T) {
 	}
 }
 
-func TestMeasureRateSmoke(t *testing.T) {
+// A closed loop of Pair calls through a live endpoint completes pairs
+// at a positive rate and cancels everything it submitted — the Section
+// 4.2 measurement.
+func TestClosedLoopPairRateSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
-	ep, _ := newTestEndpoint(t, false, false)
-	res, err := MeasureRate(ep.URL, 2, 150*time.Millisecond, false)
+	ep, backend := newTestEndpoint(t, false, false)
+	cl := NewClient(ep.URL, "bench")
+	res, err := loadgen.Ceiling(context.Background(), 2, 150*time.Millisecond, cl.Pair)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Transactions < 2 || res.PairRate <= 0 {
+	if res.OK < 1 || res.Goodput <= 0 {
 		t.Errorf("rate result = %+v", res)
+	}
+	if queued, _, _ := backend.Stat(); queued != 0 {
+		t.Errorf("%d jobs left queued after %d pairs, want every submit canceled", queued, res.OK)
 	}
 }
 

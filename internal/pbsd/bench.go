@@ -1,193 +1,129 @@
-// The Figure 5 measurement harness: saturate the daemon with
-// submissions and head-of-queue deletions at a given preloaded queue
-// size and measure sustained operation throughput.
+// Figure 5 support: the daemon set up as the paper measured it and the
+// unit of work of that measurement. The load itself — how many callers,
+// for how long, on what schedule — is internal/loadgen's.
 
 package pbsd
 
 import (
+	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"redreq/internal/obs"
 )
 
-// SaturationConfig configures one throughput measurement.
-type SaturationConfig struct {
-	// QueueSize preloads the queue with this many pending jobs.
-	QueueSize int
-	// Clients is the number of concurrent saturating clients (the
-	// paper runs "multiple processes that continuously submit new
-	// jobs ... and delete the job at the head of the queue").
-	Clients int
-	// Duration bounds the measurement window.
-	Duration time.Duration
-	// OverTCP measures through the TCP protocol instead of the
-	// direct API, including protocol and loopback costs.
-	OverTCP bool
-	// Nodes sizes the virtual node pool (the paper's testbed had a
-	// 16-node cluster).
-	Nodes int
-	// FastPath measures the daemon's incremental scheduling mode
-	// instead of the default paper-faithful full-scan mode. Figure 5
-	// needs the default: the O(queue) collapse it reproduces IS the
-	// full scan, and the fast path deliberately removes it.
-	FastPath bool
-	// Trace, when non-nil, collects the daemon's request-latency
-	// histograms and protocol error counters during the measurement.
-	Trace *obs.Trace
+// Churn is a daemon in the paper's Figure 5 configuration: nothing
+// executes (the paper's blocker job monopolizes the pool), a fixed
+// number of one-node jobs are pending, and every caller runs Pair —
+// submit a job, delete the job at the head — so the queue stays pinned
+// at its preloaded depth while every operation pays a scheduling cycle.
+type Churn struct {
+	// Server is the daemon under test.
+	Server *Server
+
+	ln    *Listener
+	conns chan *Client // nil: Pair calls the direct API
+
+	cycles0, scanned0 uint64
 }
 
-// SaturationResult reports one measurement.
-type SaturationResult struct {
-	QueueSize  int
-	Ops        int64         // completed submit+delete operations
-	Elapsed    time.Duration // actual measurement window
-	Throughput float64       // operations per second (submits+deletes each count once)
-	// PairRate is matched submit/cancel pairs per second, the unit
-	// of the paper's Figure 5 y-axis ("submissions/cancellations
-	// per second").
-	PairRate float64
-	// AvgScan is the mean number of pending jobs examined per
-	// scheduling cycle during the window (the cost driver).
-	AvgScan float64
-}
-
-// Saturate preloads a daemon to cfg.QueueSize pending jobs (with a
-// blocker job monopolizing all nodes so nothing starts, as in the
-// paper's setup) and then measures sustained submit + delete-head
-// throughput.
-func Saturate(cfg SaturationConfig) (SaturationResult, error) {
-	if cfg.Clients < 1 {
-		cfg.Clients = 2
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 2 * time.Second
-	}
-	if cfg.Nodes < 1 {
-		cfg.Nodes = 16
-	}
-	srv, err := New(Config{Nodes: cfg.Nodes, Execute: false, FullScanCycle: !cfg.FastPath, Trace: cfg.Trace})
+// NewChurn builds a daemon from cfg (Execute is forced off), preloads
+// queueSize pending jobs and, when conns > 0, serves it on a loopback
+// port with conns protocol connections dialed up front: a Client is
+// sequential-use, so that is the number of Pairs that can be on the
+// wire at once. conns == 0 makes Pair call the direct API.
+func NewChurn(cfg Config, queueSize, conns int) (*Churn, error) {
+	cfg.Execute = false
+	srv, err := New(cfg)
 	if err != nil {
-		return SaturationResult{}, err
+		return nil, err
 	}
-	defer srv.Close()
-
-	// Preload pending jobs.
-	for i := 0; i < cfg.QueueSize; i++ {
+	c := &Churn{Server: srv}
+	for i := 0; i < queueSize; i++ {
 		if _, err := srv.Submit(fmt.Sprintf("preload-%d", i), 1, time.Hour); err != nil {
-			return SaturationResult{}, err
+			c.Close()
+			return nil, err
 		}
 	}
-	c0, s0 := srv.Counters()
-
-	var ln *Listener
-	if cfg.OverTCP {
-		ln, err = Serve(srv, "127.0.0.1:0")
-		if err != nil {
-			return SaturationResult{}, err
+	c.cycles0, c.scanned0 = srv.Counters()
+	if conns > 0 {
+		if c.ln, err = Serve(srv, "127.0.0.1:0"); err != nil {
+			c.Close()
+			return nil, err
 		}
-		defer ln.Close()
-	}
-
-	var (
-		ops  atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		werr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if werr == nil {
-			werr = err
-		}
-		mu.Unlock()
-		stop.Store(true)
-	}
-	start := time.Now()
-	for w := 0; w < cfg.Clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var cl *Client
-			if cfg.OverTCP {
-				var err error
-				cl, err = Dial(ln.Addr())
-				if err != nil {
-					fail(err)
-					return
-				}
-				defer cl.Close()
+		c.conns = make(chan *Client, conns)
+		for i := 0; i < conns; i++ {
+			cl, err := Dial(c.ln.Addr())
+			if err != nil {
+				c.Close()
+				return nil, err
 			}
-			i := 0
-			for !stop.Load() {
-				name := fmt.Sprintf("sat-%d-%d", w, i)
-				i++
-				if cfg.OverTCP {
-					if _, err := cl.Submit(name, 1, time.Hour); err != nil {
-						fail(err)
-						return
-					}
-					if _, err := cl.DeleteHead(); err != nil {
-						fail(err)
-						return
-					}
-				} else {
-					if _, err := srv.Submit(name, 1, time.Hour); err != nil {
-						fail(err)
-						return
-					}
-					if _, err := srv.DeleteHead(); err != nil {
-						fail(err)
-						return
-					}
-				}
-				ops.Add(2)
-			}
-		}(w)
+			c.conns <- cl
+		}
 	}
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-	if werr != nil {
-		return SaturationResult{}, werr
+	return c, nil
+}
+
+// Pair performs one submit + delete-head pair, over a pooled protocol
+// connection when the daemon is served (waiting for a free one, or for
+// ctx) and through the direct API otherwise.
+func (c *Churn) Pair(ctx context.Context) error {
+	if c.conns == nil {
+		return pair(c.Server)
 	}
-	c1, s1 := srv.Counters()
-	res := SaturationResult{
-		QueueSize:  cfg.QueueSize,
-		Ops:        ops.Load(),
-		Elapsed:    elapsed,
-		Throughput: float64(ops.Load()) / elapsed.Seconds(),
+	select {
+	case cl := <-c.conns:
+		err := ctx.Err()
+		if err == nil {
+			err = pair(cl)
+		}
+		c.conns <- cl
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	res.PairRate = res.Throughput / 2
-	if dc := c1 - c0; dc > 0 {
-		res.AvgScan = float64(s1-s0) / float64(dc)
+}
+
+// pair is the maximum-churn unit of work on either access path (*Server
+// or *Client).
+func pair(d interface {
+	Submit(name string, nodes int, walltime time.Duration) (int64, error)
+	DeleteHead() (int64, error)
+}) error {
+	if _, err := d.Submit("churn", 1, time.Hour); err != nil {
+		return err
 	}
-	return res, nil
+	_, err := d.DeleteHead()
+	return err
+}
+
+// AvgScan is the mean number of pending jobs examined per scheduling
+// cycle since the preload finished — Figure 5's cost driver, ≈ the
+// queue depth in full-scan mode.
+func (c *Churn) AvgScan() float64 {
+	cycles, scanned := c.Server.Counters()
+	if cycles == c.cycles0 {
+		return 0
+	}
+	return float64(scanned-c.scanned0) / float64(cycles-c.cycles0)
+}
+
+// Close hangs up the pooled connections and stops the listener and the
+// daemon. Call it only once no Pair is in flight.
+func (c *Churn) Close() {
+	if c.conns != nil {
+		close(c.conns)
+		for cl := range c.conns {
+			cl.Close()
+		}
+	}
+	if c.ln != nil {
+		c.ln.Close()
+	}
+	c.Server.Close()
 }
 
 // DefaultQueueSizes are the Figure 5 x-positions (the paper sweeps 0
 // to 20,000 pending requests).
 var DefaultQueueSizes = []int{0, 1000, 2500, 5000, 10000, 15000, 20000}
-
-// Sweep measures throughput at each queue size.
-func Sweep(sizes []int, clients int, dur time.Duration, overTCP bool) ([]SaturationResult, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultQueueSizes
-	}
-	out := make([]SaturationResult, 0, len(sizes))
-	for _, q := range sizes {
-		r, err := Saturate(SaturationConfig{QueueSize: q, Clients: clients, Duration: dur, OverTCP: overTCP})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
 
 // LoadBound derives the Section 4.1 conclusion from a measured pair
 // rate: the number of redundant requests per job the scheduler can

@@ -1,11 +1,14 @@
 package pbsd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"redreq/internal/loadgen"
 )
 
 func newTestServer(t *testing.T, nodes int, execute bool) *Server {
@@ -243,24 +246,63 @@ func TestSubmitAfterClose(t *testing.T) {
 	}
 }
 
+// Figure 5's contract, read closed-loop through the direct API: a deep
+// queue is slower than an empty one because every operation's cycle
+// scans all of it.
 func TestThroughputDecaysWithQueueSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
-	small, err := Saturate(SaturationConfig{QueueSize: 0, Clients: 2, Duration: 300 * time.Millisecond})
+	measure := func(queueSize int) (pairRate, avgScan float64) {
+		t.Helper()
+		ch, err := NewChurn(Config{Nodes: 16, FullScanCycle: true}, queueSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ch.Close()
+		res, err := loadgen.Ceiling(context.Background(), 2, 300*time.Millisecond, ch.Pair)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Goodput, ch.AvgScan()
+	}
+	small, _ := measure(0)
+	big, scan := measure(8000)
+	if big >= small {
+		t.Errorf("throughput did not decay: empty %.1f vs 8000-deep %.1f pairs/s", small, big)
+	}
+	if scan < 7000 {
+		t.Errorf("avg scan %.0f, want ~8000 (full-queue cycles)", scan)
+	}
+}
+
+// Over the protocol, Pair holds one pooled connection per call, leaves
+// the queue at its preloaded depth, and gives up with the caller's
+// context when every connection is taken.
+func TestChurnPairOverTCP(t *testing.T) {
+	ch, err := NewChurn(Config{Nodes: 16}, 50, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Saturate(SaturationConfig{QueueSize: 8000, Clients: 2, Duration: 300 * time.Millisecond})
+	defer ch.Close()
+	res, err := loadgen.Ceiling(context.Background(), 4, 50*time.Millisecond, ch.Pair)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.PairRate >= small.PairRate {
-		t.Errorf("throughput did not decay: empty %.1f vs 8000-deep %.1f pairs/s",
-			small.PairRate, big.PairRate)
+	if res.OK == 0 {
+		t.Fatalf("no pair completed: %+v", res)
 	}
-	if big.AvgScan < 7000 {
-		t.Errorf("avg scan %.0f, want ~8000 (full-queue cycles)", big.AvgScan)
+	if q, _, _ := ch.Server.Stat(); q != 50 {
+		t.Errorf("queue depth %d after churn, want the preloaded 50", q)
+	}
+	held := []*Client{<-ch.conns, <-ch.conns}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := ch.Pair(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Pair with no free connection = %v, want the context's error", err)
+	}
+	for _, cl := range held {
+		ch.conns <- cl
 	}
 }
 
