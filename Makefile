@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench fmt results validate overload-smoke overload-smoke-fast
+.PHONY: build test check bench fmt fuzz-smoke results validate overload-smoke overload-smoke-fast
 
 # Experiments recorded in results_full.txt: the registry minus sec4,
 # whose wall-clock measurements are not deterministic.
@@ -35,6 +35,14 @@ bench:
 
 fmt:
 	gofmt -l -w .
+
+# fuzz-smoke runs the tree's native fuzz target for ten seconds: random
+# scripts of schedules (future and same-instant), cancels and partial
+# runs against the DES kernel's (time, priority, seq) firing order. A
+# failure leaves its input under internal/des/testdata/fuzz to commit
+# as a regression case.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzEventOrder -fuzztime 10s ./internal/des
 
 # validate runs the validation harness: the invariant suite (causality,
 # liveness, capacity, work conservation, CPU-time ledger, determinism)

@@ -147,26 +147,46 @@ type Simulation struct {
 	processed uint64
 	free      []*Event // recycled Event structs
 
+	// lane is the now-lane: an event scheduled at the current instant —
+	// under redundancy most of them, one scheduler kick per submit and
+	// per loser cancel — waits here rather than sift through the large
+	// queue and straight back out. It is the same heap type and every
+	// pop takes the smaller of the two heads by entryLess, so events
+	// fire in the (time, priority, seq) order of a single heap. laneBuf
+	// backs it inline so it never allocates: its depth is bounded by the
+	// actors that react within one instant (here the cluster count), and
+	// a deeper lane grows onto the Go heap like any slice.
+	lane    eventQueue
+	laneBuf [16]entry
+
 	// Trace instruments, resolved once by SetTrace; all nil (free
 	// no-ops) when tracing is off, keeping the hot loop unchanged.
 	cScheduled *obs.Counter
+	cSchedNow  *obs.Counter
 	cFired     *obs.Counter
 	cCanceled  *obs.Counter
 	gQueue     *obs.Gauge
 }
 
 // New returns a Simulation with the clock at 0.
-func New() *Simulation { return &Simulation{} }
+func New() *Simulation {
+	s := &Simulation{}
+	s.lane = s.laneBuf[:0]
+	return s
+}
 
 // SetTrace attaches trace instruments to the simulation: counters
-// des.scheduled, des.fired, des.canceled and the des.queue gauge (whose
-// Max is the event-queue high-water mark). A nil trace detaches them.
+// des.scheduled, des.scheduled_now (the share of des.scheduled filed at
+// the current instant, in the now-lane), des.fired, des.canceled and
+// the des.queue gauge (whose Max is the event-queue high-water mark,
+// both lanes summed). A nil trace detaches them.
 func (s *Simulation) SetTrace(t *obs.Trace) {
 	if t == nil {
-		s.cScheduled, s.cFired, s.cCanceled, s.gQueue = nil, nil, nil, nil
+		s.cScheduled, s.cSchedNow, s.cFired, s.cCanceled, s.gQueue = nil, nil, nil, nil, nil
 		return
 	}
 	s.cScheduled = t.Counter("des.scheduled")
+	s.cSchedNow = t.Counter("des.scheduled_now")
 	s.cFired = t.Counter("des.fired")
 	s.cCanceled = t.Counter("des.canceled")
 	s.gQueue = t.Gauge("des.queue")
@@ -180,14 +200,14 @@ func (s *Simulation) Processed() uint64 { return s.processed }
 
 // Pending returns the number of events currently queued (including
 // canceled events not yet reaped).
-func (s *Simulation) Pending() int { return len(s.queue) }
+func (s *Simulation) Pending() int { return len(s.queue) + len(s.lane) }
 
 // runClosure is the fn of events scheduled with Schedule/ScheduleP:
 // the closure itself rides in the event's arg slot.
 func runClosure(a any) { a.(func())() }
 
 // Schedule queues action to run at time at with priority 0. Scheduling
-// in the past panics: it indicates a simulation bug.
+// in the past, or at a NaN time, panics: it indicates a simulation bug.
 func (s *Simulation) Schedule(at float64, action func()) *Event {
 	return s.ScheduleFn(at, 0, runClosure, action)
 }
@@ -207,7 +227,9 @@ func (s *Simulation) ScheduleP(at float64, priority int, action func()) *Event {
 // simulator hot path where every start schedules a completion and
 // every state change schedules a pass.
 func (s *Simulation) ScheduleFn(at float64, priority int, fn func(any), arg any) *Event {
-	if at < s.now {
+	// Written so that NaN, for which every comparison is false and which
+	// would silently break entryLess's order, is rejected too.
+	if !(at >= s.now) {
 		panic("des: scheduling event in the past")
 	}
 	if priority < -1<<15 || priority >= 1<<15 {
@@ -224,9 +246,15 @@ func (s *Simulation) ScheduleFn(at float64, priority int, fn func(any), arg any)
 	} else {
 		e = &Event{Time: at, Priority: priority, fn: fn, arg: arg}
 	}
-	s.queue.push(entry{time: at, key: packKey(priority, s.seq), ev: e})
+	en := entry{time: at, key: packKey(priority, s.seq), ev: e}
+	if at == s.now {
+		s.lane.push(en)
+		s.cSchedNow.Inc()
+	} else {
+		s.queue.push(en)
+	}
 	s.cScheduled.Inc()
-	s.gQueue.Set(int64(len(s.queue)))
+	s.gQueue.Set(int64(s.Pending()))
 	return e
 }
 
@@ -251,11 +279,23 @@ func (s *Simulation) Cancel(e *Event) {
 	s.cCanceled.Inc()
 }
 
+// next returns whichever of the two lanes holds the earliest entry, or
+// nil when both are empty.
+func (s *Simulation) next() *eventQueue {
+	if len(s.lane) > 0 && (len(s.queue) == 0 || entryLess(&s.lane[0], &s.queue[0])) {
+		return &s.lane
+	}
+	if len(s.queue) > 0 {
+		return &s.queue
+	}
+	return nil
+}
+
 // Step executes the next event, if any, and reports whether one ran.
 // Canceled events encountered at the head are reaped and recycled.
 func (s *Simulation) Step() bool {
-	for len(s.queue) > 0 {
-		h := s.queue.pop()
+	for q := s.next(); q != nil; q = s.next() {
+		h := q.pop()
 		e := h.ev
 		if e.canceled {
 			s.recycle(e)
@@ -318,12 +358,11 @@ func (s *Simulation) RunBefore(t float64) uint64 {
 // and false when the queue is empty. Canceled events at the head are
 // reaped and recycled.
 func (s *Simulation) Peek() (float64, bool) {
-	for len(s.queue) > 0 {
-		if s.queue[0].ev.canceled {
-			s.recycle(s.queue.pop().ev)
-			continue
+	for q := s.next(); q != nil; q = s.next() {
+		if h := &(*q)[0]; !h.ev.canceled {
+			return h.time, true
 		}
-		return s.queue[0].time, true
+		s.recycle(q.pop().ev)
 	}
 	return 0, false
 }

@@ -1,7 +1,9 @@
 package des
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -123,6 +125,55 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	s.Schedule(5, func() {})
+}
+
+// Regression: a NaN time compares false with everything, so "at < now"
+// let it into the heap, where it breaks entryLess's total order for
+// every entry it is compared with.
+func TestScheduleNaNPanics(t *testing.T) {
+	s := New()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic scheduling at NaN")
+		}
+		if s.Pending() != 0 {
+			t.Fatalf("rejected event was queued: Pending = %d", s.Pending())
+		}
+	}()
+	s.Schedule(math.NaN(), func() {})
+}
+
+// Events scheduled at the current instant wait in the now-lane; Pending,
+// the des.queue gauge and des.scheduled count them with the rest, and
+// des.scheduled_now counts them alone.
+func TestSameInstantEventsAreCounted(t *testing.T) {
+	tr := obs.New()
+	s := New()
+	s.SetTrace(tr)
+	var order []string
+	s.Schedule(5, func() {
+		s.ScheduleP(5, 1, func() { order = append(order, "now-p1") })
+		s.ScheduleP(5, 0, func() { order = append(order, "now-p0") })
+		s.Schedule(7, func() { order = append(order, "later") })
+		if got := s.Pending(); got != 4 {
+			t.Errorf("Pending inside the action = %d, want 4 (two at now, two later)", got)
+		}
+	})
+	s.ScheduleP(5, 0, func() { order = append(order, "queued-p0") })
+	s.Run()
+	if want := []string{"queued-p0", "now-p0", "now-p1", "later"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	snap := tr.Snapshot()
+	if got := snap.Counter("des.scheduled"); got != 5 {
+		t.Fatalf("des.scheduled = %d, want 5", got)
+	}
+	if got := snap.Counter("des.scheduled_now"); got != 2 {
+		t.Fatalf("des.scheduled_now = %d, want 2", got)
+	}
+	if got := tr.Gauge("des.queue").Max(); got != 4 {
+		t.Fatalf("des.queue high-water = %d, want 4", got)
+	}
 }
 
 func TestRunUntil(t *testing.T) {

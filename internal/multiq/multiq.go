@@ -221,10 +221,15 @@ func (r *Resource) kick() {
 	if r.kickEv != nil {
 		return
 	}
-	r.kickEv = r.sim.ScheduleP(r.sim.Now(), 1, func() {
-		r.kickEv = nil
-		r.pass()
-	})
+	r.kickEv = r.sim.ScheduleFn(r.sim.Now(), 1, kickAction, r)
+}
+
+// kickAction is the package-level action of the coalesced pass event,
+// like sched's: ScheduleFn with it allocates no closure per pass.
+func kickAction(a any) {
+	r := a.(*Resource)
+	r.kickEv = nil
+	r.pass()
 }
 
 // order returns pending requests in service order: queue priority

@@ -219,6 +219,17 @@ type Cluster struct {
 	// orderedPending for non-FCFS passes.
 	orderView []*Request
 
+	// What the last passEASY left behind (see there). easyHead is the
+	// queue head it found blocked, nil when the next pass must be a full
+	// one: finish clears it, and so does Cancel when the head itself is
+	// withdrawn. While it is set the pass resumes the backfill scan at
+	// queue index easyCursor against the head's reservation as the
+	// earlier backfills left it (easyShadow, easyShadowFree).
+	easyHead       *Request
+	easyShadow     float64
+	easyShadowFree int
+	easyCursor     int
+
 	// CBF persistent profile (running allocations + reservations).
 	profile      *Profile
 	needCompress bool
@@ -254,6 +265,7 @@ type Cluster struct {
 	sQueueDepth     *obs.Series
 	cStartsInOrder  *obs.Counter
 	cStartsBackfill *obs.Counter
+	cPassesClean    *obs.Counter
 	cReservations   *obs.Counter
 	cCompressions   *obs.Counter
 	backfilling     bool
@@ -286,18 +298,20 @@ func NewCluster(sim *des.Simulation, name string, index int, cfg Config) *Cluste
 // SetTrace attaches trace instruments to the cluster: a
 // sched.<name>.queue_depth virtual-time series sampled on every queue
 // transition, counters sched.starts.in_order and sched.starts.backfill
-// splitting start decisions by how they were made, sched.reservations
-// (CBF reservations granted), and sched.compressions (CBF compression
-// passes). A nil trace detaches them.
+// splitting start decisions by how they were made, sched.passes.clean
+// (EASY passes that only scanned the submissions since the pass before),
+// sched.reservations (CBF reservations granted), and sched.compressions
+// (CBF compression passes). A nil trace detaches them.
 func (c *Cluster) SetTrace(t *obs.Trace) {
 	if t == nil {
 		c.sQueueDepth, c.cStartsInOrder, c.cStartsBackfill = nil, nil, nil
-		c.cReservations, c.cCompressions = nil, nil
+		c.cPassesClean, c.cReservations, c.cCompressions = nil, nil, nil
 		return
 	}
 	c.sQueueDepth = t.Series("sched." + c.Name + ".queue_depth")
 	c.cStartsInOrder = t.Counter("sched.starts.in_order")
 	c.cStartsBackfill = t.Counter("sched.starts.backfill")
+	c.cPassesClean = t.Counter("sched.passes.clean")
 	c.cReservations = t.Counter("sched.reservations")
 	c.cCompressions = t.Counter("sched.compressions")
 }
@@ -376,6 +390,9 @@ func (c *Cluster) Cancel(r *Request) bool {
 		return false
 	}
 	r.State = Canceled
+	if r == c.easyHead {
+		c.easyHead = nil
+	}
 	c.removeFromQueue(r)
 	c.queuedWork -= r.Estimate * float64(r.Nodes)
 	c.stats.Canceled++
@@ -427,15 +444,21 @@ func (c *Cluster) removeFromQueue(r *Request) {
 	}
 }
 
+// compactQueue squeezes the nil holes out of the queue and moves
+// passEASY's scan cursor along with the slot it pointed at.
 func (c *Cluster) compactQueue() {
-	w := 0
-	for _, q := range c.queue {
+	w, cursor := 0, 0
+	for i, q := range c.queue {
 		if q != nil {
 			c.queue[w] = q
 			q.slot = w
 			w++
+			if i < c.easyCursor {
+				cursor = w
+			}
 		}
 	}
+	c.easyCursor = cursor
 	for i := w; i < len(c.queue); i++ {
 		c.queue[i] = nil
 	}
@@ -537,6 +560,7 @@ func (c *Cluster) finish(r *Request) {
 	r.finishEv = nil
 	c.removeRunning(r)
 	c.free += r.Nodes
+	c.easyHead = nil
 	c.stats.Finished++
 	c.stats.BusyCPUSeconds += (now - r.Start) * float64(r.Nodes)
 	if c.cfg.Alg == CBF {

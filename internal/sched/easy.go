@@ -8,51 +8,81 @@
 
 package sched
 
+// passEASY is one EASY pass over the arrival-ordered queue. It leaves
+// behind what the next pass needs to skip the work this one did: the
+// blocked head, the head's reservation as the backfills left it, and how
+// far down the queue the backfill scan got (Cluster.easyHead and
+// friends). Until a job finishes or that head is withdrawn, all that can
+// happen is submissions behind the scan and cancels behind the head, so
+// the free nodes have not grown, every requested window reaches at least
+// as far past the shadow time as it did, and the nodes spare there have
+// only shrunk: each request already passed over fails the same two
+// compares again, in the same order. Such a clean pass therefore scans
+// only the slots from the cursor on, against the remembered reservation,
+// and starts exactly what the full pass would.
 func (c *Cluster) passEASY() {
 	if c.cfg.Predict {
 		c.predictNew()
 	}
 	now := c.sim.Now()
 
-	// Start requests in arrival order while the head fits.
-	i := 0
-	for ; i < len(c.queue); i++ {
-		r := c.queue[i]
-		if r == nil || r.State != Pending {
-			continue
+	head, j := c.easyHead, c.easyCursor
+	shadow, shadowFree := c.easyShadow, c.easyShadowFree
+	if head != nil {
+		c.cPassesClean.Inc()
+		if c.free == 0 {
+			return
 		}
-		if r.Nodes > c.free {
-			break
+	} else {
+		// Start requests in arrival order while the head fits.
+		i := 0
+		for ; i < len(c.queue); i++ {
+			r := c.queue[i]
+			if r == nil || r.State != Pending {
+				continue
+			}
+			if r.Nodes > c.free {
+				break
+			}
+			c.start(r)
 		}
-		c.start(r)
+
+		// Locate the blocked head.
+		for ; i < len(c.queue); i++ {
+			if r := c.queue[i]; r != nil && r.State == Pending {
+				head = r
+				break
+			}
+		}
+		if head == nil {
+			return
+		}
+		j = i + 1
+		// Remembered before the backfills so that an OnStart callback
+		// withdrawing the head mid-pass makes the next pass a full one.
+		c.easyHead, c.easyCursor = head, j
+		if c.free == 0 {
+			// No reservation to remember: free nodes cannot come back
+			// without a finish, which makes the next pass a full one.
+			return
+		}
+
+		// Reserve the head at its shadow time, then backfill requests
+		// that fit right now for their full requested duration without
+		// pushing the head reservation back.
+		//
+		// Free capacity only grows with time — every busy interval of
+		// the pass (running jobs, earlier backfills) starts at now — so
+		// reserving the head introduces exactly one dip: shadowFree nodes
+		// free just after shadow. A candidate therefore backfills iff it
+		// fits the free nodes now (c.free, already checked) and, when its
+		// requested window crosses shadow, also fits shadowFree: two
+		// compares per candidate, no availability profile.
+		shadow, shadowFree = c.shadow(now, head.Nodes)
 	}
 
-	// Locate the blocked head.
-	var head *Request
-	for ; i < len(c.queue); i++ {
-		if r := c.queue[i]; r != nil && r.State == Pending {
-			head = r
-			break
-		}
-	}
-	if head == nil || c.free == 0 {
-		return
-	}
-
-	// Reserve the head at its shadow time, then backfill requests
-	// that fit right now for their full requested duration without
-	// pushing the head reservation back.
-	//
-	// Free capacity only grows with time — every busy interval of
-	// the pass (running jobs, earlier backfills) starts at now — so
-	// reserving the head introduces exactly one dip: shadowFree nodes
-	// free just after shadow. A candidate therefore backfills iff it
-	// fits the free nodes now (c.free, already checked) and, when its
-	// requested window crosses shadow, also fits shadowFree: two
-	// compares per candidate, no availability profile.
-	shadow, shadowFree := c.shadow(now, head.Nodes)
 	c.backfilling = true
-	for j := i + 1; j < len(c.queue) && c.free > 0; j++ {
+	for ; j < len(c.queue) && c.free > 0; j++ {
 		r := c.queue[j]
 		if r == nil || r.State != Pending || r.Nodes > c.free {
 			continue
@@ -65,6 +95,7 @@ func (c *Cluster) passEASY() {
 		}
 	}
 	c.backfilling = false
+	c.easyShadow, c.easyShadowFree, c.easyCursor = shadow, shadowFree, j
 }
 
 // shadow returns the earliest time at which nodes are free if every
