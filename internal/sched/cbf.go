@@ -84,11 +84,14 @@ func timerAction(a any) {
 }
 
 // compressCBF re-anchors every pending reservation in queue order after
-// capacity was released. Each request's own allocation is removed, the
-// earliest anchor recomputed, and the allocation re-added; because the
-// old slot is always still feasible once the request's own allocation
-// is removed, reservations can only move earlier, preserving CBF's
-// promise.
+// capacity was released. For each request it asks the profile where the
+// reservation could move to if its own allocation were given back
+// (FindEarlierAnchor, which edits nothing) and rewrites the profile only
+// when the answer is earlier than the reservation it holds: most probes
+// find nothing earlier, and removing an allocation and adding it back
+// where it was leaves the profile — canonical after every AddBusy — as
+// it found it. The old slot always stays feasible for the request that
+// holds it, so reservations only move earlier, preserving CBF's promise.
 //
 // The search is bounded by the released-capacity window [relStart,
 // relEnd) the cluster has accumulated since the last compression: an
@@ -98,7 +101,7 @@ func timerAction(a any) {
 // (consumptions never enable earlier anchors). So for each request the
 // scan is restricted to anchors in [max(now, relStart-Estimate),
 // min(old, relEnd)); when that interval is empty the reservation
-// provably cannot move and the profile walk is skipped entirely.
+// provably cannot move and the profile is not consulted at all.
 // Capacity released mid-pass — by compression moves themselves and by
 // cancellations fired from start callbacks — widens the live window,
 // and is carried into c.relStart/c.relEnd for the next pass because
@@ -121,31 +124,29 @@ func (c *Cluster) compressCBF(now float64) {
 		if old < hi {
 			hi = old
 		}
-		if lo >= hi {
-			// No released capacity can admit an earlier anchor; the
-			// reservation stays. Due reservations still start, exactly
-			// as the unbounded re-anchor would have.
+		anchor := math.Inf(1)
+		if lo < hi {
+			c.cCompressProbes.Inc()
+			anchor = c.profile.FindEarlierAnchor(lo, hi, old, r.Estimate, r.Nodes)
+		}
+		if anchor >= old {
+			// Nothing earlier (the probe's +Inf included): the
+			// reservation stays and so does the profile. A reservation
+			// that is due still starts.
 			if old <= now {
 				c.startReserved(r, now)
 			}
 			continue
 		}
+		c.cCompressMoves.Inc()
 		c.profile.AddBusy(old, old+r.Estimate, -r.Nodes)
-		anchor := c.profile.FindAnchorLimit(lo, hi, r.Estimate, r.Nodes)
-		if anchor > old {
-			// No earlier anchor in the improvable range; keep the
-			// promise (also absorbs the +Inf not-found result).
-			anchor = old
-		}
 		c.profile.AddBusy(anchor, anchor+r.Estimate, r.Nodes)
 		r.resStart = anchor
-		if anchor < old {
-			// The move vacated [max(old, anchor+Estimate), old+Estimate).
-			c.noteRelease(math.Max(old, anchor+r.Estimate), old+r.Estimate)
-		}
+		// The move vacated [max(old, anchor+Estimate), old+Estimate).
+		c.noteRelease(math.Max(old, anchor+r.Estimate), old+r.Estimate)
 		if anchor <= now {
 			c.startReserved(r, now)
-		} else if anchor != old {
+		} else {
 			c.armTimer(r, anchor)
 		}
 	}

@@ -198,12 +198,15 @@ func (h *passChecker) step() bool {
 	return true
 }
 
-// runUntil fires, checked, every event due by t and moves the clock there.
-func (h *passChecker) runUntil(t float64) {
-	for at, ok := h.sim.Peek(); ok && at <= t; at, ok = h.sim.Peek() {
-		h.step()
+func (h *passChecker) runUntil(t float64) { stepUntil(h.sim, h.step, t) }
+
+// stepUntil fires, through a checker's step, every event due by t and
+// moves the clock there.
+func stepUntil(sim *des.Simulation, step func() bool, t float64) {
+	for at, ok := sim.Peek(); ok && at <= t; at, ok = sim.Peek() {
+		step()
 	}
-	h.sim.RunUntil(t)
+	sim.RunUntil(t)
 }
 
 // mutate applies a queue operation made outside a pass and notes when it

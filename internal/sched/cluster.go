@@ -11,7 +11,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"redreq/internal/des"
@@ -268,6 +267,8 @@ type Cluster struct {
 	cPassesClean    *obs.Counter
 	cReservations   *obs.Counter
 	cCompressions   *obs.Counter
+	cCompressProbes *obs.Counter
+	cCompressMoves  *obs.Counter
 	backfilling     bool
 }
 
@@ -300,12 +301,16 @@ func NewCluster(sim *des.Simulation, name string, index int, cfg Config) *Cluste
 // transition, counters sched.starts.in_order and sched.starts.backfill
 // splitting start decisions by how they were made, sched.passes.clean
 // (EASY passes that only scanned the submissions since the pass before),
-// sched.reservations (CBF reservations granted), and sched.compressions
-// (CBF compression passes). A nil trace detaches them.
+// sched.reservations (CBF reservations granted), sched.compressions
+// (CBF compression passes), sched.compress.probes (reservations those
+// passes searched an earlier anchor for) and sched.compress.moves (the
+// probes that found one, each a profile rewrite and a re-armed timer).
+// A nil trace detaches them.
 func (c *Cluster) SetTrace(t *obs.Trace) {
 	if t == nil {
 		c.sQueueDepth, c.cStartsInOrder, c.cStartsBackfill = nil, nil, nil
 		c.cPassesClean, c.cReservations, c.cCompressions = nil, nil, nil
+		c.cCompressProbes, c.cCompressMoves = nil, nil
 		return
 	}
 	c.sQueueDepth = t.Series("sched." + c.Name + ".queue_depth")
@@ -314,6 +319,8 @@ func (c *Cluster) SetTrace(t *obs.Trace) {
 	c.cPassesClean = t.Counter("sched.passes.clean")
 	c.cReservations = t.Counter("sched.reservations")
 	c.cCompressions = t.Counter("sched.compressions")
+	c.cCompressProbes = t.Counter("sched.compress.probes")
+	c.cCompressMoves = t.Counter("sched.compress.moves")
 }
 
 // sampleQueueDepth records the pending-queue depth at the current
@@ -585,7 +592,16 @@ func (c *Cluster) finish(r *Request) {
 // runningAfter returns the index of the first running request whose
 // requested end is after end (len(c.running) when there is none).
 func (c *Cluster) runningAfter(end float64) int {
-	return sort.Search(len(c.running), func(i int) bool { return c.running[i].requestedEnd() > end })
+	lo, hi := 0, len(c.running)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.running[mid].requestedEnd() > end {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // insertRunning files a request that just started behind every running

@@ -10,7 +10,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Profile tracks the number of available nodes over [start, +inf) as a
@@ -38,22 +37,27 @@ func (p *Profile) Len() int { return len(p.times) }
 // Start returns the beginning of the profile's domain.
 func (p *Profile) Start() float64 { return p.times[0] }
 
-// Clone returns a deep copy.
-func (p *Profile) Clone() *Profile {
-	q := &Profile{
-		times: make([]float64, len(p.times)),
-		avail: make([]int, len(p.avail)),
+// search returns the first index whose breakpoint is at or after t,
+// len(p.times) when there is none. It is sort.SearchFloat64s without
+// the func value per probe: AddBusy and the anchor searches sit on the
+// CBF hot path.
+func (p *Profile) search(t float64) int {
+	lo, hi := 0, len(p.times)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.times[mid] < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	copy(q.times, p.times)
-	copy(q.avail, p.avail)
-	return q
+	return lo
 }
 
 // segmentAt returns the index of the segment containing t, clamping to
 // the first segment for t before the domain.
 func (p *Profile) segmentAt(t float64) int {
-	// First index with times[i] > t, minus one.
-	i := sort.SearchFloat64s(p.times, t)
+	i := p.search(t)
 	if i < len(p.times) && p.times[i] == t {
 		return i
 	}
@@ -69,7 +73,7 @@ func (p *Profile) AvailAt(t float64) int { return p.avail[p.segmentAt(t)] }
 // ensureBreak inserts a breakpoint at t (if within the domain) and
 // returns the index of the segment starting at t.
 func (p *Profile) ensureBreak(t float64) int {
-	i := sort.SearchFloat64s(p.times, t)
+	i := p.search(t)
 	if i < len(p.times) && p.times[i] == t {
 		return i
 	}
@@ -142,51 +146,40 @@ func (p *Profile) coalesce(lo, hi int) {
 // nodes are available throughout [t, t+duration). It returns +Inf when
 // no such time exists (nodes exceeds the profile's eventual capacity).
 func (p *Profile) FindAnchor(earliest, duration float64, nodes int) float64 {
-	if earliest < p.times[0] {
-		earliest = p.times[0]
-	}
-	n := len(p.times)
-	i := p.segmentAt(earliest)
-	for i < n {
-		if p.avail[i] < nodes {
-			i++
-			continue
-		}
-		anchor := p.times[i]
-		if anchor < earliest {
-			anchor = earliest
-		}
-		need := anchor + duration
-		// Verify [anchor, need) has capacity; j walks forward.
-		ok := true
-		for j := i + 1; j < n && p.times[j] < need; j++ {
-			if p.avail[j] < nodes {
-				// Restart after the violation.
-				i = j + 1
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return anchor
-		}
-	}
-	return math.Inf(1)
+	return p.findAnchor(earliest, math.Inf(1), math.Inf(1), duration, nodes)
 }
 
-// FindAnchorLimit is FindAnchor restricted to anchors strictly before
-// limit: it returns the earliest time t in [earliest, limit) such that
-// at least nodes are available throughout [t, t+duration) — the window
-// itself may extend past limit — or +Inf when no such anchor exists.
-// CBF compression uses it to bound its search to the anchor range that
-// released capacity could possibly have improved, instead of re-walking
-// the whole profile for every queued request after every completion.
-func (p *Profile) FindAnchorLimit(earliest, limit, duration float64, nodes int) float64 {
+// FindEarlierAnchor asks where a reservation the profile already
+// carries — nodes over [held, held+duration) — could move to, without
+// editing the profile: it returns the earliest t in [earliest, limit)
+// and before held at which nodes are available throughout
+// [t, t+duration) once the reservation's own allocation is given back,
+// or +Inf when there is no such anchor. CBF compression passes as
+// [earliest, limit) the anchor range that released capacity could have
+// improved, so it neither re-walks the whole profile for every queued
+// request after every completion nor rewrites it for a reservation
+// that stays.
+//
+// The answer is the one removing the allocation, searching and adding
+// it back gives. Every candidate anchor lies before held, where the
+// allocation changes nothing; and from held on the window
+// [t, t+duration) is inside [held, held+duration), where the profile
+// with the allocation given back has at least nodes free because
+// availability is never negative. So only [t, min(t+duration, held))
+// needs looking at, on the profile as it stands: a segment that begins
+// before held is judged on its own availability even when it reaches
+// past held (the breakpoint there was coalesced away), and one that
+// begins at or after held is never read.
+func (p *Profile) FindEarlierAnchor(earliest, limit, held, duration float64, nodes int) float64 {
+	return p.findAnchor(earliest, min(limit, held), held, duration, nodes)
+}
+
+// findAnchor is the search behind FindAnchor and FindEarlierAnchor:
+// the earliest anchor in [earliest, limit) with nodes available
+// throughout the part of [anchor, anchor+duration) before held.
+func (p *Profile) findAnchor(earliest, limit, held, duration float64, nodes int) float64 {
 	if earliest < p.times[0] {
 		earliest = p.times[0]
-	}
-	if earliest >= limit {
-		return math.Inf(1)
 	}
 	n := len(p.times)
 	i := p.segmentAt(earliest)
@@ -200,9 +193,9 @@ func (p *Profile) FindAnchorLimit(earliest, limit, duration float64, nodes int) 
 			anchor = earliest
 		}
 		if anchor >= limit {
-			return math.Inf(1)
+			break
 		}
-		need := anchor + duration
+		need := min(anchor+duration, held)
 		// Verify [anchor, need) has capacity; j walks forward.
 		ok := true
 		for j := i + 1; j < n && p.times[j] < need; j++ {

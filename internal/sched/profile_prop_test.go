@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -170,4 +171,189 @@ func TestFindAnchorLimitConsistency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// probeScriptMax bounds a probe script: the per-second reference makes
+// every operation linear in the horizon, and the fuzzer grows inputs to
+// a megabyte.
+const probeScriptMax = 4 * 128
+
+// runProbeScript replays a script of four-byte operations against a
+// Profile and the per-second reference and returns the last probe's
+// answer (NaN when the script made none), how many probes it made and
+// how many of them found an earlier anchor. An operation allocates
+// (start, duration, nodes), if that still fits; releases one of the live
+// allocations; or probes: it takes a live allocation as the reservation
+// held, asks FindEarlierAnchor where it could move to within
+// [earliest, earliest+span), and requires the reference's answer with
+// the allocation added back — and a profile left exactly as it was.
+func runProbeScript(t *testing.T, script []byte) (last float64, probes, found int) {
+	const (
+		capacity = 8
+		horizon  = 512 // starts < 256, durations <= 64, so every window fits
+	)
+	type alloc struct {
+		start, end float64
+		nodes      int
+	}
+	var live []alloc
+	p := NewProfile(0, capacity)
+	ref := newRefProfile(0, capacity, horizon)
+	last = math.NaN()
+	script = script[:min(len(script), probeScriptMax)]
+	for ; len(script) >= 4; script = script[4:] {
+		op, a, b, c := script[0]%4, int(script[1]), int(script[2]), int(script[3])
+		switch {
+		case op < 2:
+			al := alloc{float64(a), float64(a + 1 + b%64), 1 + c%capacity}
+			if p.MinAvail(al.start, al.end) < al.nodes {
+				continue
+			}
+			p.AddBusy(al.start, al.end, al.nodes)
+			ref.addBusy(al.start, al.end, al.nodes)
+			live = append(live, al)
+		case len(live) == 0:
+		case op == 2:
+			k := a % len(live)
+			al := live[k]
+			live = append(live[:k], live[k+1:]...)
+			p.AddBusy(al.start, al.end, -al.nodes)
+			ref.addBusy(al.start, al.end, -al.nodes)
+		default:
+			held := live[a%len(live)]
+			earliest, limit, duration := float64(b), float64(b+c), held.end-held.start
+			before := p.String()
+			got := p.FindEarlierAnchor(earliest, limit, held.start, duration, held.nodes)
+			if after := p.String(); after != before {
+				t.Fatalf("FindEarlierAnchor turned %v into %v", before, after)
+			}
+			ref.addBusy(held.start, held.end, -held.nodes)
+			want := ref.findAnchor(earliest, min(limit, held.start), duration, held.nodes)
+			ref.addBusy(held.start, held.end, held.nodes)
+			if got != want {
+				t.Fatalf("FindEarlierAnchor(%v, %v, held %v, %v, %d) = %v, want %v\n%v",
+					earliest, limit, held.start, duration, held.nodes, got, want, p)
+			}
+			last = got
+			probes++
+			if got < held.start {
+				found++
+			}
+		}
+		if err := p.Validate(capacity); err != nil {
+			t.Fatalf("%v\n%v", err, p)
+		}
+	}
+	return last, probes, found
+}
+
+func opAlloc(start, duration, nodes int) []byte {
+	return []byte{0, byte(start), byte(duration - 1), byte(nodes - 1)}
+}
+
+func opRelease(k int) []byte { return []byte{2, byte(k), 0, 0} }
+
+// opProbe probes for the k-th live allocation over [earliest, earliest+span).
+func opProbe(k, earliest, span int) []byte { return []byte{3, byte(k), byte(earliest), byte(span)} }
+
+// probeCases are FindEarlierAnchor's unit cases in script form, on eight
+// nodes; each ends in the probe whose answer is want. They seed
+// FuzzProfileProbe.
+var probeCases = []struct {
+	name   string
+	script []byte
+	want   float64
+}{
+	{
+		// [0:2][5:5][20:8]: the held 3 nodes over [10, 20) merged with the
+		// 3 busy over [5, 10). The window [5, 15) crosses that segment
+		// and is judged on the 5 it shows.
+		name:   "segment straddling the held start, enough free",
+		script: slices.Concat(opAlloc(0, 5, 6), opAlloc(5, 5, 3), opAlloc(10, 10, 3), opProbe(2, 0, 10)),
+		want:   5,
+	},
+	{
+		// [0:2][20:8]: the 2 free before 10 are all there is, whatever the
+		// held 6 nodes would give back from 10 on.
+		name:   "segment straddling the held start, too little free",
+		script: slices.Concat(opAlloc(0, 10, 6), opAlloc(10, 10, 6), opProbe(1, 0, 10)),
+		want:   math.Inf(1),
+	},
+	{
+		// [0:0][4:8][10:5][30:8]: no breakpoint at the held end, 20.
+		name:   "segment straddling the held end",
+		script: slices.Concat(opAlloc(0, 4, 8), opAlloc(10, 10, 3), opAlloc(20, 10, 3), opProbe(1, 0, 10)),
+		want:   4,
+	},
+	{
+		// [0:0][3:8][10:4][12:0][16:4][20:8]: [12, 16) shows nothing free,
+		// but the held 4 nodes are what fills it.
+		name:   "window ending inside the held span, full but for the reservation itself",
+		script: slices.Concat(opAlloc(0, 3, 8), opAlloc(10, 10, 4), opAlloc(12, 4, 4), opProbe(1, 0, 10)),
+		want:   3,
+	},
+	{
+		name:   "nothing earlier",
+		script: slices.Concat(opAlloc(0, 10, 8), opAlloc(10, 5, 2), opProbe(1, 0, 40)),
+		want:   math.Inf(1),
+	},
+	{
+		// Once the 8 nodes over [0, 10) are released the held allocation
+		// is the only one live.
+		name:   "release opens the way",
+		script: slices.Concat(opAlloc(0, 10, 8), opAlloc(10, 5, 2), opRelease(0), opProbe(0, 0, 40)),
+		want:   0,
+	},
+	{
+		name:   "first anchor at the limit",
+		script: slices.Concat(opAlloc(0, 5, 8), opAlloc(20, 5, 2), opProbe(1, 0, 5)),
+		want:   math.Inf(1),
+	},
+	{
+		name:   "first anchor just inside the limit",
+		script: slices.Concat(opAlloc(0, 5, 8), opAlloc(20, 5, 2), opProbe(1, 0, 6)),
+		want:   5,
+	},
+	{
+		// The limit reaches past the held start; anchors stop there.
+		name:   "limit beyond the held start",
+		script: slices.Concat(opAlloc(0, 20, 8), opAlloc(20, 5, 2), opProbe(1, 0, 200)),
+		want:   math.Inf(1),
+	},
+}
+
+func TestFindEarlierAnchorCases(t *testing.T) {
+	for _, c := range probeCases {
+		if got, _, _ := runProbeScript(t, c.script); got != c.want {
+			t.Errorf("%s: FindEarlierAnchor = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFindEarlierAnchorAgainstBruteForce drives random scripts through
+// the probe check.
+func TestFindEarlierAnchorAgainstBruteForce(t *testing.T) {
+	probes, found := 0, 0
+	for trial := 0; trial < 1500; trial++ {
+		r := rand.New(rand.NewPCG(uint64(trial), 21))
+		script := make([]byte, 4*(8+r.IntN(120)))
+		for i := range script {
+			script[i] = byte(r.Uint32())
+		}
+		_, n, k := runProbeScript(t, script)
+		probes += n
+		found += k
+	}
+	t.Logf("%d probes, %d found an earlier anchor", probes, found)
+	if probes < 20000 || found < 2000 {
+		t.Fatalf("%d probes, %d with an earlier anchor: the scripts no longer exercise the probe", probes, found)
+	}
+}
+
+// FuzzProfileProbe is the same check under the native fuzzer.
+func FuzzProfileProbe(f *testing.F) {
+	for _, c := range probeCases {
+		f.Add(c.script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) { runProbeScript(t, script) })
 }
