@@ -37,16 +37,21 @@ fmt:
 	gofmt -l -w .
 
 # fuzz-smoke runs the tree's native fuzz targets for ten seconds each:
-# FuzzEventOrder drives random scripts of schedules (future and
-# same-instant), cancels and partial runs against the DES kernel's
-# (time, priority, seq) firing order; FuzzProfileProbe drives random
-# allocate/release/probe scripts against sched.Profile and holds
-# FindEarlierAnchor, CBF compression's non-mutating search, to a
-# per-second reference. A failure leaves its input under the package's
-# testdata/fuzz to commit as a regression case.
+# FuzzEventOrder drives random scripts of schedules (future,
+# same-instant and under tickets drawn earlier), cancels and partial runs
+# against the DES kernel's (time, priority, seq) firing order;
+# FuzzProfileProbe drives random allocate/release/probe scripts against
+# sched.Profile and holds FindEarlierAnchor, CBF compression's
+# non-mutating search, to a per-second reference; FuzzReservationTimer
+# drives submit/cancel/finish scripts against one CBF cluster and holds
+# every compressing pass to the rewrite reference and the cluster's one
+# reservation timer to the earliest pending reservation. A failure leaves
+# its input under the package's testdata/fuzz to commit as a regression
+# case.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEventOrder -fuzztime 10s ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzProfileProbe -fuzztime 10s ./internal/sched
+	$(GO) test -run '^$$' -fuzz FuzzReservationTimer -fuzztime 10s ./internal/sched
 
 # validate runs the validation harness: the invariant suite (causality,
 # liveness, capacity, work conservation, CPU-time ledger, determinism)

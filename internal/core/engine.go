@@ -416,6 +416,22 @@ func Run(cfg Config) (*Result, error) {
 	if shardable(&cfg) {
 		return runSharded(cfg)
 	}
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.StopAtHorizon {
+		e.sim.RunUntil(cfg.Horizon)
+	} else {
+		e.sim.Run()
+	}
+	return e.finish()
+}
+
+// newEngine builds the sequential engine for a validated config:
+// clusters, the information service, and the head of every cluster's
+// arrival chain, ready for its simulation to run.
+func newEngine(cfg Config) (*engine, error) {
 	e := &engine{
 		cfg: cfg,
 		sim: des.New(),
@@ -517,12 +533,12 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	if cfg.StopAtHorizon {
-		e.sim.RunUntil(cfg.Horizon)
-	} else {
-		e.sim.Run()
-	}
+	return e, nil
+}
 
+// finish reduces a simulation that has run to its Result and hands the
+// engine's slabs back.
+func (e *engine) finish() (*Result, error) {
 	res, err := e.collect()
 	e.releaseSlabs()
 	return res, err

@@ -42,7 +42,7 @@ func (e *Event) Canceled() bool { return e.canceled }
 // order negatives correctly), sequence in the low 48 — so ties resolve
 // with a single integer compare. The events popped are identical to a
 // binary heap's because (time, key) is a total order (seq is unique
-// per simulation).
+// among a simulation's live events; see ScheduleTicket).
 type entry struct {
 	time float64
 	key  uint64
@@ -227,6 +227,35 @@ func (s *Simulation) ScheduleP(at float64, priority int, action func()) *Event {
 // simulator hot path where every start schedules a completion and
 // every state change schedules a pass.
 func (s *Simulation) ScheduleFn(at float64, priority int, fn func(any), arg any) *Event {
+	return s.schedule(at, priority, s.Ticket(), fn, arg)
+}
+
+// Ticket takes the next place in the insertion order without scheduling
+// anything: ScheduleTicket can file an event in that place later. It is
+// for a caller that knows now where an event belongs among its ties but
+// not yet whether it will be needed — sched's one reservation timer per
+// cluster stands for whichever request's reservation is due first, and
+// fires in the place that request's own timer would have held.
+func (s *Simulation) Ticket() uint64 {
+	s.seq++
+	return s.seq
+}
+
+// ScheduleTicket is ScheduleFn for an event that takes the place in the
+// insertion order of a ticket drawn earlier: among events of equal time
+// and priority it fires as if it had been scheduled when the ticket was
+// drawn. At most one live event may hold a ticket at a time (two would
+// tie in every key); a ticket whose event fired or was canceled may be
+// scheduled under again.
+func (s *Simulation) ScheduleTicket(at float64, priority int, ticket uint64, fn func(any), arg any) *Event {
+	if ticket == 0 || ticket > s.seq {
+		panic("des: ticket was not drawn from this simulation")
+	}
+	return s.schedule(at, priority, ticket, fn, arg)
+}
+
+// schedule files an event under seq, its place in the insertion order.
+func (s *Simulation) schedule(at float64, priority int, seq uint64, fn func(any), arg any) *Event {
 	// Written so that NaN, for which every comparison is false and which
 	// would silently break entryLess's order, is rejected too.
 	if !(at >= s.now) {
@@ -235,7 +264,6 @@ func (s *Simulation) ScheduleFn(at float64, priority int, fn func(any), arg any)
 	if priority < -1<<15 || priority >= 1<<15 {
 		panic("des: priority outside int16 range")
 	}
-	s.seq++
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
@@ -246,7 +274,7 @@ func (s *Simulation) ScheduleFn(at float64, priority int, fn func(any), arg any)
 	} else {
 		e = &Event{Time: at, Priority: priority, fn: fn, arg: arg}
 	}
-	en := entry{time: at, key: packKey(priority, s.seq), ev: e}
+	en := entry{time: at, key: packKey(priority, seq), ev: e}
 	if at == s.now {
 		s.lane.push(en)
 		s.cSchedNow.Inc()

@@ -9,10 +9,12 @@ import (
 // Simulation and checks the kernel's one contract on every event it
 // fires: among the events that are live at that moment, the one that
 // fires is the first by (time, priority, insertion sequence) — the
-// sequence a stable sort of the live events by (time, priority) gives.
-// The script schedules in the future and at Now(), from the top level
-// and from inside firing actions, at priorities -1..2, cancels live
-// events, and interleaves Step, RunUntil, RunBefore and Peek. Times are
+// sequence a stable sort of the live events by (time, priority) gives,
+// an event scheduled under a ticket counting as inserted when the ticket
+// was drawn. The script schedules in the future and at Now(), from the
+// top level and from inside firing actions, at priorities -1..2, draws
+// tickets and schedules under them later, cancels live events, and
+// interleaves Step, RunUntil, RunBefore and Peek. Times are
 // small integers so ties are the common case. Firing actions read their
 // follow-on operations from the same script, and two script bytes
 // schedule at most 23 events, so every script terminates.
@@ -21,10 +23,20 @@ type orderScript struct {
 	sim  *Simulation
 	data []byte
 
-	// model is one record per event ever scheduled, in insertion order.
+	// model is one record per event ever scheduled or ticket ever drawn,
+	// in insertion order.
 	model []orderEvent
 	live  int
 	fired int
+	// tickets drawn and not yet scheduled under, oldest first.
+	tickets []orderTicket
+}
+
+// orderTicket is a drawn ticket and the model record that holds its
+// place.
+type orderTicket struct {
+	id     int
+	ticket uint64
 }
 
 type orderEvent struct {
@@ -145,7 +157,7 @@ func (o *orderScript) run() {
 		}
 		x, _ := o.next()
 		now := o.sim.Now()
-		switch b % 8 {
+		switch b % 10 {
 		case 0:
 			o.schedule(now+float64(1+x%5), int(x/5%4)-1)
 		case 1:
@@ -184,6 +196,21 @@ func (o *orderScript) run() {
 			// A burst at Now() deeper than the lane's inline array.
 			for k := 0; k < int(x%24); k++ {
 				o.schedule(now, k%4-1)
+			}
+		case 8:
+			// A place in the insertion order, held by a record that is
+			// not live until an event is scheduled under the ticket.
+			o.tickets = append(o.tickets, orderTicket{len(o.model), o.sim.Ticket()})
+			o.model = append(o.model, orderEvent{})
+		case 9:
+			// An event under the oldest unused ticket, at Now() or ahead.
+			if len(o.tickets) > 0 {
+				tk := o.tickets[0]
+				o.tickets = o.tickets[1:]
+				at, priority := now+float64(x%5), int(x/5%4)-1
+				ev := o.sim.ScheduleTicket(at, priority, tk.ticket, orderFire, &orderRef{o, tk.id})
+				o.model[tk.id] = orderEvent{time: at, priority: priority, ev: ev}
+				o.live++
 			}
 		}
 	}
@@ -230,6 +257,9 @@ var orderSeeds = [][]byte{
 	// a burst of 23 at Now() overflows the inline lane, then Peek and
 	// RunUntil(Now()) drain the instant.
 	append([]byte{0, 5, 0, 5, 3, 0, 2, 5, 9, 7, 23, 6, 0, 4, 0}, make([]byte, 26)...),
+	// TestTicketKeepsItsPlace: a ticket, two events at +2, then a third
+	// under the ticket at +2, which fires first.
+	{8, 0, 0, 6, 0, 6, 9, 7},
 }
 
 // TestEventOrderProperty drives random scripts, and the seed scripts,

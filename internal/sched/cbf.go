@@ -24,6 +24,15 @@ func (c *Cluster) passCBF() {
 		c.needCompress = false
 		c.compressCBF(now)
 	}
+	c.admitCBF(now)
+}
+
+// admitCBF is the pass proper: in queue order it grants a reservation to
+// every request that has none and starts every request whose reservation
+// is due, then points the reservation timer at the earliest reservation
+// still pending, which the same walk has found.
+func (c *Cluster) admitCBF(now float64) {
+	next, ticket := math.Inf(1), uint64(0)
 	for i := 0; i < len(c.queue); i++ {
 		r := c.queue[i]
 		if r == nil || r.State != Pending {
@@ -31,14 +40,28 @@ func (c *Cluster) passCBF() {
 		}
 		if math.IsNaN(r.resStart) {
 			c.reserveCBF(r, now)
+			if r.State != Pending {
+				continue
+			}
 		} else if r.resStart <= now {
 			c.startReserved(r, now)
+			continue
+		}
+		if dueBefore(r, next, ticket) {
+			next, ticket = r.resStart, r.resTicket
 		}
 	}
+	if c.timerStale {
+		// A start callback withdrew a request of this cluster, perhaps
+		// one the walk had already counted.
+		c.timerStale = false
+		next, ticket = c.nextDue()
+	}
+	c.armTimer(next, ticket)
 }
 
 // reserveCBF anchors a new request into the persistent profile and
-// either starts it immediately or arms a timer for its reservation.
+// starts it when the anchor is now; otherwise the pass's timer will.
 func (c *Cluster) reserveCBF(r *Request, now float64) {
 	anchor := c.profile.FindAnchor(now, r.Estimate, r.Nodes)
 	if math.IsInf(anchor, 1) {
@@ -53,7 +76,7 @@ func (c *Cluster) reserveCBF(r *Request, now float64) {
 	if anchor <= now {
 		c.startReserved(r, now)
 	} else {
-		c.armTimer(r, anchor)
+		r.resTicket = c.sim.Ticket()
 	}
 }
 
@@ -68,19 +91,57 @@ func (c *Cluster) startReserved(r *Request, now float64) {
 	c.start(r)
 }
 
-func (c *Cluster) armTimer(r *Request, at float64) {
-	if r.startEv != nil {
-		c.sim.Cancel(r.startEv)
-	}
-	r.startEv = c.sim.ScheduleFn(at, 1, timerAction, r)
+// dueBefore reports whether r's reservation falls due before the one at
+// (at, ticket): earlier, or at the same instant under an earlier ticket.
+// A request without a reservation (NaN) is never due before anything.
+func dueBefore(r *Request, at float64, ticket uint64) bool {
+	return r.resStart < at || r.resStart == at && r.resTicket < ticket
 }
 
-// timerAction fires a CBF reservation timer: the reservation is due,
-// so run a pass (which will start the request via startReserved).
+// nextDue returns the reservation that falls due first among the pending
+// requests and its ticket, +Inf when none holds one.
+func (c *Cluster) nextDue() (at float64, ticket uint64) {
+	at = math.Inf(1)
+	for _, r := range c.queue {
+		if r != nil && r.State == Pending && dueBefore(r, at, ticket) {
+			at, ticket = r.resStart, r.resTicket
+		}
+	}
+	return at, ticket
+}
+
+// armTimer points the cluster's reservation timer at the reservation
+// that falls due first (+Inf: none, no timer), under that request's
+// ticket: the event is the one timer that would fire first if every
+// request kept its own, in the place among its ties — other clusters'
+// timers due at the same instant — that the request's timer would hold.
+// Which cluster's pass runs first at such an instant decides which copy
+// of a redundant job starts. The event it replaces is canceled lazily,
+// but being the earliest reservation it is reaped from the event queue
+// soon.
+func (c *Cluster) armTimer(at float64, ticket uint64) {
+	if at == c.timerAt && ticket == c.timerTicket {
+		return
+	}
+	if c.timerEv != nil {
+		c.sim.Cancel(c.timerEv)
+		c.timerEv = nil
+	}
+	c.timerAt, c.timerTicket = at, ticket
+	if !math.IsInf(at, 1) {
+		c.timerEv = c.sim.ScheduleTicket(at, 1, ticket, timerAction, c)
+		c.cTimerArms.Inc()
+	}
+}
+
+// timerAction fires the reservation timer: the earliest reservation is
+// due, so run a pass, which starts every due request via startReserved
+// and re-arms the timer for the earliest one left.
 func timerAction(a any) {
-	r := a.(*Request)
-	r.startEv = nil
-	r.cluster.pass()
+	c := a.(*Cluster)
+	c.timerEv, c.timerAt, c.timerTicket = nil, math.Inf(1), 0
+	c.cTimerFires.Inc()
+	c.pass()
 }
 
 // compressCBF re-anchors every pending reservation in queue order after
@@ -147,7 +208,7 @@ func (c *Cluster) compressCBF(now float64) {
 		if anchor <= now {
 			c.startReserved(r, now)
 		} else {
-			c.armTimer(r, anchor)
+			r.resTicket = c.sim.Ticket()
 		}
 	}
 }

@@ -119,11 +119,15 @@ type Request struct {
 	State State
 
 	cluster  *Cluster
-	resStart float64    // current CBF reservation
-	startEv  *des.Event // CBF reservation timer
-	finishEv *des.Event
-	queued   bool
-	slot     int // index in cluster.queue while queued; -1 otherwise
+	resStart float64 // current CBF reservation
+	// resTicket is the place in the simulation's insertion order taken
+	// when the reservation was granted or last moved (des.Ticket): among
+	// reservations due at one instant, on this cluster or another, the
+	// earliest ticket goes first.
+	resTicket uint64
+	finishEv  *des.Event
+	queued    bool
+	slot      int // index in cluster.queue while queued; -1 otherwise
 }
 
 // Wait returns the request's queue waiting time; it panics if the
@@ -243,6 +247,20 @@ type Cluster struct {
 	// capacity was released.
 	relStart, relEnd float64
 
+	// The CBF reservation timer: one event per cluster, standing for the
+	// pending request whose reservation is due first — timerAt is the
+	// earliest resStart in the queue and timerTicket the earliest
+	// resTicket among the requests reserved for it (+Inf, and no event,
+	// when no request holds a reservation). A pass re-arms it on its way
+	// out (admitCBF); a Cancel between passes re-arms it at once when it
+	// withdrew the request the timer stood for, and one inside a pass
+	// sets timerStale for the pass to rescan, since its walk may already
+	// have counted the request.
+	timerEv     *des.Event
+	timerAt     float64
+	timerTicket uint64
+	timerStale  bool
+
 	// scratch is predictNew's reusable availability profile
 	// (buildRunningProfile); reusing it keeps predicting passes
 	// allocation-free after warmup.
@@ -269,6 +287,8 @@ type Cluster struct {
 	cCompressions   *obs.Counter
 	cCompressProbes *obs.Counter
 	cCompressMoves  *obs.Counter
+	cTimerArms      *obs.Counter
+	cTimerFires     *obs.Counter
 	backfilling     bool
 }
 
@@ -289,6 +309,7 @@ func NewCluster(sim *des.Simulation, name string, index int, cfg Config) *Cluste
 		free:     cfg.Nodes,
 		relStart: math.Inf(1),
 		relEnd:   math.Inf(-1),
+		timerAt:  math.Inf(1),
 	}
 	if cfg.Alg == CBF {
 		c.profile = NewProfile(sim.Now(), cfg.Nodes)
@@ -303,14 +324,17 @@ func NewCluster(sim *des.Simulation, name string, index int, cfg Config) *Cluste
 // (EASY passes that only scanned the submissions since the pass before),
 // sched.reservations (CBF reservations granted), sched.compressions
 // (CBF compression passes), sched.compress.probes (reservations those
-// passes searched an earlier anchor for) and sched.compress.moves (the
-// probes that found one, each a profile rewrite and a re-armed timer).
-// A nil trace detaches them.
+// passes searched an earlier anchor for), sched.compress.moves (the
+// probes that found one, each a profile rewrite), sched.timer.arms (times
+// the cluster's CBF reservation timer was scheduled) and
+// sched.timer.fires (times it fell due and ran a pass). A nil trace
+// detaches them.
 func (c *Cluster) SetTrace(t *obs.Trace) {
 	if t == nil {
 		c.sQueueDepth, c.cStartsInOrder, c.cStartsBackfill = nil, nil, nil
 		c.cPassesClean, c.cReservations, c.cCompressions = nil, nil, nil
 		c.cCompressProbes, c.cCompressMoves = nil, nil
+		c.cTimerArms, c.cTimerFires = nil, nil
 		return
 	}
 	c.sQueueDepth = t.Series("sched." + c.Name + ".queue_depth")
@@ -321,6 +345,8 @@ func (c *Cluster) SetTrace(t *obs.Trace) {
 	c.cCompressions = t.Counter("sched.compressions")
 	c.cCompressProbes = t.Counter("sched.compress.probes")
 	c.cCompressMoves = t.Counter("sched.compress.moves")
+	c.cTimerArms = t.Counter("sched.timer.arms")
+	c.cTimerFires = t.Counter("sched.timer.fires")
 }
 
 // sampleQueueDepth records the pending-queue depth at the current
@@ -366,6 +392,12 @@ func (c *Cluster) Submit(r *Request) {
 	if r.Estimate < r.Runtime {
 		panic("sched: estimate below actual runtime")
 	}
+	if c.cfg.Alg == CBF && r.Estimate <= 0 {
+		// A zero-length reservation holds nothing in the profile while
+		// the request holds nodes for the rest of the pass that starts
+		// it, so the next reservation due in that pass finds too few free.
+		panic(fmt.Sprintf("sched: CBF cannot reserve a request with estimate %v on %s: it needs a positive requested time", r.Estimate, c.Name))
+	}
 	r.cluster = c
 	r.Submit = c.sim.Now()
 	r.Start = math.NaN()
@@ -405,15 +437,21 @@ func (c *Cluster) Cancel(r *Request) bool {
 	c.stats.Canceled++
 	c.sampleQueueDepth()
 	if c.cfg.Alg == CBF {
-		if r.startEv != nil {
-			c.sim.Cancel(r.startEv)
-			r.startEv = nil
-		}
-		if !math.IsNaN(r.resStart) {
+		if res := r.resStart; !math.IsNaN(res) {
 			// Release the reservation's profile allocation.
-			c.profile.AddBusy(r.resStart, r.resStart+r.Estimate, -r.Nodes)
-			c.noteRelease(r.resStart, r.resStart+r.Estimate)
+			c.profile.AddBusy(res, res+r.Estimate, -r.Nodes)
+			c.noteRelease(res, res+r.Estimate)
 			r.resStart = math.NaN()
+			if c.inPass {
+				c.timerStale = true
+			} else if res == c.timerAt && r.resTicket == c.timerTicket {
+				// The timer stood for r. Not left to the kick below:
+				// when another cluster's pass at this very instant
+				// withdrew r, the timer is queued ahead of that kick and
+				// would fire with nothing due, or in r's place among the
+				// instant's ties when the next request's is later.
+				c.armTimer(c.nextDue())
+			}
 		}
 		if c.cfg.CompressOnCancel && !c.cfg.DisableCompression {
 			c.needCompress = true
@@ -545,10 +583,6 @@ func (c *Cluster) start(r *Request) {
 		c.cStartsInOrder.Inc()
 	}
 	c.sampleQueueDepth()
-	if r.startEv != nil {
-		c.sim.Cancel(r.startEv)
-		r.startEv = nil
-	}
 	r.finishEv = c.sim.ScheduleFn(now+r.Runtime, 0, finishAction, r)
 	if c.OnStart != nil {
 		c.OnStart(r)

@@ -255,6 +255,31 @@ func TestCBFHoleUsableAfterCancelWithoutCompression(t *testing.T) {
 	}
 }
 
+// A request with a zero estimate would hold nodes for the rest of the
+// pass that starts it and nothing in the profile, and CBF used to panic
+// deep inside that pass when the next reservation fell due ("reservation
+// due ... but only k/n nodes free"). Submit refuses it, by name; EASY and
+// FCFS, which keep no profile, still take it.
+func TestCBFRejectsZeroEstimate(t *testing.T) {
+	for _, alg := range []Algorithm{FCFS, EASY} {
+		sim := des.New()
+		c := newTestCluster(t, sim, 4, alg)
+		c.Submit(testReq(1, 4, 0, 0))
+		runChecked(t, sim, c)
+		if c.Stats().Finished != 1 {
+			t.Errorf("%v: zero-estimate request did not run", alg)
+		}
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "CBF") || !strings.Contains(msg, "estimate 0") {
+			t.Fatalf("Submit of a zero-estimate request under CBF: %s, want a panic that names CBF and the estimate", msg)
+		}
+	}()
+	c := newTestCluster(t, des.New(), 4, CBF)
+	c.Submit(testReq(1, 2, 0, 0))
+}
+
 func TestDisableCancelBackfillAblation(t *testing.T) {
 	sim := des.New()
 	c := NewCluster(sim, "test", 0, Config{Nodes: 4, Alg: EASY, DisableCancelBackfill: true})

@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
 
 	"redreq/internal/des"
+	"redreq/internal/obs"
 	"redreq/internal/rng"
 	"redreq/internal/workload"
 )
@@ -56,9 +58,11 @@ func (p *Profile) FindAnchorLimit(earliest, limit, duration float64, nodes int) 
 	return math.Inf(1)
 }
 
-// compressCounts is what the reference saw while compressing, so the
-// test can require that the scripts reached the cases the probe has to
-// get right without editing the profile.
+// compressCounts is what the reference saw while compressing and what
+// the checker saw of the reservation timer, so the test can require that
+// the scripts reached the cases the probe has to get right without
+// editing the profile and the ones the one timer per cluster has to get
+// right without an event per request.
 type compressCounts struct {
 	passes, probes, moves int
 	// Probes whose window — the one the search settled on, or the first
@@ -73,6 +77,18 @@ type compressCounts struct {
 	// Requests canceled from a start callback while a compression was
 	// running, and queue compactions the checker saw.
 	withdrawn, compactions int
+
+	// Times a reservation timer fired, the fires that found two or more
+	// requests due, and the instants at which two clusters' timers fired.
+	fires, firesMulti, firesTied int
+	// Cancels between passes of the request the timer stood for (each an
+	// immediate rescan), the ones that left the cluster with no timer,
+	// and the ones made at the very instant the reservation was due, by
+	// another cluster's pass.
+	holderCancels, holderCancelsLast, holderCancelsDue int
+	// Passes that rescanned because a start callback withdrew a request
+	// of the passing cluster.
+	staleRescans int
 }
 
 func (n *compressCounts) add(m compressCounts) {
@@ -85,12 +101,20 @@ func (n *compressCounts) add(m compressCounts) {
 	n.movesToBreak += m.movesToBreak
 	n.withdrawn += m.withdrawn
 	n.compactions += m.compactions
+	n.fires += m.fires
+	n.firesMulti += m.firesMulti
+	n.firesTied += m.firesTied
+	n.holderCancels += m.holderCancels
+	n.holderCancelsLast += m.holderCancelsLast
+	n.holderCancelsDue += m.holderCancelsDue
+	n.staleRescans += m.staleRescans
 }
 
 // referenceCompress is compressCBF as it was before it probed: every
 // pending reservation with a non-empty search range is taken out of the
 // profile, searched for with FindAnchorLimit, clamped to where it was
-// and put back, moved or not.
+// and put back, moved or not. A reservation that moved takes a new
+// ticket, where it used to re-arm its own timer.
 func referenceCompress(c *Cluster, now float64, n *compressCounts) {
 	n.passes++
 	relStart, relEnd := c.relStart, c.relEnd
@@ -152,7 +176,7 @@ func referenceCompress(c *Cluster, now float64, n *compressCounts) {
 		if anchor <= now {
 			c.startReserved(r, now)
 		} else if anchor != old {
-			c.armTimer(r, anchor)
+			r.resTicket = c.sim.Ticket()
 		}
 	}
 }
@@ -168,17 +192,7 @@ func referencePassCBF(c *Cluster, n *compressCounts) {
 		c.needCompress = false
 		referenceCompress(c, now, n)
 	}
-	for i := 0; i < len(c.queue); i++ {
-		r := c.queue[i]
-		if r == nil || r.State != Pending {
-			continue
-		}
-		if math.IsNaN(r.resStart) {
-			c.reserveCBF(r, now)
-		} else if r.resStart <= now {
-			c.startReserved(r, now)
-		}
-	}
+	c.admitCBF(now)
 	c.inPass = false
 	if c.needCompact {
 		c.needCompact = false
@@ -187,8 +201,9 @@ func referencePassCBF(c *Cluster, n *compressCounts) {
 }
 
 // cbfTwin is a detached copy of what a CBF cluster schedules from —
-// profile, queue, reservations, armed timers, released window — on a
-// simulation of its own, for the reference pass to run on.
+// profile, queue, reservations and the order of their tickets, the
+// reservation timer, released window — on a simulation of its own, for
+// the reference pass to run on.
 type cbfTwin struct {
 	c       *Cluster
 	real    []*Request // the cluster's queued requests when the copy was taken
@@ -210,14 +225,17 @@ func cloneCBF(c *Cluster, withdraw func(*Cluster, *Request)) *cbfTwin {
 			continue
 		}
 		cp := *r
-		cp.cluster, cp.startEv = t, nil
-		if r.startEv != nil {
-			t.armTimer(&cp, r.startEv.Time)
-		}
+		cp.cluster = t
 		t.queue[i] = &cp
 		tw.real = append(tw.real, r)
 		tw.copy = append(tw.copy, &cp)
 	}
+	// The copy's simulation has handed out no tickets: the reservations
+	// take its first ones, in the order they hold the cluster's.
+	for _, i := range ticketOrder(tw.copy) {
+		tw.copy[i].resTicket = sim.Ticket()
+	}
+	t.armTimer(t.nextDue())
 	t.OnStart = func(r *Request) {
 		tw.started = append(tw.started, r)
 		if withdraw != nil {
@@ -227,13 +245,36 @@ func cloneCBF(c *Cluster, withdraw func(*Cluster, *Request)) *cbfTwin {
 	return tw
 }
 
+// ticketOrder returns the indices of the requests that hold a pending
+// reservation, earliest ticket first.
+func ticketOrder(rs []*Request) []int {
+	var order []int
+	for i, r := range rs {
+		if r.State == Pending && !math.IsNaN(r.resStart) {
+			order = append(order, i)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(rs[a].resTicket, rs[b].resTicket) })
+	return order
+}
+
+// timerHolder returns the index in rs of the request the cluster's
+// reservation timer stands for, -1 when the timer is not armed.
+func timerHolder(c *Cluster, rs []*Request) int {
+	return slices.IndexFunc(rs, func(r *Request) bool {
+		return r.State == Pending && r.resStart == c.timerAt && r.resTicket == c.timerTicket
+	})
+}
+
 // sameTime reports whether two times are equal, NaN equal to NaN.
 func sameTime(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
 
 // compressChecker steps a simulation of CBF clusters event by event.
 // Before an event that may be a compressing pass it copies the cluster;
 // when the event was one, it runs the reference pass on the copy and
-// requires the cluster to have ended up where the copy did.
+// requires the cluster to have ended up where the copy did. After every
+// event, and after every cancel made between passes, it holds each
+// cluster's reservation timer to its invariant.
 type compressChecker struct {
 	t        *testing.T
 	sim      *des.Simulation
@@ -245,13 +286,21 @@ type compressChecker struct {
 	// the copy.
 	withdraw func(*Cluster, *Request)
 
+	// The last timer fire, and the last instant at which two clusters'
+	// timers fired.
+	firedAt, tiedAt float64
+	firedOn         int
+
 	compressCounts
 }
 
 func newCompressChecker(t *testing.T, withdraw func(*Cluster, *Request), cfgs ...Config) *compressChecker {
-	h := &compressChecker{t: t, sim: des.New(), withdraw: withdraw, started: make([][]*Request, len(cfgs))}
+	h := &compressChecker{t: t, sim: des.New(), withdraw: withdraw, started: make([][]*Request, len(cfgs)), firedAt: math.NaN(), tiedAt: math.NaN()}
 	for i, cfg := range cfgs {
 		c := NewCluster(h.sim, "diff", i, cfg)
+		// A trace of its own, so the checker can tell which cluster's
+		// timer fired.
+		c.SetTrace(obs.New())
 		c.OnStart = func(r *Request) {
 			h.started[i] = append(h.started[i], r)
 			if withdraw != nil {
@@ -262,7 +311,7 @@ func newCompressChecker(t *testing.T, withdraw func(*Cluster, *Request), cfgs ..
 			if copies, ok := r.Owner.([]*Request); ok {
 				for _, s := range copies {
 					if s != r && s.cluster != nil {
-						s.cluster.Cancel(s)
+						h.cancel(s.cluster, s)
 					}
 				}
 			}
@@ -272,22 +321,103 @@ func newCompressChecker(t *testing.T, withdraw func(*Cluster, *Request), cfgs ..
 	return h
 }
 
+// cancel withdraws a request between passes of its cluster — from the
+// script, or from another cluster's start callback — and requires the
+// reservation timer to stand for the earliest reservation left as soon as
+// the call returns, not only after the pass the cancel kicks.
+func (h *compressChecker) cancel(c *Cluster, r *Request) {
+	holder := r.State == Pending && r.resStart == c.timerAt && r.resTicket == c.timerTicket
+	due := holder && r.resStart == h.sim.Now()
+	before := len(c.queue)
+	c.Cancel(r)
+	if len(c.queue) < before {
+		h.compactions++
+	}
+	h.checkTimer(c)
+	if holder {
+		h.holderCancels++
+		if c.timerEv == nil {
+			h.holderCancelsLast++
+		}
+		if due {
+			h.holderCancelsDue++
+		}
+	}
+}
+
+// checkTimer holds a cluster that is not inside a pass to the timer's
+// invariant: it is armed for the earliest pending reservation, under the
+// earliest ticket among the requests reserved for that instant, and not
+// armed exactly when no request holds a reservation.
+func (h *compressChecker) checkTimer(c *Cluster) {
+	h.t.Helper()
+	at, ticket := math.Inf(1), uint64(0)
+	for _, r := range c.queue {
+		if r == nil || r.State != Pending || math.IsNaN(r.resStart) {
+			continue
+		}
+		if r.resStart < at || r.resStart == at && r.resTicket < ticket {
+			at, ticket = r.resStart, r.resTicket
+		}
+	}
+	if c.timerAt != at || c.timerTicket != ticket {
+		h.t.Fatalf("t=%v %s: timer stands for the reservation at %v under ticket %d, the earliest pending one is at %v under ticket %d",
+			h.sim.Now(), c.Name, c.timerAt, c.timerTicket, at, ticket)
+	}
+	if armed := c.timerEv != nil; armed == math.IsInf(at, 1) {
+		h.t.Fatalf("t=%v %s: timer armed = %v with the earliest pending reservation at %v", h.sim.Now(), c.Name, armed, at)
+	}
+	if ev := c.timerEv; ev != nil && (ev.Canceled() || ev.Time != at) {
+		h.t.Fatalf("t=%v %s: timer event for %v (canceled %v), the earliest pending reservation is at %v", h.sim.Now(), c.Name, ev.Time, ev.Canceled(), at)
+	}
+}
+
+// due counts the cluster's pending reservations that are due by at.
+func due(c *Cluster, at float64) int {
+	n := 0
+	for _, r := range c.queue {
+		if r != nil && r.State == Pending && r.resStart <= at {
+			n++
+		}
+	}
+	return n
+}
+
+// endInstant requires that the instant the clock is about to leave has
+// left no pending reservation overdue.
+func (h *compressChecker) endInstant() {
+	for _, c := range h.clusters {
+		if n := due(c, h.sim.Now()); n > 0 {
+			h.t.Fatalf("t=%v %s: the instant ends with %d pending reservations due", h.sim.Now(), c.Name, n)
+		}
+	}
+}
+
 // step fires one event and reports whether there was one.
 func (h *compressChecker) step() bool {
+	at, ok := h.sim.Peek()
+	if !ok || at > h.sim.Now() {
+		h.endInstant()
+	}
+	if !ok {
+		return false
+	}
 	before := make([]struct {
-		twin           *cbfTwin
-		passes, queued int
+		twin                          *cbfTwin
+		passes, queued, due, canceled int
+		fires                         int64
 	}, len(h.clusters))
 	for i, c := range h.clusters {
 		h.started[i] = h.started[i][:0]
-		before[i].passes, before[i].queued = c.stats.Passes, len(c.queue)
+		b := &before[i]
+		b.passes, b.queued, b.due, b.canceled = c.stats.Passes, len(c.queue), due(c, at), c.stats.Canceled
+		b.fires = c.cTimerFires.Value()
 		if c.needCompress {
-			before[i].twin = cloneCBF(c, h.withdraw)
+			b.twin = cloneCBF(c, h.withdraw)
 		}
 	}
-	if !h.sim.Step() {
-		return false
-	}
+	h.sim.Step()
+	fired := 0
 	for i, c := range h.clusters {
 		if err := c.checkInvariants(); err != nil {
 			h.t.Fatalf("t=%v: %v", h.sim.Now(), err)
@@ -295,16 +425,41 @@ func (h *compressChecker) step() bool {
 		if err := c.profile.Validate(c.cfg.Nodes); err != nil {
 			h.t.Fatalf("t=%v: %s: %v", h.sim.Now(), c.Name, err)
 		}
-		if len(c.queue) < before[i].queued {
+		h.checkTimer(c)
+		b := &before[i]
+		if len(c.queue) < b.queued {
 			h.compactions++
 		}
-		if tw := before[i].twin; tw != nil && c.stats.Passes != before[i].passes {
+		if c.cTimerFires.Value() != b.fires {
+			if b.due == 0 {
+				h.t.Fatalf("t=%v %s: the reservation timer fired with no reservation due", h.sim.Now(), c.Name)
+			}
+			fired++
+			h.fires++
+			if b.due > 1 {
+				h.firesMulti++
+			}
+			if h.firedAt == at && h.firedOn != i && h.tiedAt != at {
+				h.firesTied++
+				h.tiedAt = at
+			}
+			h.firedAt, h.firedOn = at, i
+		}
+		if c.stats.Passes != b.passes && c.stats.Canceled != b.canceled {
+			// Only its own start callbacks cancel on a cluster while it
+			// passes.
+			h.staleRescans++
+		}
+		if tw := b.twin; tw != nil && c.stats.Passes != b.passes {
 			var n compressCounts
 			referencePassCBF(tw.c, &n)
 			h.compare(c, h.started[i], tw)
 			n.withdrawn = tw.c.stats.Canceled
 			h.add(n)
 		}
+	}
+	if fired > 1 {
+		h.t.Fatalf("t=%v: one event fired %d reservation timers", h.sim.Now(), fired)
 	}
 	return true
 }
@@ -324,16 +479,16 @@ func (h *compressChecker) compare(c *Cluster, started []*Request, tw *cbfTwin) {
 			t.Fatalf("t=%v %s pass %d, job %d: %v reserved at %v (promised %v), the reference has it %v at %v (promised %v)",
 				at, c.Name, c.stats.Passes, r.JobID, r.State, r.Reservation(), r.Reserved, cp.State, cp.Reservation(), cp.Reserved)
 		}
-		armed, refArmed := math.NaN(), math.NaN()
-		if r.startEv != nil {
-			armed = r.startEv.Time
-		}
-		if cp.startEv != nil {
-			refArmed = cp.startEv.Time
-		}
-		if !sameTime(armed, refArmed) {
-			t.Fatalf("t=%v %s pass %d, job %d: timer armed for %v, the reference arms %v", at, c.Name, c.stats.Passes, r.JobID, armed, refArmed)
-		}
+	}
+	// The timer stands for the same request at the same time, and the
+	// reservations took their tickets in the same order: the reference
+	// takes one where every request used to re-arm a timer of its own.
+	if got, want := timerHolder(c, tw.real), timerHolder(ref, tw.copy); c.timerAt != ref.timerAt || got != want {
+		t.Fatalf("t=%v %s pass %d: timer armed for %v (request %d of the queue), the reference arms %v (request %d)",
+			at, c.Name, c.stats.Passes, c.timerAt, got, ref.timerAt, want)
+	}
+	if got, want := ticketOrder(tw.real), ticketOrder(tw.copy); !slices.Equal(got, want) {
+		t.Fatalf("t=%v %s pass %d: reservations hold their tickets in the order %v, the reference's in %v", at, c.Name, c.stats.Passes, got, want)
 	}
 	// Element for element, which is stricter than the rendered String.
 	if !slices.Equal(c.profile.times, ref.profile.times) || !slices.Equal(c.profile.avail, ref.profile.avail) {
@@ -351,14 +506,15 @@ func (h *compressChecker) compare(c *Cluster, started []*Request, tw *cbfTwin) {
 
 func (h *compressChecker) runUntil(t float64) { stepUntil(h.sim, h.step, t) }
 
-// mutate applies a queue operation made outside a pass and notes when it
-// compacted the queue.
-func (h *compressChecker) mutate(c *Cluster, op func()) {
+// submit enqueues a request from the script and notes when that compacted
+// the queue.
+func (h *compressChecker) submit(c *Cluster, r *Request) {
 	before := len(c.queue)
-	op()
+	c.Submit(r)
 	if len(c.queue) < before {
 		h.compactions++
 	}
+	h.checkTimer(c)
 }
 
 // reserved returns the pending requests that hold a reservation, in
@@ -377,7 +533,8 @@ func reserved(c *Cluster) []*Request {
 // job whose number divides by six starts, the reservation in the middle
 // of those still pending is canceled on the spot — capacity released in
 // the middle of a compression, ahead of or behind the request being
-// examined.
+// examined, and a request the pass's walk toward the next reservation
+// may already have counted.
 func withdrawEverySixth(c *Cluster, r *Request) {
 	if r.JobID%6 != 0 {
 		return
@@ -387,82 +544,168 @@ func withdrawEverySixth(c *Cluster, r *Request) {
 	}
 }
 
+// scriptBytes reads a script; past its end every byte is zero.
+type scriptBytes []byte
+
+func (s *scriptBytes) next() int {
+	if len(*s) == 0 {
+		return 0
+	}
+	b := (*s)[0]
+	*s = (*s)[1:]
+	return int(b)
+}
+
+// Script header flags.
+const (
+	scriptWithdraw         = 1 << iota // withdrawEverySixth rides the start callback
+	scriptCompressOnCancel             // Config.CompressOnCancel
+	scriptNoCancelBackfill             // Config.DisableCancelBackfill
+	// scriptDeep holds a deep queue behind a wide, long job and mostly
+	// cancels, so the queue compacts between passes and, through the
+	// start callback, during them.
+	scriptDeep
+)
+
+// scriptMax bounds a script: the checker copies the cluster before every
+// compressing pass, and the fuzzer grows inputs to a megabyte.
+const scriptMax = 1200
+
+// runTimerScript interprets data as a script against one CBF cluster
+// under the compression and reservation-timer checks. The first byte is
+// the cluster's size, the second the script flags; every operation after
+// that is one byte — submit (followed by nodes, estimate and runtime),
+// cancel a reserved request (followed by which), run to the next event,
+// let up to three seconds pass (followed by how many), or nothing — whose
+// upper part says whether the pass the operation kicked runs before the
+// next operation or shares it.
+func runTimerScript(t *testing.T, data []byte) compressCounts {
+	s := scriptBytes(data[:min(len(data), scriptMax)])
+	nodes, flags := 2+s.next()%31, s.next()
+	var withdraw func(*Cluster, *Request)
+	if flags&scriptWithdraw != 0 {
+		withdraw = withdrawEverySixth
+	}
+	h := newCompressChecker(t, withdraw, Config{
+		Nodes: nodes, Alg: CBF,
+		CompressOnCancel:      flags&scriptCompressOnCancel != 0,
+		DisableCancelBackfill: flags&scriptNoCancelBackfill != 0,
+	})
+	c := h.clusters[0]
+	var id int64
+	deep := flags&scriptDeep != 0
+	if deep {
+		id++
+		h.submit(c, testReq(id, nodes-1, 40, 1000))
+		for k := 0; k < 120; k++ {
+			id++
+			h.submit(c, testReq(id, 2+s.next()%(nodes-1), 5, float64(5+s.next()%8)))
+		}
+		h.runUntil(h.sim.Now())
+	}
+	for len(s) > 0 {
+		now := h.sim.Now()
+		op := s.next()
+		switch k := op % 10; {
+		case k < 4 && (!deep || k < 2):
+			// Small integer times: anchors tie with breakpoints, half
+			// the jobs finish early and half on time.
+			id++
+			n, estimate, run := 1+s.next()%nodes, float64(1+s.next()%12), s.next()
+			runtime := estimate
+			if run%2 == 0 {
+				runtime = float64(run / 2 % int(estimate+1))
+			}
+			h.submit(c, testReq(id, n, runtime, estimate))
+		case k < 6:
+			if rs := reserved(c); len(rs) > 0 {
+				h.cancel(c, rs[s.next()%len(rs)])
+			}
+		case k < 8:
+			// The next completion (or whatever else is due first).
+			if at, ok := h.sim.Peek(); ok {
+				h.runUntil(at)
+			}
+		case k == 8:
+			h.runUntil(now + float64(s.next()%4))
+		}
+		// Usually let the kicked pass run before the next operation;
+		// sometimes let operations share a pass.
+		if op/10%4 != 0 {
+			h.runUntil(now)
+		}
+	}
+	for h.step() {
+	}
+	return h.compressCounts
+}
+
+// timerSeeds are the CBF unit cases of cluster_test.go in script form,
+// times divided by ten: {size-2, flags}, then per submission {op, nodes-1,
+// estimate-1, runtime*2}, and {18, n} lets n seconds pass.
+var timerSeeds = [][]byte{
+	// TestCBFReservationAndCompression: a wide job requests 10 and ends
+	// at 4; the one reserved behind it is compressed to 4.
+	{2, 0, 10, 3, 9, 8, 18, 1, 10, 3, 4, 1},
+	// TestCBFBackfillsIntoHole: a reservation at 10, and a narrow job
+	// submitted with it that fits in front.
+	{2, 0, 10, 1, 9, 1, 18, 1, 0, 3, 4, 1, 10, 1, 5, 1},
+	// TestCBFHoleUsableAfterCancelWithoutCompression: two reservations in
+	// a row, the first canceled, a newcomer takes its hole and the second
+	// is compressed onto the newcomer's end.
+	{2, 0, 10, 3, 9, 1, 18, 1, 10, 3, 4, 1, 18, 1, 10, 3, 4, 1, 18, 3, 14, 0, 18, 1, 10, 3, 3, 1},
+	// The same with no pass kicked by the cancel: the timer alone must
+	// find the second reservation after the first is withdrawn.
+	{2, scriptNoCancelBackfill, 10, 3, 9, 1, 18, 1, 10, 3, 4, 1, 18, 1, 10, 3, 4, 1, 18, 3, 14, 0},
+	// Three reservations for the same instant behind one job; the sixth
+	// job to start withdraws the middle one of those left from inside
+	// the pass that starts it.
+	{2, scriptWithdraw, 10, 3, 4, 1, 10, 1, 4, 1, 10, 0, 4, 1, 10, 0, 4, 1, 10, 1, 4, 1, 10, 0, 4, 1, 10, 0, 4, 1},
+	// A deep queue that compacts.
+	append([]byte{30, scriptDeep | scriptWithdraw | scriptCompressOnCancel}, make([]byte, 300)...),
+}
+
 // TestCompressionMatchesRewriteReference drives random scripts against
 // one CBF cluster, and then whole multi-cluster simulations under the
 // redundant-request protocol, and requires every compressing pass to
-// leave each request's reservation and timer, the starts and their
-// order, the released window and the profile itself exactly where the
-// remove, search, clamp and re-add reference leaves them.
+// leave each request's reservation, the reservation timer, the starts
+// and their order, the released window and the profile itself exactly
+// where the remove, search, clamp and re-add reference leaves them — and
+// the timer, after every pass and every cancel between passes, to stand
+// for the earliest pending reservation, to fire only when one is due and
+// to leave none overdue.
 func TestCompressionMatchesRewriteReference(t *testing.T) {
 	var scripted compressCounts
+	for _, seed := range timerSeeds {
+		scripted.add(runTimerScript(t, seed))
+	}
+	flag := func(on bool, f byte) byte {
+		if on {
+			return f
+		}
+		return 0
+	}
 	for trial := 0; trial < 2400; trial++ {
 		r := rand.New(rand.NewPCG(uint64(trial), 21))
-		nodes := 2 + r.IntN(31)
-		var withdraw func(*Cluster, *Request)
-		if trial%2 == 1 {
-			withdraw = withdrawEverySixth
+		data := make([]byte, 100+r.IntN(400))
+		if trial%10 == 0 {
+			data = make([]byte, scriptMax)
 		}
-		h := newCompressChecker(t, withdraw, Config{Nodes: nodes, Alg: CBF, CompressOnCancel: trial%3 == 0})
-		c := h.clusters[0]
-		var id int64
-		submit := func(req *Request) { h.mutate(c, func() { c.Submit(req) }) }
-		ops := 30 + r.IntN(120)
-		// Every tenth script holds a deep queue behind a wide, long job
-		// and mostly cancels, so the queue compacts between passes and,
-		// through the start callback, during them.
-		deep := trial%10 == 0
-		if deep {
-			ops = 400
-			id++
-			submit(testReq(id, nodes-1, 40, 1000))
-			for k := 0; k < 120; k++ {
-				id++
-				submit(testReq(id, 2+r.IntN(nodes-1), 5, float64(5+r.IntN(8))))
-			}
-			h.runUntil(h.sim.Now())
+		for i := range data {
+			data[i] = byte(r.Uint32())
 		}
-		for op := 0; op < ops; op++ {
-			now := h.sim.Now()
-			switch k := r.IntN(10); {
-			case k < 4 && (!deep || k < 2):
-				// Small integer times: anchors tie with breakpoints, half
-				// the jobs finish early and half on time. No estimate is
-				// zero: such a request holds nodes for the rest of the
-				// pass that starts it and nothing in the profile, and CBF
-				// panics when the next reservation falls due in that pass.
-				id++
-				req := smallRequest(r, id, nodes)
-				req.Estimate = max(req.Estimate, 1)
-				submit(req)
-			case k < 6:
-				if rs := reserved(c); len(rs) > 0 {
-					victim := rs[r.IntN(len(rs))]
-					h.mutate(c, func() { c.Cancel(victim) })
-				}
-			case k < 8:
-				// The next completion (or whatever else is due first).
-				if at, ok := h.sim.Peek(); ok {
-					h.runUntil(at)
-				}
-			case k == 8:
-				h.runUntil(now + float64(r.IntN(4)))
-			}
-			// Usually let the kicked pass run before the next operation;
-			// sometimes let operations share a pass.
-			if r.IntN(4) != 0 {
-				h.runUntil(now)
-			}
-		}
-		for h.step() {
-		}
-		scripted.add(h.compressCounts)
+		data[1] = flag(trial%2 == 1, scriptWithdraw) | flag(trial%3 == 0, scriptCompressOnCancel) |
+			flag(trial%4 == 2, scriptNoCancelBackfill) | flag(trial%10 == 0, scriptDeep)
+		scripted.add(runTimerScript(t, data))
 	}
 
-	// Whole simulations: Lublin-Feitelson streams with exact or phi
-	// estimates, one per cluster, every job sent to 1, 2 or all clusters
-	// and its losing copies canceled from the winner's start callback.
+	// Whole simulations: one stream per cluster, every job sent to 1, 2
+	// or all clusters and its losing copies canceled from the winner's
+	// start callback. The first 360 draw Lublin-Feitelson streams with
+	// exact or phi estimates; the rest draw small integer times, so that
+	// reservations on different clusters fall due at the same instant.
 	var simulated compressCounts
-	for trial := 0; trial < 360; trial++ {
+	for trial := 0; trial < 540; trial++ {
 		src := rng.New(uint64(trial) + 2100)
 		k := 2 + trial%3
 		copies := []int{1, 2, k}[trial/3%3]
@@ -470,7 +713,7 @@ func TestCompressionMatchesRewriteReference(t *testing.T) {
 		nodes := 8 << src.IntN(4)
 		cfgs := make([]Config, k)
 		for i := range cfgs {
-			cfgs[i] = Config{Nodes: nodes, Alg: CBF, CompressOnCancel: trial%4 == 0}
+			cfgs[i] = Config{Nodes: nodes, Alg: CBF, CompressOnCancel: trial%4 == 0, DisableCancelBackfill: trial%4 == 2}
 		}
 		h := newCompressChecker(t, nil, cfgs...)
 		m := workload.NewModel(nodes)
@@ -478,7 +721,20 @@ func TestCompressionMatchesRewriteReference(t *testing.T) {
 		m.Calibrate(src, nodes, 0.9+0.4*src.Float64(), 400)
 		var id int64
 		for home := range h.clusters {
-			for _, j := range m.GenerateN(src, 40+src.IntN(60)) {
+			jobs := m.GenerateN(src, 40+src.IntN(60))
+			if trial >= 360 {
+				at := 0
+				for i := range jobs {
+					at += src.IntN(3)
+					run := 1 + src.IntN(8)
+					est := run
+					if mode == workload.Phi {
+						est += src.IntN(9)
+					}
+					jobs[i] = workload.Job{Arrival: float64(at), Nodes: 1 + src.IntN(nodes), Runtime: float64(run), Estimate: float64(est)}
+				}
+			}
+			for _, j := range jobs {
 				id++
 				targets := append([]int{home}, src.SampleWithout(k, copies-1, home)...)
 				reqs := make([]*Request, len(targets))
@@ -525,9 +781,27 @@ func TestCompressionMatchesRewriteReference(t *testing.T) {
 		{"windows ending inside the held span, in simulations", simulated.endsInOwn, 70000},
 		{"reservations withdrawn from a start callback mid-pass", scripted.withdrawn, 1000},
 		{"queue compactions", scripted.compactions, 300},
+		{"timer fires in scripts", scripted.fires, 10000},
+		{"timer fires in simulations", simulated.fires, 10000},
+		{"timer fires with two or more requests due", scripted.firesMulti + simulated.firesMulti, 4000},
+		{"instants at which two clusters' timers fired", simulated.firesTied, 1000},
+		{"cancels between passes of the request the timer stood for, in scripts", scripted.holderCancels, 8000},
+		{"cancels between passes of the request the timer stood for, in simulations", simulated.holderCancels, 10000},
+		{"such cancels that left no reservation", scripted.holderCancelsLast + simulated.holderCancelsLast, 5000},
+		{"such cancels at the instant the reservation was due", simulated.holderCancelsDue, 150},
+		{"passes that rescanned after a start callback withdrew a request", scripted.staleRescans, 1500},
 	} {
 		if floor.got < floor.want {
-			t.Errorf("%s: %d, want at least %d: the scripts no longer exercise compression", floor.what, floor.got, floor.want)
+			t.Errorf("%s: %d, want at least %d: the scripts no longer exercise compression and the reservation timer", floor.what, floor.got, floor.want)
 		}
 	}
+}
+
+// FuzzReservationTimer is the script half of the same check under the
+// native fuzzer.
+func FuzzReservationTimer(f *testing.F) {
+	for _, seed := range timerSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runTimerScript(t, data) })
 }
