@@ -64,8 +64,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		format   = fs.String("format", "table", "output format: table|csv|json")
 		outDir   = fs.String("out", "", "write one file per experiment into this directory instead of stdout")
 		reps     = fs.Int("reps", 10, "replications per data point (the paper uses 50)")
-		workers  = fs.Int("workers", 0, "total CPU budget shared by simulations and shards (0 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 0, "event shards per simulation: N>1 shards each run, 1 forces the sequential engine, 0 = min(GOMAXPROCS, clusters); results are identical at every setting")
+		workers  = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		horizon  = fs.Float64("horizon", 6*3600, "submission window in seconds")
 		nodes    = fs.Int("nodes", 128, "homogeneous cluster size")
 		load     = fs.Float64("load", 0.45, "calibrated offered load on the reference cluster")
@@ -144,13 +143,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	opts := experiment.Defaults()
 	opts.Reps = *reps
 	opts.Workers = *workers
-	opts.Shards = *shards
-	if opts.Shards == 0 {
-		// Auto: one shard per available CPU; the engine further caps
-		// each run at its cluster count. Output is shard-count
-		// invariant, so auto never changes results.
-		opts.Shards = runtime.GOMAXPROCS(0)
-	}
 	opts.Horizon = *horizon
 	opts.Nodes = *nodes
 	opts.TargetLoad = *load

@@ -68,38 +68,6 @@ func TestGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestGoldenShardFlag proves the -shards flag never changes output:
-// the fixtures were pinned with the sequential engine, and both
-// -shards 1 (forced sequential) and -shards 8 (sharded wherever a
-// config is eligible — the validate shard audit exercises eligible
-// configs directly) must reproduce them byte-for-byte.
-func TestGoldenShardFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full experiments")
-	}
-	for _, name := range []string{"table1", "fig4", "validate", "routing"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			want, err := os.ReadFile(filepath.Join("testdata", name+"_quick.json"))
-			if err != nil {
-				t.Fatalf("%v (run TestGoldenJSON with -update first)", err)
-			}
-			for _, shards := range []string{"1", "8"} {
-				var out, errb bytes.Buffer
-				args := append(quickArgs(name), "-shards", shards)
-				if code := run(args, &out, &errb); code != 0 {
-					t.Fatalf("-shards %s: exit %d, stderr:\n%s", shards, code, errb.String())
-				}
-				if !bytes.Equal(out.Bytes(), want) {
-					t.Errorf("-shards %s output differs from the pinned fixture (%d vs %d bytes)",
-						shards, out.Len(), len(want))
-				}
-			}
-		})
-	}
-}
-
 func TestList(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
@@ -135,10 +103,17 @@ func TestBadFormatExitsUsage(t *testing.T) {
 	}
 }
 
+// TestBadFlagExitsUsage covers removed flags too: they are unknown
+// flags, not silently ignored ones.
 func TestBadFlagExitsUsage(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &out, &errb); code != 2 {
-		t.Errorf("exit = %d, want 2", code)
+	for _, argv := range [][]string{{"-no-such-flag"}, {"-shards", "1", "-run", "table1"}} {
+		var out, errb bytes.Buffer
+		if code := run(argv, &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", argv, code)
+		}
+		if !strings.Contains(errb.String(), "flag provided but not defined") {
+			t.Errorf("%v: stderr missing diagnosis:\n%s", argv, errb.String())
+		}
 	}
 }
 

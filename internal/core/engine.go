@@ -47,8 +47,7 @@ type Config struct {
 	// cluster publishes a load snapshot each interval, and a snapshot
 	// becomes visible ControlLatency seconds after capture. 0 defaults
 	// the interval to ControlLatency; a negative value forces live
-	// (omniscient) reads, which only the sequential engine can
-	// execute. Uninformed policies ignore it.
+	// (omniscient) reads. Uninformed policies ignore it.
 	Staleness float64
 	// Ordering is the queue ordering used by every cluster's
 	// scheduler (FCFS — the paper's model — SJF, or slowdown-aged
@@ -138,27 +137,14 @@ type Config struct {
 	// after a start; a copy that starts before its cancel lands runs
 	// to completion as pure waste (Result.Overruns), and the winner
 	// is the lexicographically least (start time, cluster index)
-	// start. ControlLatency is also the sharded engine's lookahead:
-	// epochs are L wide, so Shards > 1 requires ControlLatency > 0.
+	// start.
 	ControlLatency float64
-	// Shards splits the run into per-cluster event shards executed by
-	// that many goroutines under an epoch-synchronized coordinator
-	// (see DESIGN.md §12). Results are bit-identical at every shard
-	// count — Shards is excluded from the fingerprint — so 0 or 1
-	// selects the sequential engine, and configurations the sharded
-	// engine cannot execute exactly (ControlLatency 0, active fault
-	// plans, informed routing with live zero-staleness reads) silently
-	// fall back to it.
+	// Deprecated: Shards is ignored: every run executes on the one
+	// sequential event loop, and the fingerprint leaves it out. Its
+	// only reference is the benchmark program's core.shards2_speedup
+	// probe; it is deleted together with that probe in the next
+	// change to the benchmark.
 	Shards int
-	// Collector, when non-nil, receives every completed job's record
-	// as a stream (see Collector), enabling reductions that do not
-	// retain []JobRecord. Runs with a Collector bypass core.Memo.
-	Collector Collector
-	// DropRecords discards job records once observed instead of
-	// retaining Result.Jobs; combined with a Collector and Shards > 1
-	// this keeps memory O(active jobs) instead of O(total jobs).
-	// Runs with DropRecords bypass core.Memo.
-	DropRecords bool
 }
 
 // Validate reports the first configuration problem found.
@@ -191,9 +177,6 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.Alg == sched.CBF && cfg.Ordering != sched.OrderFCFS {
 		return fmt.Errorf("core: CBF supports only FCFS ordering (got %v)", cfg.Ordering)
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("core: negative shard count %d", cfg.Shards)
 	}
 	if err := cfg.Faults.Validate(len(cfg.Clusters)); err != nil {
 		return err
@@ -337,10 +320,9 @@ type gridJob struct {
 // but under a positive ControlLatency arrivals move to prioArrival
 // and the two cross-cluster message kinds get dedicated levels, so
 // that the relative order of a message against any local event at
-// the same instant is fixed by (time, priority) alone, never by
-// scheduling order. That property is what lets the sharded engine
-// inject boundary messages at epoch barriers and still replay the
-// sequential engine's event order bit-for-bit (DESIGN.md §12):
+// the same instant is fixed by (time, priority) alone, never by the
+// order the engine happened to schedule them in. Each same-instant
+// tie is then a stated rule of the model:
 //
 //   - deliveries precede same-time cancels, so a cancel always finds
 //     its copy delivered;
@@ -407,14 +389,10 @@ type engine struct {
 }
 
 // Run executes one simulation and returns its result. Runs are
-// deterministic in cfg (including Seed), and — for sharded-eligible
-// configs — identical at every Shards value.
+// deterministic in cfg (including Seed).
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if shardable(&cfg) {
-		return runSharded(cfg)
 	}
 	e, err := newEngine(cfg)
 	if err != nil {
@@ -428,7 +406,7 @@ func Run(cfg Config) (*Result, error) {
 	return e.finish()
 }
 
-// newEngine builds the sequential engine for a validated config:
+// newEngine builds the engine for a validated config:
 // clusters, the information service, and the head of every cluster's
 // arrival chain, ready for its simulation to run.
 func newEngine(cfg Config) (*engine, error) {
@@ -579,8 +557,9 @@ func (cfg *Config) buildModel(i int, scale float64) (*workload.Model, error) {
 	return model, nil
 }
 
-// streamSeed is the per-cluster generation seed; shared by the
-// sequential and sharded engines so their streams are bit-identical.
+// streamSeed is cluster i's generation seed: a function of the run seed
+// and the cluster index alone, so appending clusters leaves the streams
+// of the existing ones unchanged.
 func (cfg *Config) streamSeed(i int) uint64 {
 	return cfg.Seed + uint64(i+1)*0x9E3779B97F4A7C15
 }
@@ -608,9 +587,7 @@ func validateStream(i int, jobs []workload.Job, nodes int) error {
 // clusterJobSlice materializes cluster i's full job stream as a slice:
 // the explicit stream when Streams is set (validated), else the
 // generated stream (through the Workloads cache when present), with
-// MaxJobsPerCluster applied. The sharded engine only uses this for
-// explicit and cached streams; generated streams it consumes lazily
-// via clusterJobSource to stay O(active jobs) in memory.
+// MaxJobsPerCluster applied.
 func (cfg *Config) clusterJobSlice(i int, scale float64) ([]workload.Job, error) {
 	model, err := cfg.buildModel(i, scale)
 	if err != nil {
@@ -1038,11 +1015,12 @@ func (e *engine) onStart(r *sched.Request) {
 // onStartLatent handles a start under a positive ControlLatency.
 // Cancels take the latency to arrive, so several copies can start
 // before hearing of each other; the winner is the lexicographically
-// least (start time, cluster index) start — the rule every shard can
-// apply locally — resolved finally at collect. Each winner-improving
-// start broadcasts cancels to the job's other target clusters. (A
-// non-improving start would only re-broadcast no-ops: the first
-// winner's cancels, sent no later, already covered every copy.)
+// least (start time, cluster index) start — a rule that does not
+// depend on the order same-instant starts fire in — resolved finally
+// at collect. Each winner-improving start broadcasts cancels to the
+// job's other target clusters. (A non-improving start would only
+// re-broadcast no-ops: the first winner's cancels, sent no later,
+// already covered every copy.)
 func (e *engine) onStartLatent(gj *gridJob, r *sched.Request) {
 	if w := gj.winner; w != nil {
 		if e.inj != nil {
@@ -1159,20 +1137,5 @@ func (e *engine) collect() (*Result, error) {
 			Stats: c.Stats(),
 		})
 	}
-	observeAll(&e.cfg, res)
 	return res, nil
-}
-
-// observeAll feeds every retained record to the configured Collector
-// (home clusters in ascending order, arrival order within each — the
-// order Jobs is assembled in) and applies DropRecords.
-func observeAll(cfg *Config, res *Result) {
-	if cfg.Collector != nil {
-		for i := range res.Jobs {
-			cfg.Collector.Observe(&res.Jobs[i])
-		}
-	}
-	if cfg.DropRecords {
-		res.Jobs = nil
-	}
 }

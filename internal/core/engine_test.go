@@ -180,6 +180,29 @@ func TestCancellationAccounting(t *testing.T) {
 	}
 }
 
+func TestOverrunsOnlyWithLatency(t *testing.T) {
+	cfg := smallConfig(4, SchemeAll)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Overruns != (OverrunStats{}) {
+		t.Fatalf("zero-latency run reported overruns: %+v", res.Overruns)
+	}
+	// A latency much longer than typical waits forces late losers.
+	cfg.ControlLatency = 3600
+	lres, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lres.Overruns.Starts == 0 {
+		t.Fatal("hour-long cancel latency produced no overruns")
+	}
+	if lres.Overruns.CPUSeconds <= 0 {
+		t.Fatalf("overruns with non-positive CPU seconds: %+v", lres.Overruns)
+	}
+}
+
 func TestHeterogeneousNodeCaps(t *testing.T) {
 	cfg := Config{
 		Clusters: []ClusterSpec{

@@ -5,7 +5,7 @@ import (
 	"redreq/internal/sched"
 )
 
-// StepRun is Run on the sequential engine with the event loop handed to
+// StepRun is Run with the event loop handed to
 // the caller: loop receives the simulation, loaded with the arrival
 // chains, and the clusters, and fires the events itself, so a test can
 // look at the schedulers between any two of them.

@@ -83,10 +83,6 @@ func (cfg *Config) Fingerprint() Fingerprint {
 	w.f64(cfg.RuntimeScale)
 	w.f64(cfg.MaxRuntime)
 	w.boolean(cfg.StopAtHorizon)
-	// ControlLatency changes what Run computes; Shards deliberately
-	// does not — the sharded engine is bit-identical to the sequential
-	// one at every shard count — and Collector/DropRecords only change
-	// what is reported on the side (such runs bypass the memo anyway).
 	w.f64(cfg.ControlLatency)
 	w.f64(cfg.Staleness)
 	w.i64(int64(cfg.Ordering))

@@ -79,14 +79,12 @@ func NewMemo() *Memo {
 
 // Run returns the Result for cfg, executing it at most once per
 // fingerprint across all callers. Configs with explicit Streams
-// bypass the cache (their content is not fingerprinted), as do
-// streaming runs (a Collector must observe every record and
-// DropRecords yields an un-cacheable partial Result) and a nil
-// receiver. On a traced hit the cached run's trace is merged into
+// bypass the cache (their content is not fingerprinted), as does a
+// nil receiver. On a traced hit the cached run's trace is merged into
 // cfg.Trace, so aggregate traces look exactly as if the run had
 // executed again.
 func (m *Memo) Run(cfg Config) (*Result, error) {
-	if m == nil || cfg.Streams != nil || cfg.Collector != nil || cfg.DropRecords {
+	if m == nil || cfg.Streams != nil {
 		return Run(cfg)
 	}
 	key := memoKey{fp: cfg.Fingerprint(), traced: cfg.Trace != nil}

@@ -55,6 +55,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"RuntimeScale":          func(c *Config) { c.RuntimeScale = 2 },
 		"MaxRuntime":            func(c *Config) { c.MaxRuntime = 3600 },
 		"StopAtHorizon":         func(c *Config) { c.StopAtHorizon = true },
+		"ControlLatency":        func(c *Config) { c.ControlLatency = 20 },
 		"Faults":                func(c *Config) { c.Faults = &fault.Plan{CancelLoss: 0.5} },
 		"Faults.Outages":        func(c *Config) { c.Faults = &fault.Plan{Outages: []fault.Outage{{Cluster: 0, Start: 1, End: 2}}} },
 	}
@@ -81,6 +82,32 @@ func TestFingerprintSensitivity(t *testing.T) {
 		if cfg.Fingerprint() != fp {
 			t.Errorf("setting %s changed the fingerprint", name)
 		}
+	}
+}
+
+// TestFingerprintShardInvariance checks a latent-control config keeps
+// one content address however it is executed: copies and traced runs
+// share its fingerprint, while the control-plane latency, which does
+// change what Run computes, is part of it.
+func TestFingerprintShardInvariance(t *testing.T) {
+	cfg := smallConfig(4, SchemeR2)
+	cfg.ControlLatency = 10
+	base := cfg.Fingerprint()
+	for name, mutate := range map[string]func(*Config){
+		"copy":      func(c *Config) {},
+		"Trace":     func(c *Config) { c.Trace = obs.New() },
+		"Workloads": func(c *Config) { c.Workloads = workload.NewStreamCache() },
+	} {
+		c := cfg
+		mutate(&c)
+		if c.Fingerprint() != base {
+			t.Fatalf("%s changed the fingerprint", name)
+		}
+	}
+	c := cfg
+	c.ControlLatency = 20
+	if c.Fingerprint() == base {
+		t.Fatal("ControlLatency did not change the fingerprint")
 	}
 }
 

@@ -9,8 +9,7 @@
 // alternative the paper mentions (Section 3.3). Informed policies read
 // the grid information service (internal/gis) — periodic load
 // snapshots delayed by the control latency — rather than live cluster
-// state, so their information is honestly stale and their decisions
-// are shardable.
+// state, so their information is honestly stale.
 
 package core
 
@@ -108,16 +107,11 @@ type RoutingStats struct {
 // loadView is what informed routing reads: either the grid information
 // service (snapshots delayed by the control latency) or — when the
 // effective staleness interval is zero — live cluster state, the
-// pre-split omniscient behavior that only the sequential engine can
-// provide. stats, when non-nil, accumulates RoutingStats; silent
-// suppresses them for draws replayed only to keep rng parity
-// (post-horizon arrivals in the sharded coordinator, which the
-// sequential engine never routes at all).
+// omniscient behavior. stats, when non-nil, accumulates RoutingStats.
 type loadView struct {
-	live   []*sched.Cluster
-	svc    *gis.Service
-	stats  *RoutingStats
-	silent bool
+	live  []*sched.Cluster
+	svc   *gis.Service
+	stats *RoutingStats
 }
 
 // look returns cluster c's queue length and queued work as visible at
@@ -128,9 +122,6 @@ func (v *loadView) look(c int, now float64) (qlen, work float64) {
 		return float64(cl.QueueLen()), cl.QueuedWork()
 	}
 	st := v.stats
-	if v.silent {
-		st = nil
-	}
 	snap, ok := v.svc.Visible(c, now)
 	if !ok {
 		if st != nil {
@@ -152,8 +143,10 @@ func (v *loadView) look(c int, now float64) (qlen, work float64) {
 // policies read view at virtual time now. Fewer than want indices are
 // returned when eligibility limits the choice. Rng consumption depends
 // only on the policy and the eligible set — never on what the view
-// returns — which is what lets the sharded coordinator replay draws
-// for post-horizon arrivals it then discards.
+// returns — so runs that differ only in the information model
+// (staleness, live reads) stay paired draw for draw: every later
+// job's redundancy and routing draws are the same, and only the
+// decisions that read the view can differ.
 func selectRemotes(src *rng.Source, pol Routing, specs []ClusterSpec, home, nodes, want int, view *loadView, now float64) []int {
 	if want <= 0 {
 		return nil
@@ -190,7 +183,7 @@ func selectRemotes(src *rng.Source, pol Routing, specs []ClusterSpec, home, node
 		}
 		return picked
 	case RouteLeastQueue, RouteLeastWork, RoutePowerTwo:
-		if view.stats != nil && !view.silent {
+		if view.stats != nil {
 			view.stats.Decisions++
 		}
 		// Read every eligible cluster's key before any draw, so the

@@ -265,20 +265,6 @@ func TestSelectSnapshotBlindAndAge(t *testing.T) {
 	}
 }
 
-// A silent view (post-horizon replay in the sharded coordinator)
-// consumes draws but records nothing.
-func TestSelectSilentViewRecordsNothing(t *testing.T) {
-	var stats RoutingStats
-	view := snapView([]int{1, 2, 3}, nil, &stats)
-	view.silent = true
-	specs := routeSpecs(8, 8, 8)
-	src := rng.New(12)
-	selectRemotes(src, RouteLeastQueue, specs, 0, 1, 1, view, 50)
-	if stats != (RoutingStats{}) {
-		t.Fatalf("silent read recorded stats %+v", stats)
-	}
-}
-
 func TestSelectNoEligible(t *testing.T) {
 	specs := routeSpecs(128, 16, 16)
 	src := rng.New(13)

@@ -5,7 +5,6 @@ import (
 
 	"redreq/internal/core"
 	"redreq/internal/des"
-	"redreq/internal/metrics"
 	"redreq/internal/obs"
 	"redreq/internal/sched"
 )
@@ -33,8 +32,7 @@ func TestTiedReservationOrderReachesTies(t *testing.T) {
 	var fires, multi, tied, withdrawnDue int
 	for _, tc := range tieCases() {
 		tr := obs.New()
-		dc := metrics.NewDigestCollector(0, nil)
-		tc.cfg.Trace, tc.cfg.Collector = tr, dc
+		tc.cfg.Trace = tr
 		fired := tr.Counter("sched.timer.fires")
 		res, err := core.StepRun(tc.cfg, func(sim *des.Simulation, clusters []*sched.Cluster) {
 			lastAt, lastOn, tiedAt := -1.0, -1, -1.0
@@ -86,13 +84,12 @@ func TestTiedReservationOrderReachesTies(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		// Stepping is Run: the same outcome as the run the fixture pins.
-		ref := metrics.NewDigestCollector(0, nil)
-		tc.cfg.Trace, tc.cfg.Collector = nil, ref
+		tc.cfg.Trace = nil
 		want, err := core.Run(tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got, want := tieOutcome(res, dc), tieOutcome(want, ref); got != want {
+		if got, want := tieOutcome(res), tieOutcome(want); got != want {
 			t.Fatalf("%s: stepped run %s, Run %s", tc.name, got, want)
 		}
 	}

@@ -95,8 +95,9 @@ func tieStream(r *rand.Rand, nodes int, mode workload.EstimateMode) []workload.J
 }
 
 // tieOutcome reduces a run to one line: events, per-cluster passes, the
-// digest fingerprint and a hash of every job's winner, start and end.
-func tieOutcome(res *core.Result, dc *metrics.DigestCollector) string {
+// digest fingerprint of its job records and a hash of every job's
+// winner, start and end.
+func tieOutcome(res *core.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "events=%d passes=", res.Events)
 	for i, c := range res.Clusters {
@@ -104,6 +105,10 @@ func tieOutcome(res *core.Result, dc *metrics.DigestCollector) string {
 			b.WriteByte(',')
 		}
 		fmt.Fprint(&b, c.Stats.Passes)
+	}
+	dc := metrics.NewDigestCollector(0, nil)
+	for i := range res.Jobs {
+		dc.Observe(&res.Jobs[i])
 	}
 	h := sha256.New()
 	d := dc.Digest()
@@ -133,13 +138,11 @@ func TestTiedReservationOrder(t *testing.T) {
 	}
 	got := make([]string, len(cases))
 	for i, tc := range cases {
-		dc := metrics.NewDigestCollector(0, nil)
-		tc.cfg.Collector = dc
 		res, err := core.Run(tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got[i] = tc.name + " " + tieOutcome(res, dc)
+		got[i] = tc.name + " " + tieOutcome(res)
 	}
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(tieFixture), 0o755); err != nil {

@@ -364,24 +364,6 @@ func (s *Simulation) RunUntil(t float64) {
 	}
 }
 
-// RunBefore executes events with Time strictly less than t, leaving
-// later events queued and the clock at the last fired event. It is
-// the epoch body of the sharded engine: a shard drains its window
-// [T, T+lookahead) and parks, and the coordinator then injects the
-// boundary messages, which — by the lookahead guarantee — are all
-// timestamped at or after t. It returns the number of events fired.
-func (s *Simulation) RunBefore(t float64) uint64 {
-	var n uint64
-	for {
-		at, ok := s.Peek()
-		if !ok || at >= t {
-			return n
-		}
-		s.Step()
-		n++
-	}
-}
-
 // Peek returns the time of the next non-canceled event and true, or 0
 // and false when the queue is empty. Canceled events at the head are
 // reaped and recycled.

@@ -26,19 +26,9 @@ type Options struct {
 	// Reps is the number of replicated experiments per data point
 	// (the paper uses 50; the default trades precision for time).
 	Reps int
-	// Workers bounds the experiment harness's total CPU budget
-	// (default GOMAXPROCS): concurrent simulations when Shards <= 1,
-	// concurrent simulations times shard goroutines otherwise (see
-	// effectiveWorkers).
+	// Workers is the number of concurrent simulations (0 =
+	// GOMAXPROCS).
 	Workers int
-	// Shards > 1 runs every simulation as min(Shards, clusters) event
-	// shards on the epoch-synchronized engine (core.Config.Shards);
-	// 0 or 1 keeps the classic sequential engine. Results are
-	// bit-identical either way — sharding changes only where the
-	// parallelism lives, so the worker pool is shrunk to Workers/Shards
-	// to keep replication-level and shard-level parallelism inside one
-	// budget.
-	Shards int
 	// BaseSeed seeds replication r with BaseSeed + r*stride, pairing
 	// schemes against the baseline on identical job streams.
 	BaseSeed uint64
@@ -126,25 +116,6 @@ func Quick() Options {
 
 const seedStride = 0x9E3779B97F4A7C15
 
-// effectiveWorkers is the pool size under the shared CPU budget: a
-// sharded simulation runs up to Shards goroutines of its own, so the
-// pool gets Workers/Shards slots (at least one) and the product of
-// concurrent simulations and shard goroutines stays at the configured
-// Workers. With Shards <= 1 it is just Workers.
-func (o Options) effectiveWorkers() int {
-	w := o.Workers
-	if w < 1 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards > 1 {
-		w /= o.Shards
-		if w < 1 {
-			w = 1
-		}
-	}
-	return w
-}
-
 // ContendedLoad is the offered load used for the experiments that
 // need a contended regime: the mixed-population unfairness study
 // (Figure 4) and the predictability study (Table 4). The paper's
@@ -208,7 +179,7 @@ func runMatrix(opts Options, variants []variant) ([][]*core.Result, error) {
 	}
 	pool := opts.Pool
 	if pool == nil {
-		pool = NewPool(opts.effectiveWorkers())
+		pool = NewPool(opts.Workers)
 		defer pool.Close()
 	}
 	results := make([][]*core.Result, len(variants))
@@ -257,13 +228,6 @@ enqueue:
 				cfg.Seed = opts.BaseSeed + uint64(r)*seedStride
 				if m := variants[v].Mutate; m != nil {
 					m(r, &cfg)
-				}
-				if cfg.Shards == 0 {
-					// Shard count never changes results, so applying the
-					// harness-wide setting leaves every experiment's
-					// output untouched (core falls back to the
-					// sequential engine where sharding cannot apply).
-					cfg.Shards = opts.Shards
 				}
 				if opts.Trace != nil {
 					cfg.Trace = obs.New()

@@ -36,9 +36,7 @@ func Reports(specs []*Spec, opts Options, emit func(i int, rep *report.Report, e
 	}
 	pool := opts.Pool
 	if pool == nil {
-		// effectiveWorkers keeps replication-level and shard-level
-		// parallelism inside the one Workers budget.
-		pool = NewPool(opts.effectiveWorkers())
+		pool = NewPool(opts.Workers)
 		defer pool.Close()
 	}
 	opts.Pool = pool

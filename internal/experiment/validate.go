@@ -21,7 +21,6 @@ import (
 	"redreq/internal/fault"
 	"redreq/internal/invariant"
 	"redreq/internal/invariant/twin"
-	"redreq/internal/metrics"
 	"redreq/internal/report"
 	"redreq/internal/rng"
 	"redreq/internal/sched"
@@ -100,76 +99,6 @@ func runInvariantSuite(opts Options, reps int) (*report.Table, []invariant.Findi
 	fs := invariant.CheckDeterminism(det)
 	all = append(all, fs...)
 	t.AddRow("ALL/EASY/determinism x3", 3, "-", len(fs), status(len(fs) == 0))
-	return t, all, nil
-}
-
-// shardAuditCounts are the shard counts the validate experiment
-// compares against the sequential engine (the ROADMAP contract:
-// 1, 2, and 8).
-var shardAuditCounts = []int{1, 2, 8}
-
-// shardAuditLatency is the control latency of the audited platform;
-// it must be positive for the sharded engine to engage at all (the
-// epoch width IS the cross-cluster latency).
-const shardAuditLatency = 60
-
-// runShardSuite audits the epoch-synchronized sharded engine on an
-// 8-cluster platform: job-level records must be bit-identical to the
-// sequential engine at every shard count, and the streaming digest —
-// per-home sketches merged in the collector's deterministic order —
-// must be fingerprint-identical across shard counts.
-func runShardSuite(opts Options, reps int) (*report.Table, []invariant.Finding, error) {
-	t := report.NewTable(
-		fmt.Sprintf("Shard audit (8 clusters, control latency %gs, shard counts 1/2/8)", float64(shardAuditLatency)),
-		"check", "reps", "findings", "status")
-	var all []invariant.Finding
-	base := opts.base(8)
-	base.Scheme = core.SchemeAll
-	base.ControlLatency = shardAuditLatency
-
-	recCount := 0
-	for r := 0; r < reps; r++ {
-		cfg := base
-		cfg.Seed = opts.BaseSeed + uint64(r)*seedStride
-		fs := invariant.CheckShardInvariance(cfg, shardAuditCounts)
-		recCount += len(fs)
-		all = append(all, fs...)
-	}
-	t.AddRow("records bit-identical vs sequential", reps, recCount, status(recCount == 0))
-
-	digCount := 0
-	for r := 0; r < reps; r++ {
-		var ref []float64
-		for _, shards := range shardAuditCounts {
-			cfg := base
-			cfg.Seed = opts.BaseSeed + uint64(r)*seedStride
-			cfg.Shards = shards
-			cfg.DropRecords = true
-			dc := metrics.NewDigestCollector(0, nil)
-			cfg.Collector = dc
-			if _, err := core.Run(cfg); err != nil {
-				return nil, nil, fmt.Errorf("validate: shard audit rep %d shards %d: %w", r, shards, err)
-			}
-			g := dc.Digest()
-			fp := g.Fingerprint()
-			if ref == nil {
-				ref = fp
-				continue
-			}
-			for i := range ref {
-				if ref[i] != fp[i] {
-					digCount++
-					all = append(all, invariant.Finding{
-						Invariant: "shards", Job: -1, Cluster: -1,
-						Detail: fmt.Sprintf("rep %d: digest fingerprint[%d] differs at %d shards: %v vs %v",
-							r, i, shards, fp[i], ref[i]),
-					})
-					break
-				}
-			}
-		}
-	}
-	t.AddRow("streaming digest identical across shard counts", reps, digCount, status(digCount == 0))
 	return t, all, nil
 }
 
@@ -328,8 +257,8 @@ func runTwinSuite(opts Options, reps int) (*report.Table, []invariant.Finding, e
 
 var validateSpec = &Spec{
 	Name:  "validate",
-	Title: "Validation: invariant suite, analytical twins, shard audit",
-	Desc:  "audits representative runs against invariants, closed-form queueing twins, and the sharded engine",
+	Title: "Validation: invariant suite, analytical twins",
+	Desc:  "audits representative runs against invariants and closed-form queueing twins",
 	Params: fmt.Sprintf("reps capped at %d; twins pin k=%d, service=%gs, horizon=%gs (Options ignored there)",
 		validateReps, twinServers, twinService, float64(twinHorizon)),
 	Tables: func(opts Options) ([]*report.Table, error) {
@@ -346,11 +275,6 @@ var validateSpec = &Spec{
 			return nil, err
 		}
 		findings = append(findings, twinFindings...)
-		shardTable, shardFindings, err := runShardSuite(opts, reps)
-		if err != nil {
-			return nil, err
-		}
-		findings = append(findings, shardFindings...)
 		if len(findings) > 0 {
 			var b strings.Builder
 			fmt.Fprintf(&b, "validate: %d finding(s):", len(findings))
@@ -364,6 +288,6 @@ var validateSpec = &Spec{
 			b.WriteString("\nrecord confirmed violations in FINDINGS.md")
 			return nil, fmt.Errorf("%s", b.String())
 		}
-		return []*report.Table{invTable, twinTable, shardTable}, nil
+		return []*report.Table{invTable, twinTable}, nil
 	},
 }

@@ -5,10 +5,10 @@
 // becomes visible at p+delay, where delay is the control-plane
 // latency — the information a dispatcher acts on is always at least
 // one network trip old, and at most one publish interval older than
-// that. Replacing live cluster reads with this bounded-staleness view
-// is what makes informed routing executable by the sharded engine:
-// every read depends only on snapshots from before the current epoch,
-// never on another shard's in-flight state.
+// that. This bounded-staleness view replaces live cluster reads: a
+// routing decision acts on information a real dispatcher could have
+// had, never on another cluster's state at the very instant of the
+// decision.
 package gis
 
 // Load is one cluster's published load figures.

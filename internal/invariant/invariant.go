@@ -414,44 +414,11 @@ func CheckDeterminism(cfg core.Config) []Finding {
 	return c.findings
 }
 
-// CheckShardInvariance runs cfg on the sequential engine and once per
-// given shard count, comparing every Result bit-for-bit against the
-// sequential one — job records, cluster stats, makespan, unfinished
-// and overrun accounting. Only Events is exempt: the sharded engine
-// emits extra no-op cancel broadcasts, so raw event counts differ by
-// construction. This is the audit behind the Shards-excluded-from-
-// fingerprint contract.
-func CheckShardInvariance(cfg core.Config, shardCounts []int) []Finding {
-	c := &checker{}
-	seq := cfg
-	seq.Shards = 0
-	base, err := core.Run(seq)
-	if err != nil {
-		c.addf("shards", -1, -1, "sequential run failed: %v", err)
-		return c.findings
-	}
-	for _, n := range shardCounts {
-		run := cfg
-		run.Shards = n
-		got, err := core.Run(run)
-		if err != nil {
-			c.addf("shards", -1, -1, "shards=%d run failed: %v", n, err)
-			continue
-		}
-		compareResultsOpt(c, fmt.Sprintf("shards=%d", n), base, got, true)
-	}
-	return c.findings
-}
-
 // feq is bitwise float equality (NaN-safe: Predicted is NaN when
 // prediction is off, and NaN != NaN under ==).
 func feq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func compareResults(c *checker, label string, a, b *core.Result) {
-	compareResultsOpt(c, label, a, b, false)
-}
-
-func compareResultsOpt(c *checker, label string, a, b *core.Result, ignoreEvents bool) {
 	if len(a.Jobs) != len(b.Jobs) {
 		c.addf("determinism", -1, -1, "%s: %d vs %d jobs", label, len(a.Jobs), len(b.Jobs))
 		return
@@ -470,7 +437,7 @@ func compareResultsOpt(c *checker, label string, a, b *core.Result, ignoreEvents
 	if a.Routing != b.Routing {
 		c.addf("determinism", -1, -1, "%s: routing stats diverged: %+v vs %+v", label, a.Routing, b.Routing)
 	}
-	if (!ignoreEvents && a.Events != b.Events) || !feq(a.MakeSpan, b.MakeSpan) ||
+	if a.Events != b.Events || !feq(a.MakeSpan, b.MakeSpan) ||
 		a.Unfinished != b.Unfinished || a.Faults != b.Faults ||
 		a.Overruns.Starts != b.Overruns.Starts || !feq(a.Overruns.CPUSeconds, b.Overruns.CPUSeconds) {
 		c.addf("determinism", -1, -1, "%s: run summary diverged (%d/%v/%d/%+v vs %d/%v/%d/%+v)",

@@ -209,15 +209,8 @@ func TestLatentLedgerDetectsTampering(t *testing.T) {
 	wantFinding(t, FromConfig(&cfg), res, "ledger")
 }
 
-func TestShardInvarianceClean(t *testing.T) {
-	cfg := latentConfig()
-	if fs := CheckShardInvariance(cfg, []int{1, 2, 4, 8}); len(fs) != 0 {
-		t.Fatalf("sharded runs diverged from sequential:\n%v", fs)
-	}
-}
-
 // informedConfig routes over the grid information service: the
-// staleness audit and the routing-stats leg of the shard-invariance
+// staleness audit and the routing-stats leg of the determinism
 // comparison are only live under an informed policy.
 func informedConfig(pol core.Routing) core.Config {
 	cfg := latentConfig()
@@ -269,18 +262,17 @@ func TestDetectsMissingRedundantCopies(t *testing.T) {
 	wantFinding(t, ctx, res, "eligibility", "ledger")
 }
 
-func TestShardInvarianceInformedRouting(t *testing.T) {
+// TestLatentDeterminism reruns the latency and informed-routing
+// configurations: both reach the cancel-broadcast and GIS snapshot
+// paths, whose same-instant order rests on event priorities alone.
+func TestLatentDeterminism(t *testing.T) {
+	cfgs := []core.Config{latentConfig()}
 	for _, pol := range []core.Routing{core.RouteLeastQueue, core.RouteLeastWork, core.RoutePowerTwo} {
-		if fs := CheckShardInvariance(informedConfig(pol), []int{2, 4}); len(fs) != 0 {
-			t.Fatalf("%v: sharded informed runs diverged from sequential:\n%v", pol, fs)
-		}
+		cfgs = append(cfgs, informedConfig(pol))
 	}
-}
-
-func TestShardedDeterminismClean(t *testing.T) {
-	cfg := latentConfig()
-	cfg.Shards = 4
-	if fs := CheckDeterminism(cfg); len(fs) != 0 {
-		t.Fatalf("sharded reruns diverged:\n%v", fs)
+	for _, cfg := range cfgs {
+		if fs := CheckDeterminism(cfg); len(fs) != 0 {
+			t.Fatalf("%v routing: reruns diverged:\n%v", cfg.Routing, fs)
+		}
 	}
 }

@@ -1,11 +1,9 @@
-// DigestCollector: the canonical core.Collector implementation. It
-// reduces the engine's job-record stream to mergeable sketches and
-// moment accumulators without retaining a single record, and its
-// output is invariant across shard counts: the engine guarantees only
-// that same-home-cluster records arrive in arrival order (clusters may
-// interleave), so the collector buckets per home cluster and merges
-// the buckets in ascending cluster order at snapshot time — a fixed
-// order regardless of how the interleave played out.
+// DigestCollector reduces a stream of job records to mergeable
+// sketches and moment accumulators without retaining a single record.
+// Its output depends only on the order of records within each home
+// cluster, not on how different home clusters interleave: the
+// collector buckets per home cluster and merges the buckets in
+// ascending cluster order at snapshot time.
 
 package metrics
 
@@ -32,8 +30,8 @@ type homeDigest struct {
 }
 
 // DigestCollector streams job records into per-home-cluster sketches.
-// Not safe for concurrent use; the engine calls Observe from a single
-// goroutine. Use Digest to extract the merged summary.
+// Not safe for concurrent use. Use Digest to extract the merged
+// summary.
 type DigestCollector struct {
 	alpha  float64
 	filter Filter
@@ -50,7 +48,7 @@ func NewDigestCollector(alpha float64, filter Filter) *DigestCollector {
 	return &DigestCollector{alpha: alpha, filter: filter}
 }
 
-// Observe implements core.Collector.
+// Observe adds one job record to its home cluster's bucket.
 func (d *DigestCollector) Observe(rec *core.JobRecord) {
 	if d.filter != nil && !d.filter(rec) {
 		return
@@ -91,8 +89,8 @@ type Digest struct {
 }
 
 // Digest merges the per-home buckets in ascending cluster order and
-// returns the summary. The merge order is fixed, so two runs of the
-// same config produce bit-identical digests at any shard count.
+// returns the summary. The merge order is fixed, so streams that differ
+// only in how home clusters interleave produce bit-identical digests.
 func (d *DigestCollector) Digest() Digest {
 	out := Digest{
 		Stretch:    stats.NewSketch(d.alpha),

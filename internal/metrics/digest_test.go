@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"redreq/internal/core"
@@ -11,7 +13,7 @@ import (
 
 func percentileOracle(xs []float64, p float64) float64 { return stats.Percentile(xs, p) }
 
-func digestConfig(shards int) core.Config {
+func digestConfig() core.Config {
 	clusters := make([]core.ClusterSpec, 6)
 	for i := range clusters {
 		clusters[i] = core.ClusterSpec{Nodes: 32}
@@ -27,42 +29,60 @@ func digestConfig(shards int) core.Config {
 		EstMode:           workload.Exact,
 		TargetLoad:        1.0,
 		ControlLatency:    20,
-		Shards:            shards,
 	}
 }
 
-// runDigest executes the config with a streaming DigestCollector and
-// returns the merged summary's fingerprint.
-func runDigest(t *testing.T, shards int) []float64 {
-	t.Helper()
-	cfg := digestConfig(shards)
+// digestOf feeds recs to a fresh DigestCollector in order and returns
+// the merged summary's fingerprint.
+func digestOf(recs []*core.JobRecord) []float64 {
 	dc := NewDigestCollector(0, nil)
-	cfg.Collector = dc
-	cfg.DropRecords = true
-	if _, err := core.Run(cfg); err != nil {
-		t.Fatal(err)
+	for _, r := range recs {
+		dc.Observe(r)
 	}
 	g := dc.Digest()
 	return g.Fingerprint()
 }
 
-func TestDigestShardCountInvariant(t *testing.T) {
-	base := runDigest(t, 1)
-	for _, shards := range []int{2, 3, 6} {
-		got := runDigest(t, shards)
-		if len(got) != len(base) {
-			t.Fatalf("shards=%d: fingerprint length %d, want %d", shards, len(got), len(base))
-		}
-		for i := range base {
-			if base[i] != got[i] {
-				t.Fatalf("shards=%d: fingerprint[%d] = %v, want %v", shards, i, got[i], base[i])
+// TestDigestInterleaveInvariant holds the collector to its ordering
+// promise: only the order of records within one home cluster may
+// matter. One run's records fed home cluster by home cluster (the order
+// of Result.Jobs), in global arrival order, and round-robin across home
+// clusters give the same fingerprint.
+func TestDigestInterleaveInvariant(t *testing.T) {
+	res, err := core.Run(digestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byHome := make([]*core.JobRecord, len(res.Jobs))
+	homes := make([][]*core.JobRecord, len(res.Clusters))
+	for i := range res.Jobs {
+		j := &res.Jobs[i]
+		byHome[i] = j
+		homes[j.Home] = append(homes[j.Home], j)
+	}
+	arrival := slices.Clone(byHome)
+	slices.SortStableFunc(arrival, func(a, b *core.JobRecord) int { return cmp.Compare(a.Submit, b.Submit) })
+	var roundRobin []*core.JobRecord
+	for k := 0; len(roundRobin) < len(byHome); k++ {
+		for _, h := range homes {
+			if k < len(h) {
+				roundRobin = append(roundRobin, h[k])
 			}
+		}
+	}
+	if slices.Equal(arrival, byHome) {
+		t.Fatal("arrival order equals home order: the run does not interleave its clusters")
+	}
+	want := digestOf(byHome)
+	for name, order := range map[string][]*core.JobRecord{"arrival": arrival, "round-robin": roundRobin} {
+		if got := digestOf(order); !slices.Equal(got, want) {
+			t.Errorf("%s order: fingerprint %v, home order %v", name, got, want)
 		}
 	}
 }
 
 func TestDigestMatchesRetainedRecords(t *testing.T) {
-	cfg := digestConfig(0)
+	cfg := digestConfig()
 	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

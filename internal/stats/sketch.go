@@ -1,10 +1,9 @@
 // Streaming, mergeable statistics: a log-bucketed quantile sketch and
-// a moment accumulator. They are the reduction side of the engine's
-// Collector interface — per-shard (or per-replication) sketches merge
-// into one summary without ever retaining the sample, and because the
-// sketch's state is integer bucket counts, merging is exactly
-// commutative and associative: any merge order yields bit-identical
-// quantiles, which is what lets sharded runs reduce deterministically.
+// a moment accumulator. Per-cluster (or per-replication) sketches
+// merge into one summary without ever retaining the sample, and
+// because the sketch's state is integer bucket counts, merging is
+// exactly commutative and associative: any merge order yields
+// bit-identical quantiles.
 
 package stats
 

@@ -229,33 +229,6 @@ func (m *Model) GenerateWindow(src *rng.Source, horizon float64) []Job {
 	return jobs
 }
 
-// Stream returns a lazy generator over the window [0, horizon) that
-// yields, draw for draw, the same job sequence GenerateWindow would
-// return — it is the streaming form the sharded engine's coordinator
-// uses to merge many clusters' arrivals without materializing the
-// full streams. The source is owned by the stream from here on.
-func (m *Model) Stream(src *rng.Source, horizon float64) *Stream {
-	return &Stream{m: m, src: src, horizon: horizon, t: m.SampleInterarrival(src)}
-}
-
-// Stream lazily generates one cluster's job stream in arrival order.
-type Stream struct {
-	m       *Model
-	src     *rng.Source
-	horizon float64
-	t       float64
-}
-
-// Next returns the next job, or false once the window is exhausted.
-func (s *Stream) Next() (Job, bool) {
-	if s.t >= s.horizon {
-		return Job{}, false
-	}
-	j := s.m.SampleJob(s.src, s.t)
-	s.t += s.m.SampleInterarrival(s.src)
-	return j, true
-}
-
 // GenerateN generates exactly n jobs.
 func (m *Model) GenerateN(src *rng.Source, n int) []Job {
 	jobs := make([]Job, 0, n)
