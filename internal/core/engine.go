@@ -357,18 +357,21 @@ type engine struct {
 	gisSvc  *gis.Service
 	routing RoutingStats
 
-	// Slab allocators for the per-job object kinds. Requests, grid
-	// jobs, and copy lists all live until collect(), so carving them
-	// out of chunks costs one allocation per chunk instead of one per
-	// object — and since they die together, the chunks are cleared
-	// and recycled through process-wide pools when the run ends
-	// (releaseSlabs) instead of burning a GC cycle per run.
-	reqSlab   []sched.Request
-	gjSlab    []gridJob
-	copySlab  []*sched.Request
-	reqChunks []*[reqChunk]sched.Request
-	gjChunks  []*[gjChunk]gridJob
-	copyChunk []*[copyChunkLen]*sched.Request
+	// Slabs for the per-job and per-message object kinds: requests,
+	// grid jobs, copy lists, latent target lists and control messages
+	// all live until collect(), so they are carved out of pooled
+	// chunks (see slab) and handed back together by releaseSlabs.
+	reqs   slab[sched.Request]
+	gjs    slab[gridJob]
+	copies slab[*sched.Request]
+	ints   slab[int]
+	msgs   slab[ctlMsg]
+
+	// Scratch reused by every arrival: the target list arrive builds
+	// (never retained; latent runs keep a copy carved from ints) and
+	// routing's working memory.
+	targets []int
+	route   routeScratch
 
 	// Trace instruments (nil when tracing is off).
 	cJobs          *obs.Counter
@@ -411,10 +414,15 @@ func Run(cfg Config) (*Result, error) {
 // arrival chain, ready for its simulation to run.
 func newEngine(cfg Config) (*engine, error) {
 	e := &engine{
-		cfg: cfg,
-		sim: des.New(),
-		src: rng.New(cfg.Seed ^ 0xA5A5A5A5),
-		inj: fault.NewInjector(cfg.Faults, cfg.Seed),
+		cfg:    cfg,
+		sim:    des.New(),
+		src:    rng.New(cfg.Seed ^ 0xA5A5A5A5),
+		inj:    fault.NewInjector(cfg.Faults, cfg.Seed),
+		reqs:   slab[sched.Request]{pool: reqPool},
+		gjs:    slab[gridJob]{pool: gjPool},
+		copies: slab[*sched.Request]{pool: copyPool},
+		ints:   slab[int]{pool: intPool},
+		msgs:   slab[ctlMsg]{pool: msgPool},
 	}
 	if tr := cfg.Trace; tr != nil {
 		e.sim.SetTrace(tr)
@@ -654,81 +662,91 @@ func calibratedScale(targetLoad, minRuntime, maxRuntime float64) float64 {
 	return scale
 }
 
-// slab chunk sizes: big enough to amortize allocation, small enough
-// not to strand memory on tiny runs.
-const (
-	reqChunk     = 512
-	gjChunk      = 256
-	copyChunkLen = 2048
-)
+// chunkPool recycles one object kind's slab chunks across all engines
+// in the process. Pooled chunks are always fully zeroed (slab.release
+// clears them before returning them), so a slab hands out zero values
+// exactly as a fresh make would.
+type chunkPool[T any] struct {
+	sync.Pool // of *[]T, each of length size
+	size      int
+}
 
-// Chunk pools shared by all engines in the process. Pooled chunks are
-// always fully zeroed (releaseSlabs clears them before returning them),
-// so newRequest/newGridJob hand out zero-valued objects exactly as a
-// fresh make would.
+func newChunkPool[T any](size int) *chunkPool[T] {
+	p := &chunkPool[T]{size: size}
+	p.New = func() any {
+		c := make([]T, size)
+		return &c
+	}
+	return p
+}
+
+// Chunk sizes: big enough to amortize allocation, small enough not to
+// strand memory on tiny runs.
 var (
-	reqChunkPool  = sync.Pool{New: func() any { return new([reqChunk]sched.Request) }}
-	gjChunkPool   = sync.Pool{New: func() any { return new([gjChunk]gridJob) }}
-	copyChunkPool = sync.Pool{New: func() any { return new([copyChunkLen]*sched.Request) }}
+	reqPool  = newChunkPool[sched.Request](512)
+	gjPool   = newChunkPool[gridJob](256)
+	copyPool = newChunkPool[*sched.Request](2048)
+	intPool  = newChunkPool[int](2048)
+	msgPool  = newChunkPool[ctlMsg](512)
 )
 
-func (e *engine) newRequest() *sched.Request {
-	if len(e.reqSlab) == 0 {
-		c := reqChunkPool.Get().(*[reqChunk]sched.Request)
-		e.reqChunks = append(e.reqChunks, c)
-		e.reqSlab = c[:]
-	}
-	r := &e.reqSlab[0]
-	e.reqSlab = e.reqSlab[1:]
-	return r
+// slab carves one object kind out of pooled chunks: one allocation per
+// chunk instead of one per object, and — since everything a run carves
+// dies together — the chunks are recycled when the run ends instead of
+// burning a GC cycle per run.
+type slab[T any] struct {
+	pool   *chunkPool[T]
+	free   []T
+	chunks []*[]T
 }
 
-func (e *engine) newGridJob() *gridJob {
-	if len(e.gjSlab) == 0 {
-		c := gjChunkPool.Get().(*[gjChunk]gridJob)
-		e.gjChunks = append(e.gjChunks, c)
-		e.gjSlab = c[:]
+// take carves n zero values. The three-index slice pins the capacity
+// so appends can never spill into a neighbour's values; n larger than
+// a chunk gets its own allocation.
+func (s *slab[T]) take(n int) []T {
+	if n > s.pool.size {
+		return make([]T, n)
 	}
-	gj := &e.gjSlab[0]
-	e.gjSlab = e.gjSlab[1:]
-	return gj
+	if len(s.free) < n {
+		c := s.pool.Get().(*[]T)
+		s.chunks = append(s.chunks, c)
+		s.free = *c
+	}
+	v := s.free[:n:n]
+	s.free = s.free[n:]
+	return v
 }
 
-// newCopies carves a zero-length, capacity-n copy list out of the copy
-// slab. The three-index slice pins the capacity so appends can never
-// spill into a neighbouring job's list.
-func (e *engine) newCopies(n int) []*sched.Request {
-	if n > copyChunkLen {
-		return make([]*sched.Request, 0, n)
+// release clears every chunk and returns it to the pool.
+func (s *slab[T]) release() {
+	for _, c := range s.chunks {
+		clear(*c)
+		s.pool.Put(c)
 	}
-	if len(e.copySlab) < n {
-		c := copyChunkPool.Get().(*[copyChunkLen]*sched.Request)
-		e.copyChunk = append(e.copyChunk, c)
-		e.copySlab = c[:]
-	}
-	s := e.copySlab[0:0:n]
-	e.copySlab = e.copySlab[n:]
-	return s
+	s.chunks, s.free = nil, nil
 }
 
-// releaseSlabs clears every slab chunk and returns it to the pools.
-// Must only run once nothing references the run's requests, grid jobs,
-// or copy lists — i.e. after collect() has copied the records out.
+func (e *engine) newRequest() *sched.Request { return &e.reqs.take(1)[0] }
+
+func (e *engine) newGridJob() *gridJob { return &e.gjs.take(1)[0] }
+
+// newMsg carves one control message addressed to gj's copy at target.
+func (e *engine) newMsg(gj *gridJob, target int) *ctlMsg {
+	m := &e.msgs.take(1)[0]
+	m.gj, m.target = gj, target
+	return m
+}
+
+// releaseSlabs returns every slab chunk to its pool. Must only run
+// once nothing references the run's requests, grid jobs, copy lists,
+// target lists or messages — i.e. after collect() has copied the
+// records out.
 func (e *engine) releaseSlabs() {
-	for _, c := range e.reqChunks {
-		clear(c[:])
-		reqChunkPool.Put(c)
-	}
-	for _, c := range e.gjChunks {
-		clear(c[:])
-		gjChunkPool.Put(c)
-	}
-	for _, c := range e.copyChunk {
-		clear(c[:])
-		copyChunkPool.Put(c)
-	}
-	e.reqChunks, e.gjChunks, e.copyChunk = nil, nil, nil
-	e.reqSlab, e.gjSlab, e.copySlab = nil, nil, nil
+	e.reqs.release()
+	e.gjs.release()
+	e.copies.release()
+	e.ints.release()
+	e.msgs.release()
 	e.jobs = nil
 }
 
@@ -794,16 +812,17 @@ func (e *engine) arrivalPrio() int {
 	return 0
 }
 
-// pendingSubmit carries one fault-delayed remote copy until its
-// submit message is delivered.
-type pendingSubmit struct {
+// ctlMsg is one in-flight control message addressed to the copy of gj
+// at cluster target: a remote submit (latent or fault-delayed) or a
+// latent cancel.
+type ctlMsg struct {
 	gj     *gridJob
 	target int
 }
 
 // delayedSubmitAction delivers a fault-delayed remote submit.
 func delayedSubmitAction(a any) {
-	p := a.(*pendingSubmit)
+	p := a.(*ctlMsg)
 	p.gj.eng.deliverSubmit(p.gj, p.target)
 }
 
@@ -814,15 +833,8 @@ func delayedSubmitAction(a any) {
 // same latency), so the copy is enqueued and the in-flight broadcast
 // cancels it — or fails to, if a pass starts it first (an overrun).
 func latentSubmitAction(a any) {
-	p := a.(*pendingSubmit)
+	p := a.(*ctlMsg)
 	p.gj.eng.submitCopy(p.gj, p.target)
-}
-
-// cancelMsg is one in-flight cancel callback, addressed to the copy
-// of gj at cluster target.
-type cancelMsg struct {
-	gj     *gridJob
-	target int
 }
 
 // cancelMsgAction lands a cancel broadcast after the control-plane
@@ -831,7 +843,7 @@ type cancelMsg struct {
 // broadcast, or gone entirely (lost to faults); only a successful
 // cancel counts a loser.
 func cancelMsgAction(a any) {
-	m := a.(*cancelMsg)
+	m := a.(*ctlMsg)
 	e := m.gj.eng
 	for _, c := range m.gj.copies {
 		if c.Cluster().Index != m.target {
@@ -875,11 +887,12 @@ func (e *engine) arrive(gj *gridJob) {
 	}
 	redundant := e.cfg.Scheme != SchemeNone && n > 1 &&
 		(e.cfg.RedundantFraction >= 1 || e.src.Bernoulli(e.cfg.RedundantFraction))
-	targets := []int{home}
+	targets := append(e.targets[:0], home)
 	if redundant {
 		want := e.cfg.Scheme.Copies(n) - 1
-		targets = append(targets, selectRemotes(e.src, e.cfg.Routing, e.cfg.Clusters, home, gj.rec.Nodes, want, e.view, e.sim.Now())...)
+		targets = e.route.appendRemotes(targets, e.src, e.cfg.Routing, e.cfg.Clusters, home, gj.rec.Nodes, want, e.view, e.sim.Now())
 	}
+	e.targets = targets
 	gj.rec.Redundant = redundant && len(targets) > 1
 	gj.rec.Copies = len(targets)
 	e.cJobs.Inc()
@@ -891,9 +904,10 @@ func (e *engine) arrive(gj *gridJob) {
 
 	lat := e.cfg.ControlLatency
 	if lat > 0 {
-		gj.targets = targets
+		gj.targets = e.ints.take(len(targets))
+		copy(gj.targets, targets)
 	}
-	gj.copies = e.newCopies(len(targets))
+	gj.copies = e.copies.take(len(targets))[:0]
 	for _, t := range targets {
 		if t != home {
 			// Remote copies ride the control plane: they can be lost
@@ -906,7 +920,7 @@ func (e *engine) arrive(gj *gridJob) {
 			} else if delay > 0 {
 				// A fault delay stacks on top of the base latency.
 				e.faults.SubmitsDelayed++
-				e.sim.ScheduleFn(e.sim.Now()+lat+delay, 0, delayedSubmitAction, &pendingSubmit{gj: gj, target: t})
+				e.sim.ScheduleFn(e.sim.Now()+lat+delay, 0, delayedSubmitAction, e.newMsg(gj, t))
 				continue
 			}
 			if _, down := e.inj.Down(t, e.sim.Now()); down {
@@ -916,7 +930,7 @@ func (e *engine) arrive(gj *gridJob) {
 				continue
 			}
 			if lat > 0 {
-				e.sim.ScheduleFn(e.sim.Now()+lat, prioDeliver, latentSubmitAction, &pendingSubmit{gj: gj, target: t})
+				e.sim.ScheduleFn(e.sim.Now()+lat, prioDeliver, latentSubmitAction, e.newMsg(gj, t))
 				continue
 			}
 		}
@@ -1052,10 +1066,10 @@ func (e *engine) onStartLatent(gj *gridJob, r *sched.Request) {
 		} else if delay > 0 {
 			e.faults.CancelsDelayed++
 			e.cFCancelsDelayed.Inc()
-			e.sim.ScheduleFn(e.sim.Now()+lat+delay, prioCancel, cancelMsgAction, &cancelMsg{gj: gj, target: t})
+			e.sim.ScheduleFn(e.sim.Now()+lat+delay, prioCancel, cancelMsgAction, e.newMsg(gj, t))
 			continue
 		}
-		e.sim.ScheduleFn(e.sim.Now()+lat, prioCancel, cancelMsgAction, &cancelMsg{gj: gj, target: t})
+		e.sim.ScheduleFn(e.sim.Now()+lat, prioCancel, cancelMsgAction, e.newMsg(gj, t))
 	}
 }
 

@@ -14,8 +14,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"redreq/internal/gis"
@@ -137,28 +138,40 @@ func (v *loadView) look(c int, now float64) (qlen, work float64) {
 	return float64(snap.Load.QueueLen), snap.Load.QueuedWork
 }
 
-// selectRemotes returns up to want remote cluster indices for a job
-// with the given node demand submitted at home. Eligibility comes from
-// the ClusterSpecs (only clusters large enough for the job); informed
-// policies read view at virtual time now. Fewer than want indices are
-// returned when eligibility limits the choice. Rng consumption depends
-// only on the policy and the eligible set — never on what the view
-// returns — so runs that differ only in the information model
-// (staleness, live reads) stay paired draw for draw: every later
-// job's redundancy and routing draws are the same, and only the
-// decisions that read the view can differ.
-func selectRemotes(src *rng.Source, pol Routing, specs []ClusterSpec, home, nodes, want int, view *loadView, now float64) []int {
+// routeScratch is routing's working memory: the eligible list, the
+// biased policy's weights and the informed policies' keys. The engine
+// owns one and reuses it for every decision, so routing allocates
+// nothing once the buffers have grown to the platform's size.
+type routeScratch struct {
+	eligible []int
+	weights  []float64
+	keyAt    []float64
+}
+
+// appendRemotes appends up to want remote cluster indices for a job
+// with the given node demand submitted at home to dst and returns the
+// extended slice. Eligibility comes from the ClusterSpecs (only
+// clusters large enough for the job); informed policies read view at
+// virtual time now. Fewer than want indices are appended when
+// eligibility limits the choice. Rng consumption depends only on the
+// policy and the eligible set — never on what the view returns — so
+// runs that differ only in the information model (staleness, live
+// reads) stay paired draw for draw: every later job's redundancy and
+// routing draws are the same, and only the decisions that read the
+// view can differ.
+func (rs *routeScratch) appendRemotes(dst []int, src *rng.Source, pol Routing, specs []ClusterSpec, home, nodes, want int, view *loadView, now float64) []int {
 	if want <= 0 {
-		return nil
+		return dst
 	}
-	eligible := make([]int, 0, len(specs))
+	eligible := rs.eligible[:0]
 	for i, cs := range specs {
 		if i != home && cs.Nodes >= nodes {
 			eligible = append(eligible, i)
 		}
 	}
+	rs.eligible = eligible
 	if len(eligible) == 0 {
-		return nil
+		return dst
 	}
 	if want > len(eligible) {
 		want = len(eligible)
@@ -168,28 +181,30 @@ func selectRemotes(src *rng.Source, pol Routing, specs []ClusterSpec, home, node
 		src.Shuffle(len(eligible), func(i, j int) {
 			eligible[i], eligible[j] = eligible[j], eligible[i]
 		})
-		return eligible[:want]
+		return append(dst, eligible[:want]...)
 	case RouteBiased:
 		// Weight cluster index i by 2^-i; draw without replacement.
-		weights := make([]float64, len(eligible))
+		weights := slices.Grow(rs.weights[:0], len(eligible))[:len(eligible)]
+		rs.weights = weights
 		for k, idx := range eligible {
 			weights[k] = pow2neg(idx)
 		}
-		picked := make([]int, 0, want)
-		for len(picked) < want {
+		for ; want > 0; want-- {
 			k := src.WeightedChoice(weights)
-			picked = append(picked, eligible[k])
+			dst = append(dst, eligible[k])
 			weights[k] = 0
 		}
-		return picked
+		return dst
 	case RouteLeastQueue, RouteLeastWork, RoutePowerTwo:
 		if view.stats != nil {
 			view.stats.Decisions++
 		}
 		// Read every eligible cluster's key before any draw, so the
 		// read sequence (and the stats it accumulates) is identical
-		// across informed policies and independent of the draws.
-		keyAt := make([]float64, len(specs))
+		// across informed policies and independent of the draws. Only
+		// eligible entries are written, and only they are read.
+		keyAt := slices.Grow(rs.keyAt[:0], len(specs))[:len(specs)]
+		rs.keyAt = keyAt
 		for _, idx := range eligible {
 			q, w := view.look(idx, now)
 			if pol == RouteLeastWork {
@@ -199,36 +214,34 @@ func selectRemotes(src *rng.Source, pol Routing, specs []ClusterSpec, home, node
 			}
 		}
 		if pol == RoutePowerTwo {
-			return pickPowerTwo(src, eligible, keyAt, want)
+			return pickPowerTwo(dst, src, eligible, keyAt, want)
 		}
 		// Smallest published key first; random tie-break via
 		// pre-shuffle (the stable sort then keeps shuffle order among
-		// equal keys).
+		// equal keys). Keys are queue lengths or work, never NaN.
 		src.Shuffle(len(eligible), func(i, j int) {
 			eligible[i], eligible[j] = eligible[j], eligible[i]
 		})
-		sort.SliceStable(eligible, func(a, b int) bool {
-			return keyAt[eligible[a]] < keyAt[eligible[b]]
+		slices.SortStableFunc(eligible, func(a, b int) int {
+			return cmp.Compare(keyAt[a], keyAt[b])
 		})
-		return eligible[:want]
+		return append(dst, eligible[:want]...)
 	default:
 		panic("core: unknown routing policy")
 	}
 }
 
-// pickPowerTwo draws want clusters by repeated two-choice sampling
-// without replacement: each round samples two distinct pool entries
-// and keeps the one with the smaller key (ties break on the lower
-// cluster index, so the outcome is deterministic given the draws). A
-// one-entry pool consumes no draws, so the total draw count depends
-// only on pool sizes, never on keys.
-func pickPowerTwo(src *rng.Source, eligible []int, keyAt []float64, want int) []int {
-	picked := make([]int, 0, want)
-	pool := eligible
-	for len(picked) < want {
+// pickPowerTwo appends want clusters drawn from pool by repeated
+// two-choice sampling without replacement: each round samples two
+// distinct pool entries and keeps the one with the smaller key (ties
+// break on the lower cluster index, so the outcome is deterministic
+// given the draws). A one-entry pool consumes no draws, so the total
+// draw count depends only on pool sizes, never on keys. Pool is
+// reordered in place.
+func pickPowerTwo(dst []int, src *rng.Source, pool []int, keyAt []float64, want int) []int {
+	for ; want > 0; want-- {
 		if len(pool) == 1 {
-			picked = append(picked, pool[0])
-			return picked
+			return append(dst, pool[0])
 		}
 		a := src.IntN(len(pool))
 		b := src.IntN(len(pool) - 1)
@@ -240,11 +253,11 @@ func pickPowerTwo(src *rng.Source, eligible []int, keyAt []float64, want int) []
 			(keyAt[pool[b]] == keyAt[pool[a]] && pool[b] < pool[a]) {
 			best = b
 		}
-		picked = append(picked, pool[best])
+		dst = append(dst, pool[best])
 		pool[best] = pool[len(pool)-1]
 		pool = pool[:len(pool)-1]
 	}
-	return picked
+	return dst
 }
 
 func pow2neg(i int) float64 {

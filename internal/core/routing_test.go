@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"redreq/internal/des"
@@ -331,6 +334,171 @@ func TestGISIntervalResolution(t *testing.T) {
 		cfg := Config{Staleness: tc.staleness, ControlLatency: tc.latency}
 		if got := cfg.GISInterval(); got != tc.want {
 			t.Errorf("GISInterval(staleness=%v latency=%v) = %v, want %v", tc.staleness, tc.latency, got, tc.want)
+		}
+	}
+}
+
+// selectRemotes is appendRemotes into fresh memory: the form the
+// policy tests above call.
+func selectRemotes(src *rng.Source, pol Routing, specs []ClusterSpec, home, nodes, want int, view *loadView, now float64) []int {
+	var rs routeScratch
+	return rs.appendRemotes(nil, src, pol, specs, home, nodes, want, view, now)
+}
+
+// selectRemotesRef is the allocating selector appendRemotes replaced,
+// kept word for word as the reference for
+// TestAppendRemotesMatchesReference.
+func selectRemotesRef(src *rng.Source, pol Routing, specs []ClusterSpec, home, nodes, want int, view *loadView, now float64) []int {
+	if want <= 0 {
+		return nil
+	}
+	eligible := make([]int, 0, len(specs))
+	for i, cs := range specs {
+		if i != home && cs.Nodes >= nodes {
+			eligible = append(eligible, i)
+		}
+	}
+	if len(eligible) == 0 {
+		return nil
+	}
+	if want > len(eligible) {
+		want = len(eligible)
+	}
+	switch pol {
+	case RouteUniform:
+		src.Shuffle(len(eligible), func(i, j int) {
+			eligible[i], eligible[j] = eligible[j], eligible[i]
+		})
+		return eligible[:want]
+	case RouteBiased:
+		// Weight cluster index i by 2^-i; draw without replacement.
+		weights := make([]float64, len(eligible))
+		for k, idx := range eligible {
+			weights[k] = pow2neg(idx)
+		}
+		picked := make([]int, 0, want)
+		for len(picked) < want {
+			k := src.WeightedChoice(weights)
+			picked = append(picked, eligible[k])
+			weights[k] = 0
+		}
+		return picked
+	case RouteLeastQueue, RouteLeastWork, RoutePowerTwo:
+		if view.stats != nil {
+			view.stats.Decisions++
+		}
+		// Read every eligible cluster's key before any draw, so the
+		// read sequence (and the stats it accumulates) is identical
+		// across informed policies and independent of the draws.
+		keyAt := make([]float64, len(specs))
+		for _, idx := range eligible {
+			q, w := view.look(idx, now)
+			if pol == RouteLeastWork {
+				keyAt[idx] = w
+			} else {
+				keyAt[idx] = q
+			}
+		}
+		if pol == RoutePowerTwo {
+			return pickPowerTwoRef(src, eligible, keyAt, want)
+		}
+		// Smallest published key first; random tie-break via
+		// pre-shuffle (the stable sort then keeps shuffle order among
+		// equal keys).
+		src.Shuffle(len(eligible), func(i, j int) {
+			eligible[i], eligible[j] = eligible[j], eligible[i]
+		})
+		sort.SliceStable(eligible, func(a, b int) bool {
+			return keyAt[eligible[a]] < keyAt[eligible[b]]
+		})
+		return eligible[:want]
+	default:
+		panic("core: unknown routing policy")
+	}
+}
+
+// pickPowerTwoRef is the allocating two-choice sampler, the reference
+// for pickPowerTwo.
+func pickPowerTwoRef(src *rng.Source, eligible []int, keyAt []float64, want int) []int {
+	picked := make([]int, 0, want)
+	pool := eligible
+	for len(picked) < want {
+		if len(pool) == 1 {
+			picked = append(picked, pool[0])
+			return picked
+		}
+		a := src.IntN(len(pool))
+		b := src.IntN(len(pool) - 1)
+		if b >= a {
+			b++
+		}
+		best := a
+		if keyAt[pool[b]] < keyAt[pool[a]] ||
+			(keyAt[pool[b]] == keyAt[pool[a]] && pool[b] < pool[a]) {
+			best = b
+		}
+		picked = append(picked, pool[best])
+		pool[best] = pool[len(pool)-1]
+		pool = pool[:len(pool)-1]
+	}
+	return picked
+}
+
+// The engine's append form must pick exactly what the allocating
+// reference picks, with the same stats and the same draws, on random
+// platforms, policies and published loads. Every case reuses one
+// routeScratch and one destination buffer, so contents left over from
+// an earlier, larger case would show.
+func TestAppendRemotesMatchesReference(t *testing.T) {
+	gen := rand.New(rand.NewPCG(28, 1))
+	sizes := []int{16, 32, 64, 128}
+	pols := []Routing{RouteUniform, RouteBiased, RouteLeastQueue, RouteLeastWork, RoutePowerTwo}
+	var rs routeScratch
+	var dst []int
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + gen.IntN(12)
+		specs := make([]ClusterSpec, n)
+		for i := range specs {
+			specs[i].Nodes = sizes[gen.IntN(len(sizes))]
+		}
+		pol := pols[gen.IntN(len(pols))]
+		home := gen.IntN(n)
+		nodes := 1 + gen.IntN(128)
+		want := gen.IntN(n + 2)
+		// Small key ranges make ties frequent; a cluster that never
+		// publishes is read blind.
+		loads := make([]gis.Load, n)
+		published := make([]bool, n)
+		for i := range loads {
+			loads[i] = gis.Load{QueueLen: gen.IntN(4), QueuedWork: float64(100 * gen.IntN(3))}
+			published[i] = gen.IntN(5) > 0
+		}
+		now := float64(gen.IntN(100))
+		view := func(stats *RoutingStats) *loadView {
+			svc := gis.New(n, 0)
+			for i, l := range loads {
+				if published[i] {
+					svc.Publish(i, 0, l)
+				}
+			}
+			return &loadView{svc: svc, stats: stats}
+		}
+		seed := gen.Uint64()
+		refSrc, newSrc := rng.New(seed), rng.New(seed)
+		var refStats, newStats RoutingStats
+
+		want0 := selectRemotesRef(refSrc, pol, specs, home, nodes, want, view(&refStats), now)
+		dst = rs.appendRemotes(append(dst[:0], home), newSrc, pol, specs, home, nodes, want, view(&newStats), now)
+
+		if dst[0] != home || !slices.Equal(dst[1:], want0) {
+			t.Fatalf("trial %d (%v, specs %v, home %d, nodes %d, want %d): picked %v, reference %v",
+				trial, pol, specs, home, nodes, want, dst[1:], want0)
+		}
+		if newStats != refStats {
+			t.Fatalf("trial %d (%v): stats %+v, reference %+v", trial, pol, newStats, refStats)
+		}
+		if a, b := newSrc.Float64(), refSrc.Float64(); a != b {
+			t.Fatalf("trial %d (%v): rng out of step after the pick (next draw %v, reference %v)", trial, pol, a, b)
 		}
 	}
 }

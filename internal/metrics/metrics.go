@@ -48,7 +48,9 @@ func Stretches(jobs []core.JobRecord, f Filter) []float64 {
 // FromResult computes a Sample over the selected jobs of a run.
 func FromResult(res *core.Result, f Filter) Sample {
 	var s Sample
-	var stretches, turnarounds, waits []float64
+	stretches := make([]float64, 0, len(res.Jobs))
+	turnarounds := make([]float64, 0, len(res.Jobs))
+	waits := make([]float64, 0, len(res.Jobs))
 	for i := range res.Jobs {
 		j := &res.Jobs[i]
 		if f != nil && !f(j) {

@@ -10,8 +10,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -80,12 +81,12 @@ func (c *Cluster) orderedPending(now float64) []*Request {
 	}
 	switch c.cfg.Order {
 	case OrderSJF:
-		sort.SliceStable(v, func(a, b int) bool {
-			return v[a].Estimate < v[b].Estimate
+		slices.SortStableFunc(v, func(a, b *Request) int {
+			return cmp.Compare(a.Estimate, b.Estimate)
 		})
 	case OrderAged:
-		sort.SliceStable(v, func(a, b int) bool {
-			return agedPriority(v[a], now) > agedPriority(v[b], now)
+		slices.SortStableFunc(v, func(a, b *Request) int {
+			return cmp.Compare(agedPriority(b, now), agedPriority(a, now))
 		})
 	}
 	c.orderView = v
