@@ -42,16 +42,18 @@ fmt:
 # against the DES kernel's (time, priority, seq) firing order;
 # FuzzProfileProbe drives random allocate/release/probe scripts against
 # sched.Profile and holds FindEarlierAnchor, CBF compression's
-# non-mutating search, to a per-second reference; FuzzReservationTimer
-# drives submit/cancel/finish scripts against one CBF cluster and holds
-# every compressing pass to the rewrite reference and the cluster's one
-# reservation timer to the earliest pending reservation. A failure leaves
+# non-mutating search, to a per-second reference; FuzzCluster runs
+# sched's byte-script interpreter — submits, finishes, cancels, idle
+# time and redundant copies against FCFS, EASY or CBF clusters — and
+# holds every event to the reference for its algorithm: the full EASY
+# pass and Profile-built shadow, the CBF rewrite reference and timer
+# minimum, and exact start times on cancel-free streams. A failure leaves
 # its input under the package's testdata/fuzz to commit as a regression
 # case.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEventOrder -fuzztime 10s ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzProfileProbe -fuzztime 10s ./internal/sched
-	$(GO) test -run '^$$' -fuzz FuzzReservationTimer -fuzztime 10s ./internal/sched
+	$(GO) test -run '^$$' -fuzz FuzzCluster -fuzztime 10s ./internal/sched
 
 # validate runs the validation harness: the invariant suite (causality,
 # liveness, capacity, work conservation, CPU-time ledger, determinism)

@@ -1,6 +1,6 @@
 // Tests for the client's overload machinery: circuit-breaker state
-// transitions across a blackhole window, hedged requests racing a slow
-// primary, and the context-interruptible backoff regression.
+// transitions across a blackhole window and the context-interruptible
+// backoff regression.
 
 package middleware
 
@@ -215,90 +215,6 @@ func TestBreakerBlackholeWindow(t *testing.T) {
 	}
 	if got := snap.Counter("gram.breaker.rejected"); got != 1 {
 		t.Fatalf("gram.breaker.rejected = %d, want 1", got)
-	}
-}
-
-// Hedged requests: when the primary attempt is stuck in a blackhole,
-// the hedge launches after the hedge deadline, wins, and the call
-// succeeds without waiting out the primary's full timeout. The loser
-// carries the same MessageID, so exactly one job lands in the backend.
-func TestHedgedRequestFirstWins(t *testing.T) {
-	backend, err := pbsd.New(pbsd.Config{Nodes: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backend.Close()
-	svc, err := NewService(ServiceConfig{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := Start(svc, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-
-	// Connection 0 (the primary's) is blackholed; the hedge dials a
-	// fresh connection and forwards cleanly.
-	proxy := &fault.Proxy{
-		Backend: ep.URL[len("http://"):],
-		Decide: func(n int) fault.Verdict {
-			if n == 0 {
-				return fault.Blackhole
-			}
-			return fault.Forward
-		},
-	}
-	addr, err := proxy.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	tr := obs.New()
-	c := NewClientOptions("http://"+addr, "hedge", ClientOptions{
-		Timeout: 2 * time.Second,
-		Hedge:   30 * time.Millisecond,
-		Trace:   tr,
-	})
-	t0 := time.Now()
-	id, err := c.Submit("hedged", 1, time.Hour)
-	if err != nil {
-		t.Fatalf("hedged submit: %v", err)
-	}
-	if id == 0 {
-		t.Fatal("no job ID from hedged submit")
-	}
-	// The win must come from the hedge, not the primary surviving its
-	// full 2 s timeout.
-	if d := time.Since(t0); d > time.Second {
-		t.Fatalf("hedged call took %v, want well under the 2s primary timeout", d)
-	}
-	if q, _, _ := backend.Stat(); q != 1 {
-		t.Fatalf("backend queue = %d after hedged submit, want exactly 1", q)
-	}
-	snap := tr.Snapshot()
-	if got := snap.Counter("gram.client.hedges"); got != 1 {
-		t.Fatalf("gram.client.hedges = %d, want 1", got)
-	}
-	if got := snap.Counter("gram.client.hedge_wins"); got != 1 {
-		t.Fatalf("gram.client.hedge_wins = %d, want 1", got)
-	}
-}
-
-// A fast primary never triggers the hedge.
-func TestHedgeNotLaunchedWhenPrimaryFast(t *testing.T) {
-	ep, _ := newTestEndpoint(t, false, false)
-	tr := obs.New()
-	c := NewClientOptions(ep.URL, "nohedge", ClientOptions{
-		Hedge: 500 * time.Millisecond,
-		Trace: tr,
-	})
-	if _, err := c.Submit("fast", 1, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Snapshot().Counter("gram.client.hedges"); got != 0 {
-		t.Fatalf("gram.client.hedges = %d for a fast primary, want 0", got)
 	}
 }
 

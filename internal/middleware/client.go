@@ -49,12 +49,6 @@ type ClientOptions struct {
 	// timeout per attempt. The zero value disables it; see
 	// BreakerOptions.
 	Breaker BreakerOptions
-	// Hedge, when positive, arms hedged requests: if an attempt has
-	// not answered after this delay, a second identical attempt — same
-	// MessageID, so the service's replay cache deduplicates the loser
-	// — is launched, and the first response wins while the other is
-	// canceled. 0 disables hedging.
-	Hedge time.Duration
 	// Now overrides the breaker's clock (tests).
 	Now func() time.Time
 	// PoolSize sizes the client's idle HTTP connection pool (keep-alives
@@ -68,10 +62,9 @@ type ClientOptions struct {
 	// PoolSize.
 	Transport http.RoundTripper
 	// Trace, when non-nil, counts retries (gram.client.retries),
-	// attempt timeouts (gram.client.timeouts), BUSY shed responses
-	// observed (gram.client.busy), hedged attempts launched
-	// (gram.client.hedges) and won (gram.client.hedge_wins), plus the
-	// breaker transitions documented in breaker.go (gram.breaker.*).
+	// attempt timeouts (gram.client.timeouts) and BUSY shed responses
+	// observed (gram.client.busy), plus the breaker transitions
+	// documented in breaker.go (gram.breaker.*).
 	Trace *obs.Trace
 }
 
@@ -90,11 +83,9 @@ type Client struct {
 
 	breaker *breaker
 
-	cRetries   *obs.Counter
-	cTimeouts  *obs.Counter
-	cBusy      *obs.Counter
-	cHedges    *obs.Counter
-	cHedgeWins *obs.Counter
+	cRetries  *obs.Counter
+	cTimeouts *obs.Counter
+	cBusy     *obs.Counter
 }
 
 // NewClient builds a client with default options: 30 s per-attempt
@@ -141,8 +132,6 @@ func NewClientOptions(baseURL, sender string, opt ClientOptions) *Client {
 		c.cRetries = tr.Counter("gram.client.retries")
 		c.cTimeouts = tr.Counter("gram.client.timeouts")
 		c.cBusy = tr.Counter("gram.client.busy")
-		c.cHedges = tr.Counter("gram.client.hedges")
-		c.cHedgeWins = tr.Counter("gram.client.hedge_wins")
 	}
 	return c
 }
@@ -216,7 +205,7 @@ func (c *Client) call(ctx context.Context, body Body) (*Response, error) {
 		if err := c.breaker.allow(); err != nil {
 			return nil, err
 		}
-		resp, err := c.exchange(ctx, raw)
+		resp, err := c.attempt(ctx, raw)
 		c.breaker.report(err)
 		if err == nil {
 			return resp, nil
@@ -231,65 +220,6 @@ func (c *Client) call(ctx context.Context, body Body) (*Response, error) {
 		}
 		if attempt >= c.opt.Retries || !retryable(err) {
 			return nil, lastErr
-		}
-	}
-}
-
-// exchange performs one logical exchange: a single attempt, or — when
-// hedging is armed — a primary attempt raced against a delayed
-// identical copy. Both carry the same MessageID, so the service's
-// replay cache deduplicates whichever loses; the loser's context is
-// canceled the moment a winner returns.
-func (c *Client) exchange(ctx context.Context, raw []byte) (*Response, error) {
-	if c.opt.Hedge <= 0 {
-		return c.attempt(ctx, raw)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		resp   *Response
-		err    error
-		hedged bool
-	}
-	results := make(chan outcome, 2) // buffered: the loser must not leak its goroutine
-	launch := func(hedged bool) {
-		r, err := c.attempt(hctx, raw)
-		results <- outcome{r, err, hedged}
-	}
-	go launch(false)
-	inFlight, hedgeArmed := 1, true
-	timer := time.NewTimer(c.opt.Hedge)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if hedgeArmed {
-				hedgeArmed = false
-				c.cHedges.Inc()
-				inFlight++
-				go launch(true)
-			}
-		case o := <-results:
-			inFlight--
-			if o.err == nil {
-				if o.hedged {
-					c.cHedgeWins.Inc()
-				}
-				return o.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if hedgeArmed {
-				// The primary failed before the hedge deadline: a
-				// hedge would just repeat the same failure — surface
-				// it and let the retry loop back off instead.
-				return nil, o.err
-			}
-			if inFlight == 0 {
-				return nil, firstErr
-			}
 		}
 	}
 }

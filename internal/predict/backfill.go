@@ -69,11 +69,7 @@ func (s Snapshot) simulateEASY(extra ...QueueEntry) ([]float64, error) {
 	var run []running
 	free := s.TotalNodes
 	for _, r := range s.Running {
-		end := r.RemainingEst
-		if end <= 0 {
-			end = 1e-9
-		}
-		run = append(run, running{end, r.Nodes})
+		run = append(run, running{r.holds(), r.Nodes})
 		free -= r.Nodes
 	}
 

@@ -79,21 +79,29 @@ func (s Snapshot) Validate() error {
 	return nil
 }
 
+// overdueHold is how long both predictors take an overdue running job
+// (no requested time left) to keep its nodes: its residual is unknown,
+// and a minimal epsilon keeps capacity accounting conservative at time
+// zero. One value for both, so that Pessimism compares the predictors
+// and not their epsilons.
+const overdueHold = 1e-6
+
 // profile builds the availability step function implied by running
 // jobs' requested ends, relative to now=0.
 func (s Snapshot) profile() *sched.Profile {
 	p := sched.NewProfile(0, s.TotalNodes)
 	for _, r := range s.Running {
-		if r.RemainingEst > 0 {
-			p.AddBusy(0, r.RemainingEst, r.Nodes)
-		} else {
-			// Overdue jobs hold nodes for an unknown residual;
-			// charge a minimal epsilon so capacity accounting
-			// stays conservative at time zero.
-			p.AddBusy(0, 1e-6, r.Nodes)
-		}
+		p.AddBusy(0, r.holds(), r.Nodes)
 	}
 	return p
+}
+
+// holds returns how long the scheduler expects r to keep its nodes.
+func (r RunningEntry) holds() float64 {
+	if r.RemainingEst > 0 {
+		return r.RemainingEst
+	}
+	return overdueHold
 }
 
 // WaitForNew predicts the queue waiting time of a hypothetical new

@@ -347,3 +347,14 @@ func TestQuickBackfillAwareWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An overdue running job (no requested time left) is charged the same
+// hold by both predictors, so on a snapshot holding only such a job
+// they agree and Pessimism reports no pessimism at all.
+func TestPessimismOverdueOnly(t *testing.T) {
+	s := Snapshot{TotalNodes: 8, Running: []RunningEntry{{Nodes: 8, RemainingEst: 0}}}
+	plain, aware, ratio, err := s.Pessimism(4, 60)
+	if err != nil || ratio != 1 {
+		t.Fatalf("Pessimism on an overdue-only snapshot = (%v, %v, %v, %v), want equal waits and ratio 1", plain, aware, ratio, err)
+	}
+}

@@ -371,12 +371,6 @@ func (c *Cluster) QueueLen() int { return len(c.queue) - c.holes }
 // node-seconds (sum of estimate x nodes over pending requests).
 func (c *Cluster) QueuedWork() float64 { return c.queuedWork }
 
-// RunningLen returns the number of running requests.
-func (c *Cluster) RunningLen() int { return len(c.running) }
-
-// Config returns the cluster's configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Stats returns a copy of the cluster's counters.
 func (c *Cluster) Stats() Stats { return c.stats }
 
@@ -717,21 +711,6 @@ func (c *Cluster) Running() []*Request {
 
 // Sim returns the simulation the cluster is attached to.
 func (c *Cluster) Sim() *des.Simulation { return c.sim }
-
-// Drain returns all still-pending requests, canceling them; used to
-// terminate a simulation cleanly.
-func (c *Cluster) Drain() []*Request {
-	var out []*Request
-	for _, r := range c.queue {
-		if r != nil && r.State == Pending {
-			out = append(out, r)
-		}
-	}
-	for _, r := range out {
-		c.Cancel(r)
-	}
-	return out
-}
 
 // checkInvariants validates node accounting and the running set's
 // order; used by tests.

@@ -65,6 +65,34 @@ func (r *refProfile) findAnchor(earliest, limit, duration float64, nodes int) fl
 	return math.Inf(1)
 }
 
+// FindAnchorLimit is FindAnchor restricted to anchors in [earliest,
+// limit) — the window may extend past limit — or +Inf. It is the search
+// CBF compression ran with the request's own allocation taken out of the
+// profile, before FindEarlierAnchor; referenceCompress holds the probe
+// to it.
+func (p *Profile) FindAnchorLimit(earliest, limit, duration float64, nodes int) float64 {
+	earliest = max(earliest, p.times[0])
+	for i := p.segmentAt(earliest); i < len(p.times) && earliest < limit; {
+		if p.avail[i] < nodes {
+			i++
+			continue
+		}
+		anchor := max(p.times[i], earliest)
+		if anchor >= limit {
+			break
+		}
+		j := i + 1
+		for j < len(p.times) && p.times[j] < anchor+duration && p.avail[j] >= nodes {
+			j++
+		}
+		if j == len(p.times) || p.times[j] >= anchor+duration {
+			return anchor
+		}
+		i = j + 1
+	}
+	return math.Inf(1)
+}
+
 // TestProfileAgainstBruteForce pits AddBusy / FindAnchor /
 // FindAnchorLimit / TrimBefore / coalesce against the per-second
 // reference under randomized allocate/release traffic. All times are
