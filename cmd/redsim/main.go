@@ -16,10 +16,11 @@
 // timing go to stderr. Exit status: 0 on success, 1 on runtime
 // failure, 2 on usage errors.
 //
-// Experiments share one bounded worker pool and a memoization layer
-// (identical simulation configs run once per process, paired-seed job
-// streams are generated once and shared); output is byte-identical
-// either way, and -cache=off disables the memo for A/B checks.
+// Experiments run in turn, each on a bounded worker pool, and share a
+// memoization layer (identical simulation configs run once per process,
+// paired-seed job streams are generated once and shared); output is
+// byte-identical either way, and -cache=off disables the memo for A/B
+// checks.
 //
 // Observability: -trace FILE aggregates run internals (DES event
 // counters, per-cluster queue-depth series, redundant submit/cancel
@@ -34,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -73,7 +75,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		routing  = fs.String("routing", "uniform", "remote-copy routing policy: uniform|biased|queuelen|leastwork|po2 (informed policies read the grid information service)")
 		ordering = fs.String("ordering", "fcfs", "local queue ordering: fcfs|sjf|aged (FCFS is the paper's setup; CBF supports only fcfs)")
 		stale    = fs.Float64("staleness", 0, "grid information service publish interval in seconds for informed routing (0 = control latency, negative = live reads)")
-		sweep    = fs.String("sweep", "", "comma-separated sweep positions overriding an experiment's default axis (e.g. offered rates for -run overload)")
+		sweep    = fs.String("sweep", "", "comma-separated sweep positions overriding an experiment's default axis (e.g. queue depths for -run sec4, offered rates for -run overload)")
 		stackSel = fs.String("stack", "", "real-stack variant for -run overload: legacy|fast (empty = both); other experiments ignore it")
 		seed     = fs.Uint64("seed", 20060619, "base seed")
 		cache    = fs.String("cache", "on", "memoize identical simulation runs and job streams across experiments: on|off")
@@ -197,9 +199,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Experiments run concurrently over one shared worker pool;
-	// reports are emitted in registry order as each becomes ready, so
-	// stdout stays byte-identical to the old sequential loop.
+	// Experiments run one after another over one shared memo, each
+	// report emitted as soon as its experiment finishes; only one
+	// experiment's results are held in memory at a time.
 	var jsonReports []*report.Report
 	err = experiment.Reports(specs, opts, func(i int, rep *report.Report, elapsed time.Duration) error {
 		if !*quiet {
@@ -262,8 +264,8 @@ func parseSweep(s string) ([]float64, error) {
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad sweep position %q (want positive numbers)", f)
+		if err != nil || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+			return nil, fmt.Errorf("bad sweep position %q (want non-negative numbers)", f)
 		}
 		out = append(out, v)
 	}

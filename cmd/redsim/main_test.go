@@ -117,6 +117,20 @@ func TestBadFlagExitsUsage(t *testing.T) {
 	}
 }
 
+// TestParseSweep pins the -sweep syntax: non-negative finite numbers,
+// zero included (sec4's empty queue, faults' loss-free row); each
+// experiment rejects positions its own axis has no meaning for.
+func TestParseSweep(t *testing.T) {
+	if got, err := parseSweep("0, 10000,2.5"); err != nil || len(got) != 3 || got[0] != 0 || got[1] != 10000 || got[2] != 2.5 {
+		t.Errorf("parseSweep(0,10000,2.5) = %v, %v", got, err)
+	}
+	for _, bad := range []string{"-1", "inf", "NaN", "x", ""} {
+		if _, err := parseSweep("10," + bad); err == nil {
+			t.Errorf("parseSweep(10,%s) accepted", bad)
+		}
+	}
+}
+
 func TestPositionalArgsExitUsage(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"table1"}, &out, &errb); code != 2 {

@@ -56,8 +56,11 @@ type Options struct {
 	Staleness float64
 	// Sweep overrides a sweep experiment's default x-positions
 	// (platform sizes for fig12, interarrival times for fig3,
-	// redundant fractions for fig4, offered loads for loadsweep).
-	// Experiments without a sweep axis ignore it.
+	// redundant fractions for fig4, offered loads for loadsweep, cancel
+	// loss rates for faults, queue depths for sec4, offered rates for
+	// overload). Experiments without a sweep axis ignore it; those
+	// whose axis has no zero point reject a zero position (see
+	// Spec.PositiveSweep).
 	Sweep []float64
 	// Stack selects the overload experiment's real-stack variant:
 	// "legacy" (paper-faithful full-scan daemon, per-event journal,
@@ -81,13 +84,6 @@ type Options struct {
 	// once per process (see core.Memo). Results are unchanged: a
 	// cached result is bit-identical to a fresh run.
 	Cache *core.Memo
-	// Pool, when non-nil, is a shared worker pool: every matrix run
-	// under these options submits its tasks there instead of spawning
-	// its own workers, and the pool's failure latch stops all of them
-	// on the first error. Reports wires one pool across the whole
-	// registry; a nil Pool gives each matrix a private pool of
-	// Workers goroutines.
-	Pool *Pool
 }
 
 // Defaults returns the paper-shaped default options.
@@ -167,21 +163,17 @@ type variant struct {
 }
 
 // runMatrix executes every (variant, replication) pair in parallel and
-// returns results indexed [variant][rep]. Tasks run on opts.Pool when
-// set (sharing workers — and the stop-on-failure latch — with every
-// other matrix on that pool), else on a private pool of opts.Workers
-// goroutines. Variant Configs are treated as immutable inputs: tasks
-// copy the struct but share the Clusters slice, so Mutate hooks must
-// replace cfg.Clusters rather than write through it (see variant).
+// returns results indexed [variant][rep]. Tasks run on a pool of
+// opts.Workers goroutines that lives as long as the matrix. Variant
+// Configs are treated as immutable inputs: tasks copy the struct but
+// share the Clusters slice, so Mutate hooks must replace cfg.Clusters
+// rather than write through it (see variant).
 func runMatrix(opts Options, variants []variant) ([][]*core.Result, error) {
 	if opts.Reps < 1 {
 		return nil, fmt.Errorf("experiment: Reps must be >= 1")
 	}
-	pool := opts.Pool
-	if pool == nil {
-		pool = NewPool(opts.Workers)
-		defer pool.Close()
-	}
+	pool := NewPool(opts.Workers)
+	defer pool.Close()
 	results := make([][]*core.Result, len(variants))
 	for i := range results {
 		results[i] = make([]*core.Result, opts.Reps)
@@ -202,20 +194,14 @@ func runMatrix(opts Options, variants []variant) ([][]*core.Result, error) {
 			opts.Progress(int(done.Add(1)), total)
 		}
 	}
-	// Stop feeding work as soon as a simulation fails — here or, with
-	// a shared pool, in any concurrently running matrix: the remaining
+	// Stop feeding work as soon as a simulation fails: the remaining
 	// (variant, rep) pairs would be discarded along with the error
 	// anyway, and a failed run should not burn the full budget.
-	aborted := false
 	enqueued := 0
 enqueue:
 	for v := range variants {
 		for r := 0; r < opts.Reps; r++ {
 			if failed.Load() {
-				break enqueue
-			}
-			if pool.Failed() {
-				aborted = true
 				break enqueue
 			}
 			v, r := v, r
@@ -241,7 +227,6 @@ enqueue:
 					}
 					mu.Unlock()
 					failed.Store(true)
-					pool.Fail(err)
 				} else {
 					results[v][r] = res
 					opts.Trace.Merge(cfg.Trace)
@@ -255,11 +240,6 @@ enqueue:
 	}
 	if firstErr != nil {
 		return nil, firstErr
-	}
-	if aborted {
-		// A failure elsewhere on the shared pool stopped this matrix
-		// mid-feed; its results are incomplete, so surface that error.
-		return nil, pool.Err()
 	}
 	return results, nil
 }

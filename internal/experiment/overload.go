@@ -10,7 +10,8 @@
 //
 // The sweep runs on two stack variants. "legacy" is the
 // paper-faithful configuration: full-queue scheduling cycles, one
-// journal write+fsync per event, clients capped at net/http's classic
+// journal write per event (fsynced every 256 lines, so an acknowledged
+// operation may not be durable yet), clients capped at net/http's classic
 // two idle connections per host, and one round trip per redundant
 // copy. "fast" is the optimized path: incremental cycles, a
 // group-committed journal, a pooled pre-warmed client, and the r-way
@@ -58,11 +59,12 @@ var overloadTuning = struct {
 var overloadRedundancies = []int{1, 2, 4}
 
 var overloadSpec = &Spec{
-	Name:   "overload",
-	Title:  "Overload: open-loop rate × redundancy through the real stack",
-	Desc:   "wall-clock goodput vs offered rate × r through the fault proxy, legacy vs fast stack, plus a breaker chaos window (nondeterministic)",
-	Params: "rates=30,120 (override with -sweep), r=1,2,4, stacks=legacy,fast (override with -stack), window=400ms per point",
-	Tables: overloadTables,
+	Name:          "overload",
+	Title:         "Overload: open-loop rate × redundancy through the real stack",
+	Desc:          "wall-clock goodput vs offered rate × r through the fault proxy, legacy vs fast stack, plus a breaker chaos window (nondeterministic)",
+	Params:        "rates=30,120 (override with -sweep), r=1,2,4, stacks=legacy,fast (override with -stack), window=400ms per point",
+	PositiveSweep: true,
+	Tables:        overloadTables,
 }
 
 // overloadStackList resolves the -stack selection into the fast-mode

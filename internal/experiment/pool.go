@@ -1,28 +1,18 @@
-// Pool is the shared bounded worker pool spanning the registry: one
-// set of worker goroutines executes every (variant, replication) task
-// of every concurrently running experiment, so `redsim -run all` is
-// bounded by Options.Workers as a whole instead of per experiment.
-// The pool also carries the registry-wide failure latch: the first
-// error recorded by any task stops every matrix from feeding further
-// work, preserving runMatrix's stop-on-first-error semantics across
-// experiment boundaries.
+// Pool is the bounded worker pool behind runMatrix: one set of worker
+// goroutines executes every (variant, replication) task of a matrix,
+// so a matrix runs at most Options.Workers simulations at once.
 
 package experiment
 
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Pool runs submitted tasks on a fixed set of worker goroutines.
 type Pool struct {
 	tasks chan func()
 	wg    sync.WaitGroup
-
-	mu     sync.Mutex
-	err    error
-	failed atomic.Bool
 }
 
 // NewPool starts a pool with the given number of workers (< 1 means
@@ -50,31 +40,6 @@ func NewPool(workers int) *Pool {
 // buffer is full. Must not be called after Close, nor from within a
 // task (a full buffer would deadlock the worker against itself).
 func (p *Pool) Do(f func()) { p.tasks <- f }
-
-// Fail records err as the pool's failure (keeping the chronologically
-// first) and latches the failed flag that producers poll to stop
-// feeding. A nil err is ignored.
-func (p *Pool) Fail(err error) {
-	if err == nil {
-		return
-	}
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-	p.failed.Store(true)
-}
-
-// Failed reports whether any task has failed.
-func (p *Pool) Failed() bool { return p.failed.Load() }
-
-// Err returns the first recorded failure, if any.
-func (p *Pool) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
 
 // Close stops accepting tasks and waits for the workers to drain.
 func (p *Pool) Close() {

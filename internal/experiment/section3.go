@@ -122,11 +122,12 @@ func schemeCurveTable(title, xlabel string, xs []any, points []vsNPoint, f func(
 }
 
 var fig12Spec = &Spec{
-	Name:    "fig12",
-	Aliases: []string{"fig1", "fig2"},
-	Title:   "Figures 1 and 2: relative average stretch and CV vs number of clusters",
-	Desc:    "every scheme vs no redundancy as the platform grows",
-	Params:  "N=2,3,4,5,10,20 (Sweep overrides)",
+	Name:          "fig12",
+	Aliases:       []string{"fig1", "fig2"},
+	Title:         "Figures 1 and 2: relative average stretch and CV vs number of clusters",
+	Desc:          "every scheme vs no redundancy as the platform grows",
+	Params:        "N=2,3,4,5,10,20 (Sweep overrides)",
+	PositiveSweep: true,
 	Variants: func(opts Options) []variant {
 		return schemesVsNVariants(opts, vsNsOf(opts))
 	},
@@ -395,10 +396,11 @@ func figure3(opts Options, iats []float64) ([]iatPoint, error) {
 }
 
 var fig3Spec = &Spec{
-	Name:   "fig3",
-	Title:  "Figure 3: relative average stretch vs job interarrival time (N=10)",
-	Desc:   "arrival-rate sweep across the stability range",
-	Params: "iat=1.96..9.80s (Sweep overrides)",
+	Name:          "fig3",
+	Title:         "Figure 3: relative average stretch vs job interarrival time (N=10)",
+	Desc:          "arrival-rate sweep across the stability range",
+	Params:        "iat=1.96..9.80s (Sweep overrides)",
+	PositiveSweep: true,
 	Variants: func(opts Options) []variant {
 		return figure3Variants(opts, sweepOr(opts, DefaultIATs))
 	},
@@ -802,10 +804,11 @@ func loadSweep(opts Options, loads []float64) ([]loadPoint, error) {
 }
 
 var loadsweepSpec = &Spec{
-	Name:   "loadsweep",
-	Title:  "Ablation: offered-load sweep (ALL vs NONE)",
-	Desc:   "where redundancy stops helping as load crosses saturation",
-	Params: "N=10, load=0.85..1.05 (Sweep overrides)",
+	Name:          "loadsweep",
+	Title:         "Ablation: offered-load sweep (ALL vs NONE)",
+	Desc:          "where redundancy stops helping as load crosses saturation",
+	Params:        "N=10, load=0.85..1.05 (Sweep overrides)",
+	PositiveSweep: true,
 	Variants: func(opts Options) []variant {
 		return loadSweepVariants(opts, sweepOr(opts, defaultLoads))
 	},

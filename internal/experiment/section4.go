@@ -7,6 +7,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -17,21 +18,25 @@ import (
 	"redreq/internal/report"
 )
 
+const (
+	// section4IAT is the mean job interarrival time for the r bounds
+	// (the paper's peak-hour 5.01 s).
+	section4IAT = 5.01
+	// boundQueueSize is the queue depth at which the Section 4.1 bound
+	// is evaluated (the paper's 10,000); a sweep without it uses its
+	// last point.
+	boundQueueSize = 10000
+)
+
 // section4Options configures the load measurements.
 type section4Options struct {
 	// QueueSizes are the Figure 5 x-positions (default
-	// pbsd.DefaultQueueSizes).
+	// pbsd.DefaultQueueSizes; `redsim -sweep` overrides them).
 	QueueSizes []int
-	// BoundQueueSize selects the queue depth at which the Section
-	// 4.1 bound is evaluated (the paper uses 10,000).
-	BoundQueueSize int
 	// Clients is the number of concurrent saturating clients.
 	Clients int
 	// Window is the measurement window per point.
 	Window time.Duration
-	// IAT is the mean job interarrival time for the r bounds (the
-	// paper's peak-hour 5.01 s).
-	IAT float64
 	// Trace, when non-nil, collects the daemon's and the middleware's
 	// wall-clock latency histograms and error counters across every
 	// measurement.
@@ -42,7 +47,7 @@ type section4Options struct {
 type section4Result struct {
 	// Scheduler is the Figure 5 sweep.
 	Scheduler []schedulerPoint
-	// SchedulerBound is r < iat * pair-rate at BoundQueueSize.
+	// SchedulerBound is r < iat * pair-rate at boundQueueSize.
 	SchedulerBound int
 	// MarshalPerSec is the [20]-style round-trip rate for the
 	// 30,000-record payload.
@@ -61,10 +66,14 @@ type section4Result struct {
 
 // schedulerPoint is one Figure 5 reading: sustained submit+cancel
 // pairs/s ("submissions/cancellations per second", the paper's y-axis)
-// at a preloaded queue depth.
+// at a preloaded queue depth, and the pending jobs each scheduling
+// cycle examined on average — the cost driver, which the full scan
+// pins at the queue depth (between d and d + Clients, the jobs the
+// callers have submitted but not yet deleted).
 type schedulerPoint struct {
 	QueueSize int
 	PairRate  float64
+	AvgScan   float64
 }
 
 // section4 runs the full system-load analysis. It is wall-clock
@@ -77,14 +86,8 @@ func section4(opts section4Options) (*section4Result, error) {
 	if opts.Window <= 0 {
 		opts.Window = time.Second
 	}
-	if opts.IAT <= 0 {
-		opts.IAT = 5.01
-	}
 	if len(opts.QueueSizes) == 0 {
 		opts.QueueSizes = pbsd.DefaultQueueSizes
-	}
-	if opts.BoundQueueSize == 0 {
-		opts.BoundQueueSize = 10000
 	}
 
 	out := &section4Result{}
@@ -92,19 +95,19 @@ func section4(opts section4Options) (*section4Result, error) {
 	// (1) Figure 5: scheduler throughput vs queue size, over the TCP
 	// protocol in the paper-faithful full-scan mode.
 	for _, q := range opts.QueueSizes {
-		rate, err := measureScheduler(opts, q)
+		p, err := measureScheduler(opts, q)
 		if err != nil {
 			return nil, err
 		}
-		out.Scheduler = append(out.Scheduler, schedulerPoint{q, rate})
+		out.Scheduler = append(out.Scheduler, p)
 	}
 	at := out.Scheduler[len(out.Scheduler)-1]
 	for _, p := range out.Scheduler {
-		if p.QueueSize == opts.BoundQueueSize {
+		if p.QueueSize == boundQueueSize {
 			at = p
 		}
 	}
-	out.SchedulerBound = pbsd.LoadBound(at.PairRate, opts.IAT)
+	out.SchedulerBound = pbsd.LoadBound(at.PairRate, section4IAT)
 
 	// (2) Raw marshalling (the gSOAP measurement of [20]).
 	payload := middleware.NewTripleArray(30000)
@@ -129,7 +132,7 @@ func section4(opts section4Options) (*section4Result, error) {
 		out.Middleware = append(out.Middleware, rate)
 	}
 	slowest := out.Middleware[len(out.Middleware)-1]
-	out.MiddlewareBound = pbsd.LoadBound(slowest, opts.IAT)
+	out.MiddlewareBound = pbsd.LoadBound(slowest, section4IAT)
 	if out.MiddlewareBound < out.SchedulerBound {
 		out.Bottleneck = "middleware"
 	} else {
@@ -139,14 +142,14 @@ func section4(opts section4Options) (*section4Result, error) {
 }
 
 // measureScheduler reads the daemon's ceiling at one queue depth.
-func measureScheduler(opts section4Options, queueSize int) (float64, error) {
+func measureScheduler(opts section4Options, queueSize int) (schedulerPoint, error) {
 	ch, err := pbsd.NewChurn(pbsd.Config{Nodes: 16, FullScanCycle: true, Trace: opts.Trace}, queueSize, opts.Clients)
 	if err != nil {
-		return 0, err
+		return schedulerPoint{}, err
 	}
 	defer ch.Close()
 	res, err := loadgen.Ceiling(context.Background(), opts.Clients, opts.Window, ch.Pair)
-	return res.Goodput, err
+	return schedulerPoint{queueSize, res.Goodput, ch.AvgScan()}, err
 }
 
 // measureMiddleware reads the ceiling of a fresh middleware stack in
@@ -196,21 +199,36 @@ func measureMiddleware(opts section4Options, durable, security bool) (float64, e
 	return res.Goodput, err
 }
 
-// String renders the result in the shape of the paper's Section 4
-// discussion.
-func (r *section4Result) String() string {
-	s := "Section 4: system load\n"
+// tables renders the result as the Figure 5 sweep and the Section 4
+// bounds.
+func (r *section4Result) tables() []*report.Table {
+	sweep := report.NewTable("Figure 5: scheduler throughput vs queue size",
+		"queue size", "pairs/s", "scans/cycle")
 	for _, p := range r.Scheduler {
-		s += fmt.Sprintf("  scheduler @ queue %6d: %8.1f pairs/s\n", p.QueueSize, p.PairRate)
+		sweep.AddRow(p.QueueSize, report.F(p.PairRate, 1), report.F(p.AvgScan, 1))
 	}
-	s += fmt.Sprintf("  scheduler bound: r < %d\n", r.SchedulerBound)
-	s += fmt.Sprintf("  raw marshalling: %.1f round-trips/s (30k-record payload)\n", r.MarshalPerSec)
+	bounds := report.NewTable("Section 4 bounds on tolerable redundancy", "metric", "value")
+	bounds.AddRow("scheduler bound (r <)", r.SchedulerBound)
+	bounds.AddRow("raw marshalling (round-trips/s, 30k records)", report.F(r.MarshalPerSec, 1))
 	for i, rate := range r.Middleware {
-		s += fmt.Sprintf("  middleware %-17s %8.1f pairs/s\n", middlewareLabels[i]+":", rate)
+		bounds.AddRow("middleware pairs/s, "+middlewareLabels[i], report.F(rate, 1))
 	}
-	s += fmt.Sprintf("  middleware bound: r < %d\n", r.MiddlewareBound)
-	s += fmt.Sprintf("  bottleneck: %s\n", r.Bottleneck)
-	return s
+	bounds.AddRow("middleware bound (r <)", r.MiddlewareBound)
+	bounds.AddRow("bottleneck", r.Bottleneck)
+	return []*report.Table{sweep, bounds}
+}
+
+// queueDepths converts sweep positions into Figure 5 queue depths,
+// rejecting any position that is not a whole, non-negative depth.
+func queueDepths(sweep []float64) ([]int, error) {
+	out := make([]int, len(sweep))
+	for i, v := range sweep {
+		if v < 0 || math.IsInf(v, 0) || v != math.Trunc(v) {
+			return nil, fmt.Errorf("experiment: sec4 sweep position %g is not a queue depth (want a non-negative integer)", v)
+		}
+		out[i] = int(v)
+	}
+	return out, nil
 }
 
 // middlewareLabels name the fidelity modes section4 measures, in
@@ -221,28 +239,21 @@ var sec4Spec = &Spec{
 	Name:   "sec4",
 	Title:  "Section 4: system load (real scheduler + middleware)",
 	Desc:   "wall-clock daemon/middleware rates and redundancy bounds (nondeterministic)",
-	Params: "clients=4, window=2s per point",
+	Params: "queue sizes=0..20000 (Sweep overrides), clients=4, window=2s per point",
 	Tables: func(opts Options) ([]*report.Table, error) {
+		sizes, err := queueDepths(opts.Sweep)
+		if err != nil {
+			return nil, err
+		}
 		r, err := section4(section4Options{
-			Clients: 4,
-			Window:  2 * time.Second,
-			Trace:   opts.Trace,
+			QueueSizes: sizes,
+			Clients:    4,
+			Window:     2 * time.Second,
+			Trace:      opts.Trace,
 		})
 		if err != nil {
 			return nil, err
 		}
-		sweep := report.NewTable("Figure 5: scheduler throughput vs queue size", "queue size", "pairs/s")
-		for _, p := range r.Scheduler {
-			sweep.AddRow(p.QueueSize, report.F(p.PairRate, 1))
-		}
-		bounds := report.NewTable("Section 4 bounds on tolerable redundancy", "metric", "value")
-		bounds.AddRow("scheduler bound (r <)", r.SchedulerBound)
-		bounds.AddRow("raw marshalling (round-trips/s, 30k records)", report.F(r.MarshalPerSec, 1))
-		for i, rate := range r.Middleware {
-			bounds.AddRow("middleware pairs/s, "+middlewareLabels[i], report.F(rate, 1))
-		}
-		bounds.AddRow("middleware bound (r <)", r.MiddlewareBound)
-		bounds.AddRow("bottleneck", r.Bottleneck)
-		return []*report.Table{sweep, bounds}, nil
+		return r.tables(), nil
 	},
 }

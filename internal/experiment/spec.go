@@ -8,6 +8,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 
 	"redreq/internal/core"
@@ -36,6 +37,11 @@ type Spec struct {
 	// spec (sweep positions, platform sizes) for `redsim -list`.
 	// Sweep-style experiments read overrides from Options.Sweep.
 	Params string
+	// PositiveSweep marks a sweep axis with no zero point (platform
+	// sizes, interarrival times, loads, offered rates): Run rejects a
+	// zero position in Options.Sweep instead of reading it as the
+	// configuration's default.
+	PositiveSweep bool
 
 	// Variants builds the simulation configurations (matrix
 	// experiments only).
@@ -51,6 +57,11 @@ type Spec struct {
 
 // Run executes the experiment and returns its tables.
 func (s *Spec) Run(opts Options) ([]*report.Table, error) {
+	for _, v := range opts.Sweep {
+		if s.PositiveSweep && v <= 0 {
+			return nil, fmt.Errorf("experiment: %s sweep position %g is not positive", s.Name, v)
+		}
+	}
 	if s.Tables != nil {
 		return s.Tables(opts)
 	}

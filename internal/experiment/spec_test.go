@@ -114,4 +114,9 @@ func TestSweepOverride(t *testing.T) {
 			t.Errorf("variant %q ignores the sweep override", v.Name)
 		}
 	}
+	// A zero position means "no platform", not the default one.
+	opts.Sweep = []float64{2, 0}
+	if _, err := fig12Spec.Run(opts); err == nil || !strings.Contains(err.Error(), "fig12 sweep position 0") {
+		t.Errorf("fig12 with a zero sweep position: err = %v", err)
+	}
 }

@@ -1,7 +1,7 @@
-// Package loadgen is the one load driver of the real-stack harnesses
-// (cmd/pbsbench, cmd/grambench, the sec4 and overload experiments,
-// examples/gridservice). Run offers logical requests on one of two
-// schedules, chosen by Config.Rate, and accounts them the same way.
+// Package loadgen is the one load driver of the real-stack
+// measurements (`redsim -run sec4|overload` and examples/gridservice).
+// Run offers logical requests on one of two schedules, chosen by
+// Config.Rate, and accounts them the same way.
 //
 // Closed loop (Rate == 0): MaxInFlight callers each start their next
 // request the moment the previous one finishes — the paper's Figure 5
@@ -43,11 +43,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -77,18 +75,6 @@ func (a Arrival) String() string {
 		return "uniform"
 	default:
 		return fmt.Sprintf("Arrival(%d)", int(a))
-	}
-}
-
-// ParseArrival resolves an arrival-law name, case-insensitively.
-func ParseArrival(s string) (Arrival, error) {
-	switch strings.ToLower(s) {
-	case "poisson":
-		return Poisson, nil
-	case "uniform":
-		return Uniform, nil
-	default:
-		return 0, fmt.Errorf("loadgen: unknown arrival law %q (poisson|uniform)", s)
 	}
 }
 
@@ -473,56 +459,6 @@ func (e *engine) classify(ctx context.Context, err error) string {
 	return "error"
 }
 
-// ParseRates parses a comma-separated list of positive rates
-// (e.g. "20,60,120"), the shared flag syntax of the bench commands.
-func ParseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || math.IsNaN(v) || v <= 0 {
-			return nil, fmt.Errorf("loadgen: bad rate %q", f)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, errors.New("loadgen: empty rate list")
-	}
-	return out, nil
-}
-
-// ParseRedundancies parses a comma-separated list of redundancy
-// factors (positive integers, e.g. "1,2,4"), the bench commands' -r
-// flag.
-func ParseRedundancies(s string) ([]int, error) {
-	vals, err := ParseRates(s)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: bad redundancy list %q", s)
-	}
-	out := make([]int, len(vals))
-	for i, v := range vals {
-		out[i] = int(v)
-		if float64(out[i]) != v {
-			return nil, fmt.Errorf("loadgen: bad redundancy %g (want positive integer)", v)
-		}
-	}
-	return out, nil
-}
-
-// Interrupted reports whether the run's context was canceled and, if
-// so, announces on w that the results printed so far are partial — the
-// bench commands' common SIGINT epilogue.
-func Interrupted(ctx context.Context, w io.Writer) bool {
-	if ctx.Err() == nil {
-		return false
-	}
-	fmt.Fprintln(w, "\ninterrupted — partial results above (in-flight requests drained)")
-	return true
-}
-
 // ErrorClasses returns the result's error classes sorted by name, for
 // deterministic reporting.
 func (r Result) ErrorClasses() []string {
@@ -536,8 +472,8 @@ func (r Result) ErrorClasses() []string {
 
 // ErrorSummary renders the error classes plus client-side drops as
 // space-separated "class:count" pairs in deterministic order, or "-"
-// when the run was clean — the compact table cell of the bench
-// commands.
+// when the run was clean — the compact errors cell of the overload
+// tables.
 func (r Result) ErrorSummary() string {
 	var b strings.Builder
 	for _, class := range r.ErrorClasses() {

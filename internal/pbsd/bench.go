@@ -20,18 +20,27 @@ type Churn struct {
 	Server *Server
 
 	ln    *Listener
-	conns chan *Client // nil: Pair calls the direct API
+	conns chan *Client
 
 	cycles0, scanned0 uint64
 }
 
 // NewChurn builds a daemon from cfg (Execute is forced off), preloads
-// queueSize pending jobs and, when conns > 0, serves it on a loopback
-// port with conns protocol connections dialed up front: a Client is
+// queueSize pending jobs and serves it on a loopback port with conns
+// (at least one) protocol connections dialed up front: a Client is
 // sequential-use, so that is the number of Pairs that can be on the
-// wire at once. conns == 0 makes Pair call the direct API.
+// wire at once.
 func NewChurn(cfg Config, queueSize, conns int) (*Churn, error) {
+	if conns < 1 {
+		return nil, fmt.Errorf("pbsd: churn needs at least one connection, got %d", conns)
+	}
 	cfg.Execute = false
+	// Preload in incremental mode, where a submission that cannot start
+	// costs O(1): full-scan preloading is O(queueSize²) setup that the
+	// measurement never sees. The mode is restored before the daemon
+	// is served.
+	full := cfg.FullScanCycle
+	cfg.FullScanCycle = false
 	srv, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -43,32 +52,28 @@ func NewChurn(cfg Config, queueSize, conns int) (*Churn, error) {
 			return nil, err
 		}
 	}
+	srv.cfg.FullScanCycle = full
 	c.cycles0, c.scanned0 = srv.Counters()
-	if conns > 0 {
-		if c.ln, err = Serve(srv, "127.0.0.1:0"); err != nil {
+	if c.ln, err = Serve(srv, "127.0.0.1:0"); err != nil {
+		c.Close()
+		return nil, err
+	}
+	c.conns = make(chan *Client, conns)
+	for i := 0; i < conns; i++ {
+		cl, err := Dial(c.ln.Addr())
+		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.conns = make(chan *Client, conns)
-		for i := 0; i < conns; i++ {
-			cl, err := Dial(c.ln.Addr())
-			if err != nil {
-				c.Close()
-				return nil, err
-			}
-			c.conns <- cl
-		}
+		c.conns <- cl
 	}
 	return c, nil
 }
 
-// Pair performs one submit + delete-head pair, over a pooled protocol
-// connection when the daemon is served (waiting for a free one, or for
-// ctx) and through the direct API otherwise.
+// Pair performs one submit + delete-head pair, the maximum-churn unit
+// of work, over a pooled protocol connection (waiting for a free one,
+// or for ctx).
 func (c *Churn) Pair(ctx context.Context) error {
-	if c.conns == nil {
-		return pair(c.Server)
-	}
 	select {
 	case cl := <-c.conns:
 		err := ctx.Err()
@@ -82,16 +87,11 @@ func (c *Churn) Pair(ctx context.Context) error {
 	}
 }
 
-// pair is the maximum-churn unit of work on either access path (*Server
-// or *Client).
-func pair(d interface {
-	Submit(name string, nodes int, walltime time.Duration) (int64, error)
-	DeleteHead() (int64, error)
-}) error {
-	if _, err := d.Submit("churn", 1, time.Hour); err != nil {
+func pair(cl *Client) error {
+	if _, err := cl.Submit("churn", 1, time.Hour); err != nil {
 		return err
 	}
-	_, err := d.DeleteHead()
+	_, err := cl.DeleteHead()
 	return err
 }
 

@@ -77,6 +77,39 @@ func TestIncrementalWatermarkGatesRescan(t *testing.T) {
 	}
 }
 
+// An event whose incremental reaction escalates to a queue rescan is
+// still one scheduling cycle: deleting a blocked head that exposes a
+// startable job counts one cycle and one scanned job.
+func TestRescanCountsOneCycle(t *testing.T) {
+	s := newTestServer(t, 4, true)
+	if _, err := s.Submit("run", 2, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	head, err := s.Submit("wide", 4, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fits the 2 free nodes but outlasts the shadow, so it queues
+	// behind the blocked head instead of backfilling.
+	if _, err := s.Submit("behind", 2, 2*time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if q, r, free := s.Stat(); q != 2 || r != 1 || free != 2 {
+		t.Fatalf("q/r/free = %d/%d/%d, want 2/1/2", q, r, free)
+	}
+	c0, s0 := s.Counters()
+	if err := s.Delete(head); err != nil {
+		t.Fatal(err)
+	}
+	c1, s1 := s.Counters()
+	if c1-c0 != 1 || s1-s0 != 1 {
+		t.Fatalf("head delete counted %d cycles and %d scanned jobs, want 1 and 1", c1-c0, s1-s0)
+	}
+	if q, r, _ := s.Stat(); q != 0 || r != 2 {
+		t.Fatalf("q/r = %d/%d after the rescan, want 0/2", q, r)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

@@ -7,10 +7,11 @@
 // The daemon has two scheduling modes. The paper-faithful mode
 // (Config.FullScanCycle) runs a full Maui-like scheduling cycle on
 // every queue-changing operation: it recomputes the priority of every
-// pending job, sorts the queue, starts what fits, and backfills around
-// the highest-priority blocked job. Per-operation work therefore grows
-// with queue length, which is what produces the paper's Figure 5 shape
-// (submission/cancellation throughput decaying as the queue grows).
+// pending job (priority = queue age), sorts the queue, starts what
+// fits, and backfills around the highest-priority blocked job.
+// Per-operation work therefore grows with queue length, which is what
+// produces the paper's Figure 5 shape (submission/cancellation
+// throughput decaying as the queue grows).
 //
 // The default mode is incremental: each event examines only the jobs
 // it could affect. A submission examines the arriving job alone (start
@@ -87,19 +88,15 @@ type Config struct {
 	// Figure 5 harness disables execution and instead submits a
 	// blocker job that monopolizes the pool, as in the paper.
 	Execute bool
-	// PriorityQueueWeight and PrioritySizeWeight shape the Maui-like
-	// priority function: queue-time seconds plus weighted node count.
-	// The priority ordering is honored by the full-scan mode; the
-	// incremental mode schedules FCFS with backfill (identical under
-	// the default weights, where priority order equals queue order).
-	PriorityQueueWeight float64
-	PrioritySizeWeight  float64
 	// FullScanCycle selects the paper-faithful Maui-like scheduler:
-	// every queue-changing operation re-examines the whole pending
-	// queue, coupling per-operation cost to queue depth (the Figure 5
+	// every queue-changing operation refreshes the priority (priority =
+	// queue age) of every pending job and re-sorts the whole queue,
+	// coupling per-operation cost to queue depth (the Figure 5
 	// measurement). When false (the default), cycles are incremental:
 	// an event examines only the jobs it could start, so per-operation
-	// cost stays O(1) at any queue depth.
+	// cost stays O(1) at any queue depth. Both modes schedule in queue
+	// order with backfill, since priority = queue age orders the queue
+	// exactly as it was submitted.
 	FullScanCycle bool
 	// JournalDir, when set, persists every queue-changing event on
 	// disk (PBS keeps job files under its spool); adds realistic I/O
@@ -229,9 +226,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("pbsd: need at least one node")
 	}
-	if cfg.PriorityQueueWeight == 0 {
-		cfg.PriorityQueueWeight = 1
-	}
 	if cfg.GroupCommit && cfg.JournalDir == "" {
 		return nil, fmt.Errorf("pbsd: GroupCommit requires JournalDir")
 	}
@@ -271,6 +265,7 @@ func New(cfg Config) (*Server, error) {
 	if s.recovered > 0 {
 		// Recovered jobs compete for nodes again immediately.
 		s.qmu.Lock()
+		s.cycles.Add(1)
 		s.fullScan()
 		s.qmu.Unlock()
 	}
@@ -506,11 +501,11 @@ func (s *Server) Close() error {
 // watermark) when neither applies. The head itself cannot have become
 // startable — capacity did not change.
 func (s *Server) cycleSubmit(j *Job) {
+	s.cycles.Add(1)
 	if s.cfg.FullScanCycle {
 		s.fullScan()
 		return
 	}
-	s.cycles.Add(1)
 	if !s.cfg.Execute {
 		// Nothing ever starts: the arriving job just queues, and no
 		// examination can change that.
@@ -544,11 +539,11 @@ func (s *Server) cycleSubmit(j *Job) {
 // shadow — can start work, and then only when the free capacity has
 // already crossed the watermark.
 func (s *Server) cycleRemoval(wasHead bool) {
+	s.cycles.Add(1)
 	if s.cfg.FullScanCycle {
 		s.fullScan()
 		return
 	}
-	s.cycles.Add(1)
 	if !s.cfg.Execute {
 		return
 	}
@@ -565,11 +560,11 @@ func (s *Server) cycleRemoval(wasHead bool) {
 // hold qmu. The release can only start work when it lifts free
 // capacity over the watermark.
 func (s *Server) cycleRelease() {
+	s.cycles.Add(1)
 	if s.cfg.FullScanCycle {
 		s.fullScan()
 		return
 	}
-	s.cycles.Add(1)
 	if s.queue.Len() > 0 && s.free.Load() >= int64(s.watermark) {
 		s.fullScan()
 	}
@@ -582,9 +577,10 @@ func (s *Server) cycleRelease() {
 // top blocked job. In full-scan mode the deliberate whole-queue scan
 // is what couples per-operation cost to queue depth; in incremental
 // mode this pass runs only when an event crossed the watermark, and
-// refreshes the watermark from whatever stays pending.
+// refreshes the watermark from whatever stays pending. The event that
+// triggered the pass counts the cycle; the pass counts the jobs it
+// examined.
 func (s *Server) fullScan() {
-	s.cycles.Add(1)
 	n := s.queue.Len()
 	s.scanned.Add(uint64(n))
 	if n > 0 {
@@ -593,8 +589,7 @@ func (s *Server) fullScan() {
 		order := make([]*Job, 0, n)
 		for e := s.queue.Front(); e != nil; e = e.Next() {
 			j := e.Value.(*Job)
-			j.priority = s.cfg.PriorityQueueWeight*now.Sub(j.Submit).Seconds() +
-				s.cfg.PrioritySizeWeight*float64(j.Nodes)
+			j.priority = now.Sub(j.Submit).Seconds()
 			order = append(order, j)
 		}
 		sortByPriority(order)

@@ -246,16 +246,16 @@ func TestSubmitAfterClose(t *testing.T) {
 	}
 }
 
-// Figure 5's contract, read closed-loop through the direct API: a deep
-// queue is slower than an empty one because every operation's cycle
-// scans all of it.
+// Figure 5's contract, read closed-loop over loopback TCP as sec4 reads
+// it: a deep queue is slower than an empty one because every
+// operation's cycle scans all of it.
 func TestThroughputDecaysWithQueueSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
 	measure := func(queueSize int) (pairRate, avgScan float64) {
 		t.Helper()
-		ch, err := NewChurn(Config{Nodes: 16, FullScanCycle: true}, queueSize, 0)
+		ch, err := NewChurn(Config{Nodes: 16, FullScanCycle: true}, queueSize, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
