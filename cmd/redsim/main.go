@@ -39,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -200,13 +201,22 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// Experiments run one after another over one shared memo, each
-	// report emitted as soon as its experiment finishes; only one
-	// experiment's results are held in memory at a time.
+	// report emitted as soon as its experiment finishes; every
+	// simulation is reduced to a small summary by the worker that ran
+	// it, so no experiment's job records are held in memory.
 	var jsonReports []*report.Report
 	err = experiment.Reports(specs, opts, func(i int, rep *report.Report, elapsed time.Duration) error {
 		if !*quiet {
 			fmt.Fprintf(stderr, "(%s: %s, %d reps)\n", specs[i].Name, elapsed.Round(time.Second), opts.Reps)
 		}
+		// The experiment's memory is garbage now: hand it back to the
+		// OS, so that the process peaks at its largest experiment
+		// rather than at what the heap keeps mapped across all of them.
+		// The first collection moves core's pooled slab chunks to the
+		// pools' victim caches; FreeOSMemory's own collection frees
+		// them.
+		runtime.GC()
+		debug.FreeOSMemory()
 		switch {
 		case *outDir != "":
 			return writeReportFile(*outDir, *format, rep)

@@ -1,17 +1,16 @@
 // Config fingerprinting: a canonical content hash over the fields
-// that determine a run's Result, used as the key of the whole-result
-// memo cache (memo.go). Observability attachments (Trace) and cache
-// plumbing (Workloads) are deliberately excluded — they never change
-// what Run computes, only what it reports on the side — so traced and
-// untraced runs of one config share a fingerprint, and a cached result
-// is bit-identical to a fresh one.
+// that determine a run's Result, used as the key of the run memo
+// (memo.go). Observability attachments (Trace) and cache plumbing
+// (Workloads) are deliberately excluded — they never change what Run
+// computes, only what it reports on the side — so traced and untraced
+// runs of one config share a fingerprint, and a cached summary is
+// bit-identical to one built from a fresh run.
 
 package core
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"math"
 )
 
@@ -25,88 +24,80 @@ type Fingerprint [sha256.Size]byte
 // and Ordering.
 const fingerprintVersion = 3
 
-// fpWriter serializes Config fields into a hash in a fixed canonical
-// order. Every field is written as a fixed-width little-endian word,
-// with slice lengths prefixed, so no two field sequences can collide
-// by concatenation.
-type fpWriter struct {
-	sum hash.Hash
-}
+// fpBuf is the canonical encoding of a Config under construction:
+// every field is appended as a fixed-width little-endian word, with
+// slice lengths prefixed, so no two field sequences can collide by
+// concatenation. Each method returns the extended buffer, which keeps
+// Fingerprint's stack buffer on the stack.
+type fpBuf []byte
 
-func (w *fpWriter) u64(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.sum.Write(buf[:])
-}
+func (b fpBuf) u64(v uint64) fpBuf  { return binary.LittleEndian.AppendUint64(b, v) }
+func (b fpBuf) i64(v int64) fpBuf   { return b.u64(uint64(v)) }
+func (b fpBuf) f64(v float64) fpBuf { return b.u64(math.Float64bits(v)) }
 
-func (w *fpWriter) i64(v int64)   { w.u64(uint64(v)) }
-func (w *fpWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-
-func (w *fpWriter) boolean(v bool) {
+func (b fpBuf) boolean(v bool) fpBuf {
 	if v {
-		w.u64(1)
-	} else {
-		w.u64(0)
+		return b.u64(1)
 	}
+	return b.u64(0)
 }
+
+// fpBufWords sizes Fingerprint's stack buffer, in words: a 64-cluster
+// config with a full fault plan and 32 outages fits, and a larger one
+// still hashes correctly, from a grown heap copy.
+const fpBufWords = 256
 
 // Fingerprint returns the canonical hash of every semantically
 // meaningful field of cfg: two configs with equal fingerprints produce
 // identical Results (Run is deterministic in these fields), and any
 // change to one of them changes the hash. Trace and Workloads are
 // excluded by design; Streams is not hashed — configs with explicit
-// streams bypass the result cache entirely (see Memo.Run).
+// streams bypass the result cache entirely (see RunCached).
 func (cfg *Config) Fingerprint() Fingerprint {
-	w := &fpWriter{sum: sha256.New()}
-	w.u64(fingerprintVersion)
+	var buf [fpBufWords * 8]byte
+	b := fpBuf(buf[:0]).u64(fingerprintVersion)
 
-	w.i64(int64(len(cfg.Clusters)))
+	b = b.i64(int64(len(cfg.Clusters)))
 	for _, cs := range cfg.Clusters {
-		w.i64(int64(cs.Nodes))
-		w.f64(cs.MeanIAT)
+		b = b.i64(int64(cs.Nodes)).f64(cs.MeanIAT)
 	}
-	w.i64(int64(cfg.Alg))
-	w.i64(int64(cfg.Scheme))
-	w.f64(cfg.RedundantFraction)
-	w.i64(int64(cfg.Routing))
-	w.u64(cfg.Seed)
-	w.f64(cfg.Horizon)
-	w.i64(int64(cfg.EstMode))
-	w.f64(cfg.InflateRemote)
-	w.f64(cfg.TargetLoad)
-	w.f64(cfg.MinRuntime)
-	w.boolean(cfg.Predict)
-	w.boolean(cfg.DisableCancelBackfill)
-	w.boolean(cfg.DisableCompression)
-	w.boolean(cfg.CompressOnCancel)
-	w.i64(int64(cfg.MaxJobsPerCluster))
-	w.f64(cfg.RuntimeScale)
-	w.f64(cfg.MaxRuntime)
-	w.boolean(cfg.StopAtHorizon)
-	w.f64(cfg.ControlLatency)
-	w.f64(cfg.Staleness)
-	w.i64(int64(cfg.Ordering))
+	b = b.i64(int64(cfg.Alg)).
+		i64(int64(cfg.Scheme)).
+		f64(cfg.RedundantFraction).
+		i64(int64(cfg.Routing)).
+		u64(cfg.Seed).
+		f64(cfg.Horizon).
+		i64(int64(cfg.EstMode)).
+		f64(cfg.InflateRemote).
+		f64(cfg.TargetLoad).
+		f64(cfg.MinRuntime).
+		boolean(cfg.Predict).
+		boolean(cfg.DisableCancelBackfill).
+		boolean(cfg.DisableCompression).
+		boolean(cfg.CompressOnCancel).
+		i64(int64(cfg.MaxJobsPerCluster)).
+		f64(cfg.RuntimeScale).
+		f64(cfg.MaxRuntime).
+		boolean(cfg.StopAtHorizon).
+		f64(cfg.ControlLatency).
+		f64(cfg.Staleness).
+		i64(int64(cfg.Ordering))
 
 	// An absent plan and an empty one are byte-identical at runtime
 	// (the injector no-ops), so they share an encoding.
 	if p := cfg.Faults; p != nil && !p.Empty() {
-		w.boolean(true)
-		w.u64(p.Seed)
-		w.f64(p.SubmitLoss)
-		w.f64(p.CancelLoss)
-		w.f64(p.SubmitDelayMean)
-		w.f64(p.CancelDelayMean)
-		w.i64(int64(len(p.Outages)))
+		b = b.boolean(true).
+			u64(p.Seed).
+			f64(p.SubmitLoss).
+			f64(p.CancelLoss).
+			f64(p.SubmitDelayMean).
+			f64(p.CancelDelayMean).
+			i64(int64(len(p.Outages)))
 		for _, o := range p.Outages {
-			w.i64(int64(o.Cluster))
-			w.f64(o.Start)
-			w.f64(o.End)
+			b = b.i64(int64(o.Cluster)).f64(o.Start).f64(o.End)
 		}
 	} else {
-		w.boolean(false)
+		b = b.boolean(false)
 	}
-
-	var fp Fingerprint
-	w.sum.Sum(fp[:0])
-	return fp
+	return sha256.Sum256(b)
 }

@@ -1,11 +1,13 @@
-// Whole-result memoization: experiment matrices repeat identical
-// (config, seed) runs — the NONE baseline alone recurs across table1,
-// table2, fig4, inflate, loadsweep, and faults — and Run is
-// deterministic in its Config, so each distinct fingerprint needs to
-// execute exactly once per process. Memo provides that with
-// single-flight semantics and owns the stream cache the engine uses
-// underneath, so even distinct configs on paired seeds share their
-// generated job streams.
+// Run memoization: experiment matrices repeat identical (config, seed)
+// runs — the NONE baseline alone recurs across table1, table2, fig4,
+// inflate, loadsweep, and faults — and Run is deterministic in its
+// Config, so each distinct fingerprint needs to execute exactly once
+// per process. Memo provides that with single-flight semantics. It
+// keeps what the caller reduced each run to, never the Result: the
+// goroutine that ran the simulation builds the summary, and the
+// Result's job records become garbage as soon as it has. Memo also
+// owns the stream cache the engine uses underneath, so even distinct
+// configs on paired seeds share their generated job streams.
 
 package core
 
@@ -16,30 +18,22 @@ import (
 	"redreq/internal/workload"
 )
 
-// memoMaxJobs bounds the cache by total retained JobRecords (the
-// dominant memory of a Result) rather than entry count, since results
-// vary from hundreds to hundreds of thousands of jobs. At roughly 100
-// bytes per record the default caps retained results near 200 MB.
-// Overridable in tests.
-var memoMaxJobs = 2 << 20
-
 // memoKey identifies one cached run. Traced and untraced runs are
-// kept apart even though their Results are identical: a traced entry
-// must also retain the run's private trace for replay on hits, and an
-// untraced caller should never pay for one.
+// kept apart even though their summaries are identical: a traced
+// entry must also retain the run's private trace for replay on hits,
+// and an untraced caller should never pay for one.
 type memoKey struct {
 	fp     Fingerprint
 	traced bool
 }
 
 // memoEntry is one cached (possibly in-flight) run. ready is closed
-// once res/err/trace are valid.
+// once val/err/trace are valid.
 type memoEntry struct {
 	ready chan struct{}
-	res   *Result
+	val   any
 	err   error
 	trace *obs.Trace
-	jobs  int
 }
 
 func (e *memoEntry) done() bool {
@@ -51,25 +45,21 @@ func (e *memoEntry) done() bool {
 	}
 }
 
-// Memo is a single-flight whole-Result cache keyed by
-// Config.Fingerprint. Concurrent requests for one fingerprint block
-// until the first finishes; completed results are shared read-only
-// (every consumer in this repo only reads Results). Entries are
-// evicted oldest-first once the retained job records exceed
-// memoMaxJobs. Safe for concurrent use; a nil Memo runs everything
-// directly.
+// Memo is a single-flight cache of per-run summaries keyed by
+// Config.Fingerprint (see RunCached). Concurrent requests for one
+// fingerprint block until the first finishes; completed summaries are
+// shared read-only. Entries are small and never evicted. Safe for
+// concurrent use; a nil Memo runs everything directly.
 type Memo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*memoEntry
-	order   []memoKey
-	jobs    int
 
 	workloads *workload.StreamCache
 
 	hit, miss, inflight obs.Counter
 }
 
-// NewMemo returns an empty result cache with its own stream cache.
+// NewMemo returns an empty cache with its own stream cache.
 func NewMemo() *Memo {
 	return &Memo{
 		entries:   make(map[memoKey]*memoEntry),
@@ -77,16 +67,33 @@ func NewMemo() *Memo {
 	}
 }
 
-// Run returns the Result for cfg, executing it at most once per
-// fingerprint across all callers. Configs with explicit Streams
+// RunCached returns summarize applied to the Result of cfg, executing
+// cfg at most once per fingerprint across all callers of m; later
+// callers receive the summary the first one built. The key is the
+// config alone, so every caller of one Memo must pass a summarize of
+// the same type T and the same meaning. Configs with explicit Streams
 // bypass the cache (their content is not fingerprinted), as does a
-// nil receiver. On a traced hit the cached run's trace is merged into
+// nil m. On a traced hit the cached run's trace is merged into
 // cfg.Trace, so aggregate traces look exactly as if the run had
 // executed again.
-func (m *Memo) Run(cfg Config) (*Result, error) {
+func RunCached[T any](m *Memo, cfg Config, summarize func(*Result) T) (T, error) {
+	var zero T
 	if m == nil || cfg.Streams != nil {
-		return Run(cfg)
+		res, err := Run(cfg)
+		if err != nil {
+			return zero, err
+		}
+		return summarize(res), nil
 	}
+	v, err := m.run(cfg, func(res *Result) any { return summarize(res) })
+	if err != nil {
+		return zero, err
+	}
+	return v.(T), nil
+}
+
+// run is RunCached's untyped single-flight body.
+func (m *Memo) run(cfg Config, summarize func(*Result) any) (any, error) {
 	key := memoKey{fp: cfg.Fingerprint(), traced: cfg.Trace != nil}
 
 	m.mu.Lock()
@@ -101,11 +108,12 @@ func (m *Memo) Run(cfg Config) (*Result, error) {
 		if key.traced && e.err == nil {
 			cfg.Trace.Merge(e.trace)
 		}
-		return e.res, e.err
+		return e.val, e.err
 	}
+	// Failed entries stay too, so a persistently bad config does not
+	// re-run per request.
 	e := &memoEntry{ready: make(chan struct{})}
 	m.entries[key] = e
-	m.order = append(m.order, key)
 	m.miss.Inc()
 	m.mu.Unlock()
 
@@ -117,53 +125,20 @@ func (m *Memo) Run(cfg Config) (*Result, error) {
 	if key.traced {
 		run.Trace = obs.New()
 	}
-	e.res, e.err = Run(run)
+	res, err := Run(run)
+	if err == nil {
+		e.val = summarize(res)
+	}
+	e.err = err
 	if key.traced {
 		e.trace = run.Trace
 	}
-	if e.res != nil {
-		e.jobs = len(e.res.Jobs)
-	}
-	// Charge the entry before publishing it: an entry only becomes
-	// evictable once done, so storing first keeps a concurrent store's
-	// eviction scan from uncharging an entry that was never charged.
-	m.store(e)
 	close(e.ready)
 
 	if key.traced && e.err == nil {
 		cfg.Trace.Merge(e.trace)
 	}
-	return e.res, e.err
-}
-
-// store charges the completed entry against the size budget and
-// evicts oldest-first until the budget holds again. In-flight entries
-// and the entry just stored are never evicted; failed entries are
-// kept (they hold no jobs) so a persistently bad config does not
-// re-run per request.
-func (m *Memo) store(e *memoEntry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.jobs += e.jobs
-	for m.jobs > memoMaxJobs {
-		idx := -1
-		for i, k := range m.order {
-			old := m.entries[k]
-			if old == nil || (old != e && old.done()) {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			break
-		}
-		k := m.order[idx]
-		if old := m.entries[k]; old != nil {
-			delete(m.entries, k)
-			m.jobs -= old.jobs
-		}
-		m.order = append(m.order[:idx], m.order[idx+1:]...)
-	}
+	return e.val, e.err
 }
 
 // MemoStats are the cache's counters so far.
@@ -173,8 +148,8 @@ type MemoStats struct {
 	// already started (the config still ran only once); Miss counts
 	// computations actually executed.
 	Hit, Miss, Inflight int64
-	// Entries and Jobs describe current retention.
-	Entries, Jobs int
+	// Entries is the number of cached runs, in flight or done.
+	Entries int
 	// StreamHit and StreamMiss are the underlying workload stream
 	// cache's counters.
 	StreamHit, StreamMiss int64
@@ -186,7 +161,7 @@ func (m *Memo) Stats() MemoStats {
 		return MemoStats{}
 	}
 	m.mu.Lock()
-	entries, jobs := len(m.entries), m.jobs
+	entries := len(m.entries)
 	m.mu.Unlock()
 	sh, sm := m.workloads.Stats()
 	return MemoStats{
@@ -194,7 +169,6 @@ func (m *Memo) Stats() MemoStats {
 		Miss:      m.miss.Value(),
 		Inflight:  m.inflight.Value(),
 		Entries:   entries,
-		Jobs:      jobs,
 		StreamHit: sh, StreamMiss: sm,
 	}
 }

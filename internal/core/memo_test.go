@@ -111,6 +111,11 @@ func TestFingerprintShardInvariance(t *testing.T) {
 	}
 }
 
+// wholeResult is the identity summary: it keeps the whole Result, so
+// the tests below can compare what the cache serves with a direct run
+// field by field.
+func wholeResult(r *Result) *Result { return r }
+
 // TestMemoMatchesRun checks a cached result is identical to a direct
 // run, and that repeats are served from cache.
 func TestMemoMatchesRun(t *testing.T) {
@@ -120,11 +125,11 @@ func TestMemoMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMemo()
-	got1, err := m.Run(cfg)
+	got1, err := RunCached(m, cfg, wholeResult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := m.Run(cfg)
+	got2, err := RunCached(m, cfg, wholeResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,7 @@ func TestMemoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := m.Run(cfg)
+			res, err := RunCached(m, cfg, wholeResult)
 			if err != nil {
 				t.Error(err)
 				return
@@ -198,7 +203,7 @@ func TestMemoTracedHit(t *testing.T) {
 	run := func() int64 {
 		cfg := memoTestConfig()
 		cfg.Trace = obs.New()
-		if _, err := m.Run(cfg); err != nil {
+		if _, err := RunCached(m, cfg, wholeResult); err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range cfg.Trace.Snapshot().Counters {
@@ -219,38 +224,6 @@ func TestMemoTracedHit(t *testing.T) {
 	}
 }
 
-// TestMemoEviction shrinks the size budget and checks old entries are
-// dropped oldest-first while the cache keeps serving.
-func TestMemoEviction(t *testing.T) {
-	old := memoMaxJobs
-	memoMaxJobs = 1 // every completed run exceeds the budget
-	defer func() { memoMaxJobs = old }()
-
-	m := NewMemo()
-	cfg := memoTestConfig()
-	for seed := uint64(1); seed <= 3; seed++ {
-		cfg.Seed = seed
-		if _, err := m.Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := m.Stats()
-	if st.Miss != 3 {
-		t.Errorf("%d misses, want 3", st.Miss)
-	}
-	if st.Entries > 1 {
-		t.Errorf("cache holds %d entries despite a 1-job budget", st.Entries)
-	}
-	// A re-request of an evicted config recomputes without error.
-	cfg.Seed = 1
-	if _, err := m.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if st := m.Stats(); st.Miss != 4 {
-		t.Errorf("%d misses after re-request, want 4", st.Miss)
-	}
-}
-
 // TestMemoStreamsBypass checks explicit-stream configs never touch
 // the cache.
 func TestMemoStreamsBypass(t *testing.T) {
@@ -262,7 +235,7 @@ func TestMemoStreamsBypass(t *testing.T) {
 		Streams: [][]workload.Job{{{Arrival: 1, Nodes: 1, Runtime: 10, Estimate: 10}}},
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := m.Run(cfg); err != nil {
+		if _, err := RunCached(m, cfg, wholeResult); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"redreq/internal/core"
-	"redreq/internal/metrics"
 	"redreq/internal/obs"
 )
 
@@ -41,8 +40,8 @@ func TestRunMatrixShapeAndDeterminism(t *testing.T) {
 	}
 	for vi := range res1 {
 		for ri := range res1[vi] {
-			a := metrics.FromResult(res1[vi][ri], nil)
-			b := metrics.FromResult(res2[vi][ri], nil)
+			a := res1[vi][ri].Sample[allJobs]
+			b := res2[vi][ri].Sample[allJobs]
 			if a != b {
 				t.Fatalf("variant %d rep %d not deterministic: %+v vs %+v", vi, ri, a, b)
 			}
@@ -50,7 +49,7 @@ func TestRunMatrixShapeAndDeterminism(t *testing.T) {
 	}
 	// Paired seeds: both variants see the same job count per rep.
 	for ri := range res1[0] {
-		if len(res1[0][ri].Jobs) != len(res1[1][ri].Jobs) {
+		if res1[0][ri].Sample[allJobs].N != res1[1][ri].Sample[allJobs].N {
 			t.Fatalf("rep %d: variants saw different job streams", ri)
 		}
 	}
@@ -124,9 +123,16 @@ func TestRunMatrixTraceAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var jobs, events int64
-	for _, r := range res[0] {
-		jobs += int64(len(r.Jobs))
-		events += int64(r.Events)
+	for ri, r := range res[0] {
+		jobs += int64(r.Sample[allJobs].N)
+		// Summaries carry no event count: rerun the rep directly.
+		cfg := opts.base(2)
+		cfg.Seed = opts.BaseSeed + uint64(ri)*seedStride
+		direct, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events += int64(direct.Events)
 	}
 	snap := opts.Trace.Snapshot()
 	if got := snap.Counter("core.jobs"); got != jobs {

@@ -217,10 +217,10 @@ func ablationVariants(opts Options) []variant {
 }
 
 // ablationRows reduces the matrix built by ablationVariants.
-func ablationRows(res [][]*core.Result) ([]ablationRow, error) {
+func ablationRows(res [][]runSummary) ([]ablationRow, error) {
 	rows := make([]ablationRow, 0, len(ablationToggles))
 	for i, tg := range ablationToggles {
-		rel, err := metrics.Relativize(samples(res[2*i+1], nil), samples(res[2*i], nil))
+		rel, err := metrics.Relativize(samples(res[2*i+1], allJobs), samples(res[2*i], allJobs))
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +249,7 @@ var ablationsSpec = &Spec{
 	Desc:     "cancel-backfill, CBF compression, selection-policy toggles",
 	Params:   "N=10, scheme=HALF",
 	Variants: func(opts Options) []variant { return ablationVariants(opts) },
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		rows, err := ablationRows(res)
 		if err != nil {
 			return nil, err

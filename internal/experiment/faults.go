@@ -66,9 +66,9 @@ var faultsSpec = &Spec{
 	Variants: func(opts Options) []variant {
 		return faultsVariants(opts)
 	},
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		losses := sweepOr(opts, defaultCancelLoss)
-		base := samples(res[0], nil)
+		base := samples(res[0], allJobs)
 		header := []string{"cancel loss"}
 		for _, s := range core.Schemes {
 			header = append(header, s.String())
@@ -84,15 +84,15 @@ var faultsSpec = &Spec{
 			rowO := []any{report.F(loss, 2)}
 			for si := range core.Schemes {
 				grp := res[1+li*len(core.Schemes)+si]
-				rel, err := metrics.Relativize(samples(grp, nil), base)
+				rel, err := metrics.Relativize(samples(grp, allJobs), base)
 				if err != nil {
 					return nil, err
 				}
 				rowS = append(rowS, report.F(rel.AvgStretch, 3))
 				rowC = append(rowC, report.F(rel.CVStretch, 3))
-				rowW = append(rowW, report.F(meanOver(grp, wastedFraction), 4))
-				rowO = append(rowO, report.F(meanOver(grp, func(r *core.Result) float64 {
-					return float64(r.Faults.OrphanStarts)
+				rowW = append(rowW, report.F(meanOver(grp, func(r *runSummary) float64 { return r.Wasted }), 4))
+				rowO = append(rowO, report.F(meanOver(grp, func(r *runSummary) float64 {
+					return float64(r.OrphanStarts)
 				}), 1))
 			}
 			stretch.AddRow(rowS...)

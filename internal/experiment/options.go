@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"redreq/internal/core"
+	"redreq/internal/invariant"
 	"redreq/internal/metrics"
 	"redreq/internal/obs"
 	"redreq/internal/sched"
@@ -78,11 +79,11 @@ type Options struct {
 	// submit/cancel lifecycle) into one trace: each simulation runs
 	// with its own trace, merged in on completion.
 	Trace *obs.Trace
-	// Cache, when non-nil, memoizes whole simulation results by
-	// config fingerprint with single-flight semantics, so identical
-	// (config, seed) runs repeated across experiments execute exactly
-	// once per process (see core.Memo). Results are unchanged: a
-	// cached result is bit-identical to a fresh run.
+	// Cache, when non-nil, memoizes per-run summaries by config
+	// fingerprint with single-flight semantics, so identical (config,
+	// seed) runs repeated across experiments execute exactly once per
+	// process (see core.Memo). Results are unchanged: a cached summary
+	// is bit-identical to one built from a fresh run.
 	Cache *core.Memo
 }
 
@@ -149,7 +150,8 @@ func (o Options) base(n int) core.Config {
 
 // variant is one simulation configuration within an experiment; Mutate
 // customizes the replication-specific config (e.g. randomized
-// heterogeneous platforms need the replication index).
+// heterogeneous platforms need the replication index). Audit asks for
+// every run's invariant findings in its summary.
 //
 // Config is an immutable input: runMatrix copies the struct per task
 // but shares its Clusters slice across all (variant, rep) tasks, so a
@@ -160,23 +162,64 @@ type variant struct {
 	Name   string
 	Config core.Config
 	Mutate func(rep int, cfg *core.Config)
+	Audit  bool
+}
+
+// jobClass selects the jobs a per-run statistic covers.
+type jobClass int
+
+const (
+	allJobs          jobClass = iota
+	redundantJobs             // "r jobs"
+	nonRedundantJobs          // "n-r jobs"
+	numClasses
+)
+
+var classFilters = [numClasses]metrics.Filter{nil, metrics.RedundantOnly, metrics.NonRedundantOnly}
+
+// runSummary is everything a matrix spec reads of one simulation. The
+// worker that ran the simulation builds it, so the Result and its job
+// records die with the task; the memo and every spec's matrix hold
+// these instead.
+type runSummary struct {
+	// Sample and Prediction are indexed by jobClass; predictions are
+	// taken at MinEffectiveWait.
+	Sample     [numClasses]metrics.Sample
+	Prediction [numClasses]metrics.PredictionStats
+	// OrphanStarts counts orphaned copies that started; Wasted is the
+	// share of consumed CPU-seconds they burned.
+	OrphanStarts int64
+	Wasted       float64
+	// Findings are the run's invariant findings (Audit variants only).
+	Findings []invariant.Finding
+}
+
+// summarize reduces one run to its summary.
+func summarize(res *core.Result) runSummary {
+	s := runSummary{OrphanStarts: res.Faults.OrphanStarts, Wasted: wastedFraction(res)}
+	for c, f := range classFilters {
+		s.Sample[c] = metrics.FromResult(res, f)
+		s.Prediction[c] = metrics.Predictions(res, f, MinEffectiveWait)
+	}
+	return s
 }
 
 // runMatrix executes every (variant, replication) pair in parallel and
-// returns results indexed [variant][rep]. Tasks run on a pool of
-// opts.Workers goroutines that lives as long as the matrix. Variant
+// returns their summaries indexed [variant][rep]. Tasks run on a pool
+// of opts.Workers goroutines that lives as long as the matrix; each
+// task summarizes its own run, so no Result outlives its task. Variant
 // Configs are treated as immutable inputs: tasks copy the struct but
 // share the Clusters slice, so Mutate hooks must replace cfg.Clusters
 // rather than write through it (see variant).
-func runMatrix(opts Options, variants []variant) ([][]*core.Result, error) {
+func runMatrix(opts Options, variants []variant) ([][]runSummary, error) {
 	if opts.Reps < 1 {
 		return nil, fmt.Errorf("experiment: Reps must be >= 1")
 	}
 	pool := NewPool(opts.Workers)
 	defer pool.Close()
-	results := make([][]*core.Result, len(variants))
+	results := make([][]runSummary, len(variants))
 	for i := range results {
-		results[i] = make([]*core.Result, opts.Reps)
+		results[i] = make([]runSummary, opts.Reps)
 	}
 	var (
 		pending  sync.WaitGroup
@@ -218,7 +261,19 @@ enqueue:
 				if opts.Trace != nil {
 					cfg.Trace = obs.New()
 				}
-				res, err := opts.Cache.Run(cfg)
+				memo, reduce := opts.Cache, summarize
+				if variants[v].Audit {
+					// The memo keys runs by config alone, so a
+					// summary with findings never goes through it.
+					ctx := invariant.FromConfig(&cfg)
+					memo = nil
+					reduce = func(res *core.Result) runSummary {
+						s := summarize(res)
+						s.Findings = invariant.Check(ctx, res)
+						return s
+					}
+				}
+				sum, err := core.RunCached(memo, cfg, reduce)
 				if err != nil {
 					err = fmt.Errorf("experiment: variant %q rep %d: %w", variants[v].Name, r, err)
 					mu.Lock()
@@ -228,7 +283,7 @@ enqueue:
 					mu.Unlock()
 					failed.Store(true)
 				} else {
-					results[v][r] = res
+					results[v][r] = sum
 					opts.Trace.Merge(cfg.Trace)
 				}
 			})
@@ -244,20 +299,21 @@ enqueue:
 	return results, nil
 }
 
-// samples reduces one variant's results to metric samples.
-func samples(results []*core.Result, f metrics.Filter) []metrics.Sample {
-	out := make([]metrics.Sample, len(results))
-	for i, r := range results {
-		out[i] = metrics.FromResult(r, f)
+// samples returns one variant's per-run samples over the jobs of
+// class c.
+func samples(runs []runSummary, c jobClass) []metrics.Sample {
+	out := make([]metrics.Sample, len(runs))
+	for i := range runs {
+		out[i] = runs[i].Sample[c]
 	}
 	return out
 }
 
-// meanOver averages fn over the results.
-func meanOver(results []*core.Result, fn func(*core.Result) float64) float64 {
+// meanOver averages fn over the summaries.
+func meanOver(runs []runSummary, fn func(*runSummary) float64) float64 {
 	var sum float64
-	for _, r := range results {
-		sum += fn(r)
+	for i := range runs {
+		sum += fn(&runs[i])
 	}
-	return sum / float64(len(results))
+	return sum / float64(len(runs))
 }

@@ -1,9 +1,9 @@
 // Reports is the registry-wide runner: it runs a list of specs one
 // after another over one shared memo, emitting each report as soon as
 // its spec finishes. Each spec's matrix spreads over every worker, and
-// only one spec's result matrix — every JobRecord of every (variant,
-// rep) — is alive at a time, so `redsim -run all` peaks at the largest
-// spec's memory rather than the sum of them all.
+// each worker reduces its simulation to a run summary before taking
+// the next, so the job records alive at any moment are those of the
+// simulations running, never a spec's whole matrix or the memo's.
 
 package experiment
 

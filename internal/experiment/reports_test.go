@@ -31,12 +31,12 @@ func reportsTestSpecs(n int) []*Spec {
 				with.RedundantFraction = 1
 				return []variant{{Name: "base", Config: base}, {Name: "red", Config: with}}
 			},
-			Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+			Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 				t := report.NewTable("jobs", "variant", "jobs")
 				for vi, reps := range res {
 					jobs := 0
 					for _, r := range reps {
-						jobs += len(r.Jobs)
+						jobs += r.Sample[allJobs].N
 					}
 					t.AddRow(fmt.Sprintf("v%d", vi), fmt.Sprintf("%d", jobs))
 				}

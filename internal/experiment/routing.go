@@ -97,10 +97,10 @@ func routingVariants(opts Options) []variant {
 
 // routingReduce relativizes every cell against the NONE/uniform/FCFS
 // baseline (paired seeds: identical job streams).
-func routingReduce(opts Options, res [][]*core.Result) ([]*report.Table, error) {
-	baseline := samples(res[0], nil)
+func routingReduce(opts Options, res [][]runSummary) ([]*report.Table, error) {
+	baseline := samples(res[0], allJobs)
 	rel := func(idx int) (report.Num, error) {
-		r, err := metrics.Relativize(samples(res[idx], nil), baseline)
+		r, err := metrics.Relativize(samples(res[idx], allJobs), baseline)
 		if err != nil {
 			return report.Num{}, err
 		}

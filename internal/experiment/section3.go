@@ -63,15 +63,15 @@ func schemesVsNVariants(opts Options, ns []int) []variant {
 }
 
 // schemesVsNPoints reduces the matrix built by schemesVsNVariants.
-func schemesVsNPoints(ns []int, res [][]*core.Result) ([]vsNPoint, error) {
+func schemesVsNPoints(ns []int, res [][]runSummary) ([]vsNPoint, error) {
 	per := 1 + len(core.Schemes)
 	points := make([]vsNPoint, 0, len(ns))
 	for gi, n := range ns {
 		grp := res[gi*per : (gi+1)*per]
-		base := samples(grp[0], nil)
+		base := samples(grp[0], allJobs)
 		pt := vsNPoint{N: n}
 		for i, s := range core.Schemes {
-			rel, err := metrics.Relativize(samples(grp[i+1], nil), base)
+			rel, err := metrics.Relativize(samples(grp[i+1], allJobs), base)
 			if err != nil {
 				return nil, err
 			}
@@ -131,7 +131,7 @@ var fig12Spec = &Spec{
 	Variants: func(opts Options) []variant {
 		return schemesVsNVariants(opts, vsNsOf(opts))
 	},
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		ns := vsNsOf(opts)
 		points, err := schemesVsNPoints(ns, res)
 		if err != nil {
@@ -196,13 +196,13 @@ func table1Variants(opts Options) []variant {
 }
 
 // table1Rows reduces the matrix built by table1Variants.
-func table1Rows(res [][]*core.Result) ([]table1Row, error) {
+func table1Rows(res [][]runSummary) ([]table1Row, error) {
 	rows := make([]table1Row, 0, len(table1Algs))
 	idx := 0
 	for _, alg := range table1Algs {
 		row := table1Row{Alg: alg}
 		for _, est := range table1Ests {
-			rel, err := metrics.Relativize(samples(res[idx+1], nil), samples(res[idx], nil))
+			rel, err := metrics.Relativize(samples(res[idx+1], allJobs), samples(res[idx], allJobs))
 			if err != nil {
 				return nil, err
 			}
@@ -235,7 +235,7 @@ var table1Spec = &Spec{
 	Desc:     "EASY/CBF/FCFS under exact and phi-model runtime estimates",
 	Params:   "N=10, scheme=HALF",
 	Variants: func(opts Options) []variant { return table1Variants(opts) },
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		rows, err := table1Rows(res)
 		if err != nil {
 			return nil, err
@@ -277,11 +277,11 @@ func table2Variants(opts Options) []variant {
 }
 
 // table2Rows reduces the matrix built by table2Variants.
-func table2Rows(res [][]*core.Result) ([]table2Row, error) {
-	base := samples(res[0], nil)
+func table2Rows(res [][]runSummary) ([]table2Row, error) {
+	base := samples(res[0], allJobs)
 	rows := make([]table2Row, 0, len(table2Schemes))
 	for i, s := range table2Schemes {
-		rel, err := metrics.Relativize(samples(res[i+1], nil), base)
+		rel, err := metrics.Relativize(samples(res[i+1], allJobs), base)
 		if err != nil {
 			return nil, err
 		}
@@ -306,7 +306,7 @@ var table2Spec = &Spec{
 	Desc:     "geometrically biased remote-cluster selection",
 	Params:   "N=10, schemes=R2,R3,R4,HALF",
 	Variants: func(opts Options) []variant { return table2Variants(opts) },
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		rows, err := table2Rows(res)
 		if err != nil {
 			return nil, err
@@ -363,16 +363,16 @@ func figure3Variants(opts Options, iats []float64) []variant {
 }
 
 // figure3Points reduces the matrix built by figure3Variants.
-func figure3Points(iats []float64, res [][]*core.Result) ([]iatPoint, error) {
+func figure3Points(iats []float64, res [][]runSummary) ([]iatPoint, error) {
 	per := 1 + len(core.Schemes)
 	points := make([]iatPoint, 0, len(iats))
 	for gi, iat := range iats {
 		grp := res[gi*per : (gi+1)*per]
-		base := samples(grp[0], nil)
+		base := samples(grp[0], allJobs)
 		pt := iatPoint{MeanIAT: iat}
 		pt.BaselineAvgStretch = meanSample(base, func(s metrics.Sample) float64 { return s.AvgStretch })
 		for i, s := range core.Schemes {
-			rel, err := metrics.Relativize(samples(grp[i+1], nil), base)
+			rel, err := metrics.Relativize(samples(grp[i+1], allJobs), base)
 			if err != nil {
 				return nil, err
 			}
@@ -404,7 +404,7 @@ var fig3Spec = &Spec{
 	Variants: func(opts Options) []variant {
 		return figure3Variants(opts, sweepOr(opts, DefaultIATs))
 	},
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		iats := sweepOr(opts, DefaultIATs)
 		points, err := figure3Points(iats, res)
 		if err != nil {
@@ -465,11 +465,11 @@ func table3Variants(opts Options) []variant {
 }
 
 // table3Rows reduces the matrix built by table3Variants.
-func table3Rows(res [][]*core.Result) ([]table3Row, error) {
-	base := samples(res[0], nil)
+func table3Rows(res [][]runSummary) ([]table3Row, error) {
+	base := samples(res[0], allJobs)
 	rows := make([]table3Row, 0, len(core.Schemes))
 	for i, s := range core.Schemes {
-		rel, err := metrics.Relativize(samples(res[i+1], nil), base)
+		rel, err := metrics.Relativize(samples(res[i+1], allJobs), base)
 		if err != nil {
 			return nil, err
 		}
@@ -493,7 +493,7 @@ var table3Spec = &Spec{
 	Desc:     "randomized node counts and arrival rates per replication",
 	Params:   "N=10, nodes in {16..256}, iat in [2s,20s]",
 	Variants: func(opts Options) []variant { return table3Variants(opts) },
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		rows, err := table3Rows(res)
 		if err != nil {
 			return nil, err
@@ -545,18 +545,18 @@ func figure4Variants(opts Options, fractions []float64) []variant {
 }
 
 // figure4Points reduces the matrix built by figure4Variants.
-func figure4Points(fractions []float64, res [][]*core.Result) []fig4Point {
+func figure4Points(fractions []float64, res [][]runSummary) []fig4Point {
 	var points []fig4Point
 	idx := 0
 	for _, s := range core.Schemes {
 		for _, p := range fractions {
 			pt := fig4Point{Scheme: s, Fraction: p}
-			pt.AllStretch = meanSample(samples(res[idx], nil), func(x metrics.Sample) float64 { return x.AvgStretch })
+			pt.AllStretch = meanSample(samples(res[idx], allJobs), func(x metrics.Sample) float64 { return x.AvgStretch })
 			if p > 0 {
-				pt.RStretch = meanSample(samples(res[idx], metrics.RedundantOnly), func(x metrics.Sample) float64 { return x.AvgStretch })
+				pt.RStretch = meanSample(samples(res[idx], redundantJobs), func(x metrics.Sample) float64 { return x.AvgStretch })
 			}
 			if p < 1 {
-				pt.NRStretch = meanSample(samples(res[idx], metrics.NonRedundantOnly), func(x metrics.Sample) float64 { return x.AvgStretch })
+				pt.NRStretch = meanSample(samples(res[idx], nonRedundantJobs), func(x metrics.Sample) float64 { return x.AvgStretch })
 			}
 			points = append(points, pt)
 			idx++
@@ -585,7 +585,7 @@ var fig4Spec = &Spec{
 	Variants: func(opts Options) []variant {
 		return figure4Variants(opts, sweepOr(opts, DefaultFractions))
 	},
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		points := figure4Points(sweepOr(opts, DefaultFractions), res)
 		t := report.NewTable("Figure 4: average stretch by job class vs percentage of redundant jobs",
 			"scheme", "p%", "r jobs", "n-r jobs", "all")
@@ -627,14 +627,8 @@ func queueGrowthVariants(opts Options) []variant {
 }
 
 // queueGrowthReduce reduces the matrix built by queueGrowthVariants.
-func queueGrowthReduce(res [][]*core.Result) queueGrowthResult {
-	avgMaxQ := func(r *core.Result) float64 {
-		var q float64
-		for _, c := range r.Clusters {
-			q += float64(c.Stats.MaxQueue)
-		}
-		return q / float64(len(r.Clusters))
-	}
+func queueGrowthReduce(res [][]runSummary) queueGrowthResult {
+	avgMaxQ := func(r *runSummary) float64 { return r.Sample[allJobs].MaxQueue }
 	out := queueGrowthResult{
 		MaxQueueNone: meanOver(res[0], avgMaxQ),
 		MaxQueueAll:  meanOver(res[1], avgMaxQ),
@@ -663,7 +657,7 @@ var qgrowthSpec = &Spec{
 		opts.Horizon = 24 * 3600 // the paper's window for this observation
 		return queueGrowthVariants(opts)
 	},
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		r := queueGrowthReduce(res)
 		t := report.NewTable("Average maximum queue length over 24h (paper: ALL exceeds NONE by < 2%; per-request counting differs, see EXPERIMENTS.md)",
 			"population", "avg max queue length")
@@ -700,11 +694,11 @@ func inflationVariants(opts Options) []variant {
 }
 
 // inflationRows reduces the matrix built by inflationVariants.
-func inflationRows(res [][]*core.Result) ([]inflationRow, error) {
-	base := samples(res[0], nil)
+func inflationRows(res [][]runSummary) ([]inflationRow, error) {
+	base := samples(res[0], allJobs)
 	rows := make([]inflationRow, 0, len(inflationLevels))
 	for i, f := range inflationLevels {
-		rel, err := metrics.Relativize(samples(res[i+1], nil), base)
+		rel, err := metrics.Relativize(samples(res[i+1], allJobs), base)
 		if err != nil {
 			return nil, err
 		}
@@ -730,7 +724,7 @@ var inflateSpec = &Spec{
 	Desc:     "late-binding ablation: remote copies request 0/10/50% more time",
 	Params:   "N=10, scheme=HALF, inflation=0,10,50%",
 	Variants: func(opts Options) []variant { return inflationVariants(opts) },
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		rows, err := inflationRows(res)
 		if err != nil {
 			return nil, err
@@ -772,11 +766,11 @@ func loadSweepVariants(opts Options, loads []float64) []variant {
 }
 
 // loadSweepPoints reduces the matrix built by loadSweepVariants.
-func loadSweepPoints(loads []float64, res [][]*core.Result) ([]loadPoint, error) {
+func loadSweepPoints(loads []float64, res [][]runSummary) ([]loadPoint, error) {
 	points := make([]loadPoint, 0, len(loads))
 	for i, load := range loads {
-		base := samples(res[2*i], nil)
-		rel, err := metrics.Relativize(samples(res[2*i+1], nil), base)
+		base := samples(res[2*i], allJobs)
+		rel, err := metrics.Relativize(samples(res[2*i+1], allJobs), base)
 		if err != nil {
 			return nil, err
 		}
@@ -812,7 +806,7 @@ var loadsweepSpec = &Spec{
 	Variants: func(opts Options) []variant {
 		return loadSweepVariants(opts, sweepOr(opts, defaultLoads))
 	},
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		points, err := loadSweepPoints(sweepOr(opts, defaultLoads), res)
 		if err != nil {
 			return nil, err

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"redreq/internal/core"
-	"redreq/internal/metrics"
 	"redreq/internal/report"
 	"redreq/internal/sched"
 	"redreq/internal/workload"
@@ -69,22 +68,22 @@ func table4Variants(opts Options) []variant {
 }
 
 // table4Reduce reduces the matrix built by table4Variants.
-func table4Reduce(res [][]*core.Result) table4Result {
+func table4Reduce(res [][]runSummary) table4Result {
 	out := table4Result{RedundantPercent: table4RedundantFraction}
-	accum := func(results []*core.Result, f metrics.Filter) (avg, cv float64, n int) {
+	accum := func(runs []runSummary, c jobClass) (avg, cv float64, n int) {
 		var sa, sc float64
-		for _, r := range results {
-			ps := metrics.Predictions(r, f, MinEffectiveWait)
+		for _, r := range runs {
+			ps := r.Prediction[c]
 			sa += ps.Avg
 			sc += ps.CV
 			n += ps.N
 		}
-		k := float64(len(results))
+		k := float64(len(runs))
 		return sa / k, sc / k, n
 	}
-	out.BaselineAvg, out.BaselineCV, out.BaselineN = accum(res[0], nil)
-	out.NonRedundantAvg, out.NonRedundantCV, out.NonRedundantN = accum(res[1], metrics.NonRedundantOnly)
-	out.RedundantAvg, out.RedundantCV, out.RedundantN = accum(res[1], metrics.RedundantOnly)
+	out.BaselineAvg, out.BaselineCV, out.BaselineN = accum(res[0], allJobs)
+	out.NonRedundantAvg, out.NonRedundantCV, out.NonRedundantN = accum(res[1], nonRedundantJobs)
+	out.RedundantAvg, out.RedundantCV, out.RedundantN = accum(res[1], redundantJobs)
 	return out
 }
 
@@ -103,7 +102,7 @@ var table4Spec = &Spec{
 	Desc:     "how redundancy degrades CBF wait-time predictions",
 	Params:   "N=10, scheme=ALL at 40%, load=1.15",
 	Variants: func(opts Options) []variant { return table4Variants(opts) },
-	Reduce: func(opts Options, res [][]*core.Result) ([]*report.Table, error) {
+	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
 		r := table4Reduce(res)
 		t := report.NewTable("Table 4: queue waiting time over-prediction (predicted/effective wait)",
 			"population", "average", "CV%", "jobs")

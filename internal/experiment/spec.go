@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"redreq/internal/core"
 	"redreq/internal/report"
 )
 
@@ -19,8 +18,8 @@ import (
 //
 // Matrix experiments set Variants and Reduce: Run executes every
 // (variant, replication) pair through the shared runMatrix harness and
-// hands the full result matrix — indexed [variant][rep] in Variants
-// order — to Reduce. Experiments that cannot run through the matrix
+// hands the matrix of per-run summaries — indexed [variant][rep] in
+// Variants order — to Reduce. Experiments that cannot run through the matrix
 // (wall-clock measurements, bespoke scenario loops) set Tables
 // instead, which takes full control.
 type Spec struct {
@@ -46,9 +45,9 @@ type Spec struct {
 	// Variants builds the simulation configurations (matrix
 	// experiments only).
 	Variants func(opts Options) []variant
-	// Reduce turns the completed matrix into report tables (matrix
-	// experiments only).
-	Reduce func(opts Options, res [][]*core.Result) ([]*report.Table, error)
+	// Reduce turns the completed matrix of run summaries into report
+	// tables (matrix experiments only).
+	Reduce func(opts Options, res [][]runSummary) ([]*report.Table, error)
 	// Tables bypasses the matrix harness entirely (bespoke
 	// experiments only). Exactly one of Tables or Variants+Reduce
 	// must be set.

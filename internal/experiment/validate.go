@@ -92,7 +92,8 @@ func runInvariantSuite(opts Options, reps int) (*report.Table, []invariant.Findi
 		}
 		t.AddRow(sc.name, reps, jobs, count, status(count == 0))
 	}
-	// Determinism: rerun and memoized-run must be bit-identical.
+	// Determinism: a rerun and a run on the shared-stream path must be
+	// bit-identical to the first run.
 	det := opts.base(2)
 	det.Scheme = core.SchemeAll
 	det.Seed = opts.BaseSeed

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"redreq/internal/core"
+	"redreq/internal/workload"
 )
 
 // Finding is one detected invariant violation.
@@ -387,11 +388,12 @@ func (c *checker) ledger(ctx Context, res *core.Result, eps float64) {
 	}
 }
 
-// CheckDeterminism runs cfg twice directly and once through a fresh
-// result memo (which routes job streams through the shared stream
-// cache), comparing all three Results bit-for-bit. Any divergence means
-// the engine's output depends on something besides its Config — the
-// property every paired-seed comparison and golden fixture rests on.
+// CheckDeterminism runs cfg twice directly and once with its job
+// streams drawn through a fresh workload.StreamCache (the shared-stream
+// path the run memo takes), comparing all three Results bit-for-bit.
+// Any divergence means the engine's output depends on something
+// besides its Config — the property every paired-seed comparison and
+// golden fixture rests on.
 func CheckDeterminism(cfg core.Config) []Finding {
 	c := &checker{}
 	a, err := core.Run(cfg)
@@ -405,12 +407,14 @@ func CheckDeterminism(cfg core.Config) []Finding {
 		return c.findings
 	}
 	compareResults(c, "rerun", a, b)
-	m, err := core.NewMemo().Run(cfg)
+	shared := cfg
+	shared.Workloads = workload.NewStreamCache()
+	m, err := core.Run(shared)
 	if err != nil {
-		c.addf("determinism", -1, -1, "memoized run failed: %v", err)
+		c.addf("determinism", -1, -1, "stream-cached run failed: %v", err)
 		return c.findings
 	}
-	compareResults(c, "memo", a, m)
+	compareResults(c, "stream cache", a, m)
 	return c.findings
 }
 

@@ -45,27 +45,99 @@ func Stretches(jobs []core.JobRecord, f Filter) []float64 {
 	return out
 }
 
-// FromResult computes a Sample over the selected jobs of a run.
+// moments accumulates Mean, CV, and Max of a sample that is read in
+// two passes instead of held in a slice: add every value in order,
+// then addDev every value again in the same order (a pass CV ignores
+// below two values). The results are bit-identical to stats.Mean,
+// stats.CV, and stats.Max over the slice of those values, because the
+// sums run in the same order with the same operations.
+type moments struct {
+	n      int
+	sum    float64
+	max    float64
+	hasNaN bool
+	ss     float64 // sum of squared deviations from the mean
+}
+
+func (m *moments) add(x float64) {
+	if m.n == 0 || x > m.max {
+		m.max = x
+	}
+	m.hasNaN = m.hasNaN || math.IsNaN(x)
+	m.n++
+	m.sum += x
+}
+
+// mean is stats.Mean: 0 for an empty sample.
+func (m *moments) mean() float64 {
+	if m.n == 0 {
+		return 0
+	}
+	return m.sum / float64(m.n)
+}
+
+// addDev is the second pass; it needs the first complete.
+func (m *moments) addDev(x float64) {
+	d := x - m.mean()
+	m.ss += d * d
+}
+
+// cv is stats.CV: the population standard deviation over the mean, in
+// percent, 0 when the mean is zero.
+func (m *moments) cv() float64 {
+	mu := m.mean()
+	if mu == 0 {
+		return 0
+	}
+	var sd float64
+	if m.n >= 2 {
+		sd = math.Sqrt(m.ss / float64(m.n))
+	}
+	return sd / mu * 100
+}
+
+// maximum is stats.Max: 0 for an empty sample, NaN if any value is.
+func (m *moments) maximum() float64 {
+	switch {
+	case m.n == 0:
+		return 0
+	case m.hasNaN:
+		return math.NaN()
+	}
+	return m.max
+}
+
+// FromResult computes a Sample over the selected jobs of a run. It
+// reads res.Jobs twice and allocates nothing.
 func FromResult(res *core.Result, f Filter) Sample {
-	var s Sample
-	stretches := make([]float64, 0, len(res.Jobs))
-	turnarounds := make([]float64, 0, len(res.Jobs))
-	waits := make([]float64, 0, len(res.Jobs))
+	var stretch moments
+	var turnaround, wait float64
 	for i := range res.Jobs {
 		j := &res.Jobs[i]
-		if f != nil && !f(j) {
-			continue
+		if f == nil || f(j) {
+			stretch.add(j.Stretch())
+			turnaround += j.Turnaround()
+			wait += j.Wait()
 		}
-		stretches = append(stretches, j.Stretch())
-		turnarounds = append(turnarounds, j.Turnaround())
-		waits = append(waits, j.Wait())
 	}
-	s.N = len(stretches)
-	s.AvgStretch = stats.Mean(stretches)
-	s.CVStretch = stats.CV(stretches)
-	s.MaxStretch = stats.Max(stretches)
-	s.AvgTurnaround = stats.Mean(turnarounds)
-	s.AvgWait = stats.Mean(waits)
+	if stretch.n >= 2 {
+		for i := range res.Jobs {
+			j := &res.Jobs[i]
+			if f == nil || f(j) {
+				stretch.addDev(j.Stretch())
+			}
+		}
+	}
+	s := Sample{
+		N:          stretch.n,
+		AvgStretch: stretch.mean(),
+		CVStretch:  stretch.cv(),
+		MaxStretch: stretch.maximum(),
+	}
+	if s.N > 0 {
+		s.AvgTurnaround = turnaround / float64(s.N)
+		s.AvgWait = wait / float64(s.N)
+	}
 	var q float64
 	for _, c := range res.Clusters {
 		q += float64(c.Stats.MaxQueue)
@@ -157,30 +229,49 @@ type PredictionStats struct {
 }
 
 // Predictions computes over-prediction statistics over the selected
-// jobs of a run. Jobs without a recorded prediction are skipped.
+// jobs of a run. Jobs without a recorded prediction are skipped. Like
+// FromResult it reads res.Jobs twice and allocates nothing.
 func Predictions(res *core.Result, f Filter, minWait float64) PredictionStats {
-	var ratios []float64
+	// ratio reports j's predicted-to-effective wait ratio, or false
+	// when the job is not counted.
+	ratio := func(j *core.JobRecord) (float64, bool) {
+		if math.IsNaN(j.Predicted) {
+			return 0, false
+		}
+		w := j.Wait()
+		if w < minWait {
+			return 0, false
+		}
+		return j.Predicted / w, true
+	}
+	var m moments
 	skipped := 0
 	for i := range res.Jobs {
 		j := &res.Jobs[i]
 		if f != nil && !f(j) {
 			continue
 		}
-		if math.IsNaN(j.Predicted) {
+		if r, ok := ratio(j); ok {
+			m.add(r)
+		} else {
 			skipped++
-			continue
 		}
-		w := j.Wait()
-		if w < minWait {
-			skipped++
-			continue
+	}
+	if m.n >= 2 {
+		for i := range res.Jobs {
+			j := &res.Jobs[i]
+			if f != nil && !f(j) {
+				continue
+			}
+			if r, ok := ratio(j); ok {
+				m.addDev(r)
+			}
 		}
-		ratios = append(ratios, j.Predicted/w)
 	}
 	return PredictionStats{
-		N:       len(ratios),
-		Avg:     stats.Mean(ratios),
-		CV:      stats.CV(ratios),
+		N:       m.n,
+		Avg:     m.mean(),
+		CV:      m.cv(),
 		Skipped: skipped,
 	}
 }
