@@ -209,13 +209,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if !*quiet {
 			fmt.Fprintf(stderr, "(%s: %s, %d reps)\n", specs[i].Name, elapsed.Round(time.Second), opts.Reps)
 		}
-		// The experiment's memory is garbage now: hand it back to the
-		// OS, so that the process peaks at its largest experiment
-		// rather than at what the heap keeps mapped across all of them.
-		// The first collection moves core's pooled slab chunks to the
-		// pools' victim caches; FreeOSMemory's own collection frees
-		// them.
-		runtime.GC()
+		// The experiment's memory is garbage now: collect it and hand
+		// it back to the OS, so that the process peaks at its largest
+		// experiment rather than at what the heap keeps mapped across
+		// all of them.
 		debug.FreeOSMemory()
 		switch {
 		case *outDir != "":

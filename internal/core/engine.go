@@ -5,8 +5,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"redreq/internal/des"
@@ -302,7 +304,10 @@ type FaultStats struct {
 	OrphanCPUSeconds float64
 }
 
-// gridJob tracks one job's redundant copies during simulation.
+// gridJob tracks one job while it is in the system: from its arrival
+// until its last copy has finished or been canceled and its last
+// control message has landed. Then it retires: its record goes to its
+// slot in engine.jobs, and it and its requests are recycled.
 type gridJob struct {
 	eng    *engine
 	rec    JobRecord
@@ -313,6 +318,13 @@ type gridJob struct {
 	// must address clusters (a copy can still be in flight when its
 	// cancel is sent, so the winner cannot enumerate gj.copies).
 	targets []int
+	// refs counts what still holds the job: each enqueued copy until
+	// it is Done or Canceled, each in-flight control message (a remote
+	// submit, a cancel broadcast, a fault-delayed cancel) and an
+	// arrival deferred by an outage. The job retires when it reaches 0.
+	refs int
+	// slot is the job's index in engine.live.
+	slot int
 }
 
 // Event priorities. Local events keep the seed engine's values —
@@ -343,7 +355,15 @@ type engine struct {
 	sim      *des.Simulation
 	src      *rng.Source
 	clusters []*sched.Cluster
-	jobs     []*gridJob
+
+	// jobs backs Result.Jobs: one slot per job ID, written when the job
+	// retires. A slot left zero belongs to a job that has not retired.
+	jobs []JobRecord
+	// live holds the jobs in the system, in no particular order.
+	live []*gridJob
+	// overruns lists the late losers of settled jobs, in the order the
+	// jobs settled; collect sums them in (job ID, copy) order.
+	overruns []overrun
 
 	// inj is the fault injector; nil on fault-free runs, where every
 	// fault hook degrades to a nil-receiver no-op.
@@ -357,21 +377,28 @@ type engine struct {
 	gisSvc  *gis.Service
 	routing RoutingStats
 
-	// Slabs for the per-job and per-message object kinds: requests,
-	// grid jobs, copy lists, latent target lists and control messages
-	// all live until collect(), so they are carved out of pooled
-	// chunks (see slab) and handed back together by releaseSlabs.
-	reqs   slab[sched.Request]
-	gjs    slab[gridJob]
+	// Per-run free lists of the per-job and per-message objects: a
+	// retired job's requests and grid job, and every control message
+	// once it lands, are handed out again, so a run holds only as many
+	// as it ever had in the system at once. copies and ints carve the
+	// copy and target lists of grid jobs; a recycled grid job keeps
+	// the capacity of its lists.
+	reqs   freeList[sched.Request]
+	gjs    freeList[gridJob]
+	msgs   freeList[ctlMsg]
 	copies slab[*sched.Request]
 	ints   slab[int]
-	msgs   slab[ctlMsg]
 
 	// Scratch reused by every arrival: the target list arrive builds
-	// (never retained; latent runs keep a copy carved from ints) and
+	// (never retained; latent runs copy it into the job's own list) and
 	// routing's working memory.
 	targets []int
 	route   routeScratch
+
+	// poison, set only by tests, overwrites every retired request and
+	// grid job with values no job in the system holds, so that a read
+	// after retirement changes the run's result.
+	poison bool
 
 	// Trace instruments (nil when tracing is off).
 	cJobs          *obs.Counter
@@ -401,12 +428,18 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.StopAtHorizon {
-		e.sim.RunUntil(cfg.Horizon)
+	e.run()
+	return e.collect()
+}
+
+// run drives the simulation to its end: the horizon under
+// StopAtHorizon, else the last event.
+func (e *engine) run() {
+	if e.cfg.StopAtHorizon {
+		e.sim.RunUntil(e.cfg.Horizon)
 	} else {
 		e.sim.Run()
 	}
-	return e.finish()
 }
 
 // newEngine builds the engine for a validated config:
@@ -418,11 +451,11 @@ func newEngine(cfg Config) (*engine, error) {
 		sim:    des.New(),
 		src:    rng.New(cfg.Seed ^ 0xA5A5A5A5),
 		inj:    fault.NewInjector(cfg.Faults, cfg.Seed),
-		reqs:   slab[sched.Request]{pool: reqPool},
-		gjs:    slab[gridJob]{pool: gjPool},
-		copies: slab[*sched.Request]{pool: copyPool},
-		ints:   slab[int]{pool: intPool},
-		msgs:   slab[ctlMsg]{pool: msgPool},
+		reqs:   newFreeList[sched.Request](512),
+		gjs:    newFreeList[gridJob](256),
+		msgs:   newFreeList[ctlMsg](512),
+		copies: slab[*sched.Request]{size: 2048},
+		ints:   slab[int]{size: 2048},
 	}
 	if tr := cfg.Trace; tr != nil {
 		e.sim.SetTrace(tr)
@@ -483,28 +516,13 @@ func newEngine(cfg Config) (*engine, error) {
 		}
 	}
 
-	// Generate per-cluster job streams and schedule their arrivals.
+	// Schedule the head of every cluster's arrival chain. Job IDs are
+	// cluster-major: cluster i's jobs follow all of cluster i-1's.
 	var nextID int64
 	for i := range cfg.Clusters {
 		jobs, err := cfg.clusterJobSlice(i, scale)
 		if err != nil {
 			return nil, err
-		}
-		start := len(e.jobs)
-		for _, j := range jobs {
-			gj := e.newGridJob()
-			gj.eng = e
-			gj.rec = JobRecord{
-				ID:        nextID,
-				Home:      i,
-				Submit:    j.Arrival,
-				Nodes:     j.Nodes,
-				Runtime:   j.Runtime,
-				Estimate:  j.Estimate,
-				Predicted: math.NaN(),
-			}
-			nextID++
-			e.jobs = append(e.jobs, gj)
 		}
 		// Chain this cluster's arrivals instead of pre-scheduling them
 		// all: exactly one arrival event per cluster is pending at any
@@ -513,21 +531,15 @@ func newEngine(cfg Config) (*engine, error) {
 		// whole run — pops through a ~10^5-entry heap dominated long
 		// qgrowth-style runs — while the chained queue stays at the
 		// size of the active working set.
-		if cluster := e.jobs[start:]; len(cluster) > 0 {
-			f := &arrivalFeeder{eng: e, jobs: cluster}
-			e.sim.ScheduleFn(cluster[0].rec.Submit, e.arrivalPrio(), feederAction, f)
+		if len(jobs) > 0 {
+			f := &arrivalFeeder{eng: e, jobs: jobs, home: i, base: nextID}
+			e.sim.ScheduleFn(jobs[0].Arrival, e.arrivalPrio(), feederAction, f)
 		}
+		nextID += int64(len(jobs))
 	}
+	e.jobs = make([]JobRecord, nextID)
 
 	return e, nil
-}
-
-// finish reduces a simulation that has run to its Result and hands the
-// engine's slabs back.
-func (e *engine) finish() (*Result, error) {
-	res, err := e.collect()
-	e.releaseSlabs()
-	return res, err
 }
 
 // runtimeScale resolves the run's shared runtime scale: TargetLoad
@@ -662,98 +674,180 @@ func calibratedScale(targetLoad, minRuntime, maxRuntime float64) float64 {
 	return scale
 }
 
-// chunkPool recycles one object kind's slab chunks across all engines
-// in the process. Pooled chunks are always fully zeroed (slab.release
-// clears them before returning them), so a slab hands out zero values
-// exactly as a fresh make would.
-type chunkPool[T any] struct {
-	sync.Pool // of *[]T, each of length size
-	size      int
-}
-
-func newChunkPool[T any](size int) *chunkPool[T] {
-	p := &chunkPool[T]{size: size}
-	p.New = func() any {
-		c := make([]T, size)
-		return &c
-	}
-	return p
-}
-
-// Chunk sizes: big enough to amortize allocation, small enough not to
-// strand memory on tiny runs.
-var (
-	reqPool  = newChunkPool[sched.Request](512)
-	gjPool   = newChunkPool[gridJob](256)
-	copyPool = newChunkPool[*sched.Request](2048)
-	intPool  = newChunkPool[int](2048)
-	msgPool  = newChunkPool[ctlMsg](512)
-)
-
-// slab carves one object kind out of pooled chunks: one allocation per
-// chunk instead of one per object, and — since everything a run carves
-// dies together — the chunks are recycled when the run ends instead of
-// burning a GC cycle per run.
+// slab carves one object kind out of per-run chunks: one allocation
+// per chunk instead of one per object.
 type slab[T any] struct {
-	pool   *chunkPool[T]
-	free   []T
-	chunks []*[]T
+	size int // chunk length
+	free []T
 }
 
 // take carves n zero values. The three-index slice pins the capacity
 // so appends can never spill into a neighbour's values; n larger than
 // a chunk gets its own allocation.
 func (s *slab[T]) take(n int) []T {
-	if n > s.pool.size {
+	if n > s.size {
 		return make([]T, n)
 	}
 	if len(s.free) < n {
-		c := s.pool.Get().(*[]T)
-		s.chunks = append(s.chunks, c)
-		s.free = *c
+		s.free = make([]T, s.size)
 	}
 	v := s.free[:n:n]
 	s.free = s.free[n:]
 	return v
 }
 
-// release clears every chunk and returns it to the pool.
-func (s *slab[T]) release() {
-	for _, c := range s.chunks {
-		clear(*c)
-		s.pool.Put(c)
-	}
-	s.chunks, s.free = nil, nil
+// freeList recycles one object kind within a run: objects put back are
+// handed out again before the slab carves new ones. get returns them
+// as they were put back, so the caller sets every field.
+type freeList[T any] struct {
+	slab[T]
+	idle []*T
+	made int // objects carved fresh; recycled ones are not counted
 }
 
-func (e *engine) newRequest() *sched.Request { return &e.reqs.take(1)[0] }
+func newFreeList[T any](chunk int) freeList[T] {
+	return freeList[T]{slab: slab[T]{size: chunk}}
+}
 
-func (e *engine) newGridJob() *gridJob { return &e.gjs.take(1)[0] }
+func (l *freeList[T]) get() *T {
+	if n := len(l.idle); n > 0 {
+		p := l.idle[n-1]
+		l.idle = l.idle[:n-1]
+		return p
+	}
+	l.made++
+	return &l.take(1)[0]
+}
 
-// newMsg carves one control message addressed to gj's copy at target.
+func (l *freeList[T]) put(p *T) { l.idle = append(l.idle, p) }
+
+func (e *engine) newRequest() *sched.Request {
+	r := e.reqs.get()
+	*r = sched.Request{}
+	return r
+}
+
+// newGridJob brings job id, cluster home's job j, into the system.
+func (e *engine) newGridJob(id int64, home int, j *workload.Job) *gridJob {
+	gj := e.gjs.get()
+	*gj = gridJob{
+		eng: e,
+		rec: JobRecord{
+			ID:        id,
+			Home:      home,
+			Submit:    j.Arrival,
+			Nodes:     j.Nodes,
+			Runtime:   j.Runtime,
+			Estimate:  j.Estimate,
+			Predicted: math.NaN(),
+		},
+		copies:  gj.copies[:0],
+		targets: gj.targets[:0],
+		slot:    len(e.live),
+	}
+	e.live = append(e.live, gj)
+	return gj
+}
+
+// newMsg carves one control message addressed to gj's copy at target;
+// the job stays in the system until the message lands (landMsg).
 func (e *engine) newMsg(gj *gridJob, target int) *ctlMsg {
-	m := &e.msgs.take(1)[0]
+	m := e.msgs.get()
 	m.gj, m.target = gj, target
+	gj.refs++
 	return m
 }
 
-// releaseSlabs returns every slab chunk to its pool. Must only run
-// once nothing references the run's requests, grid jobs, copy lists,
-// target lists or messages — i.e. after collect() has copied the
-// records out.
-func (e *engine) releaseSlabs() {
-	e.reqs.release()
-	e.gjs.release()
-	e.copies.release()
-	e.ints.release()
-	e.msgs.release()
-	e.jobs = nil
+// landMsg recycles a control message whose action has run.
+func (e *engine) landMsg(m *ctlMsg) {
+	gj := m.gj
+	m.gj = nil
+	e.msgs.put(m)
+	e.release(gj)
 }
 
-// arriveAction is the DES action of a job's arrival event.
+// release drops one of gj's references and retires the job at the
+// last.
+func (e *engine) release(gj *gridJob) {
+	gj.refs--
+	if gj.refs == 0 {
+		e.retire(gj)
+	}
+}
+
+// overrun is one late loser's capacity cost, kept with its job's ID so
+// collect can sum the run's overruns in job order.
+type overrun struct {
+	job int64
+	cpu float64
+}
+
+// settle completes gj's record from its copies, whose states are final
+// once the job has retired or the run has stopped: under a positive
+// ControlLatency the winner that onStartLatent left provisional and the
+// late losers, and the predicted wait.
+func (e *engine) settle(gj *gridJob) {
+	if e.cfg.ControlLatency > 0 && gj.winner != nil {
+		gj.rec.Start = gj.winner.Start
+		gj.rec.Winner = gj.winner.Cluster().Index
+		if e.inj == nil {
+			for _, c := range gj.copies {
+				if c != gj.winner && c.State == sched.Done {
+					e.overruns = append(e.overruns, overrun{job: gj.rec.ID, cpu: c.Runtime * float64(c.Nodes)})
+				}
+			}
+		}
+	}
+	if e.cfg.Predict {
+		pred := math.Inf(1)
+		for _, c := range gj.copies {
+			if rsv := c.Reserved; !math.IsNaN(rsv) {
+				if w := rsv - c.Submit; w < pred {
+					pred = w
+				}
+			}
+		}
+		if !math.IsInf(pred, 1) {
+			gj.rec.Predicted = pred
+		}
+	}
+}
+
+// retire takes a job whose last reference is gone out of the system:
+// its record goes to its slot in e.jobs, and its requests and the grid
+// job itself go back to their free lists.
+func (e *engine) retire(gj *gridJob) {
+	e.settle(gj)
+	if gj.winner == nil || gj.rec.End == 0 {
+		panic(fmt.Sprintf("core: job %d left the system without running", gj.rec.ID))
+	}
+	e.jobs[gj.rec.ID] = gj.rec
+	last := e.live[len(e.live)-1]
+	last.slot = gj.slot
+	e.live[gj.slot] = last
+	e.live[len(e.live)-1] = nil
+	e.live = e.live[:len(e.live)-1]
+	for _, c := range gj.copies {
+		if e.poison {
+			c.Submit, c.Start, c.End, c.Reserved = math.NaN(), math.NaN(), math.NaN(), math.NaN()
+			c.Runtime, c.Estimate, c.Nodes = math.NaN(), math.NaN(), -1
+			c.Owner = nil
+		}
+		e.reqs.put(c)
+	}
+	if e.poison {
+		gj.rec.Submit, gj.rec.Start, gj.rec.End = math.NaN(), math.NaN(), math.NaN()
+		gj.rec.Runtime, gj.rec.Estimate, gj.rec.Nodes = math.NaN(), math.NaN(), -1
+		gj.eng = nil
+	}
+	e.gjs.put(gj)
+}
+
+// arriveAction is the DES action of an arrival deferred by an outage.
 func arriveAction(a any) {
 	gj := a.(*gridJob)
 	gj.eng.arrive(gj)
+	gj.eng.release(gj)
 }
 
 // publisher periodically captures one cluster's load into the grid
@@ -782,10 +876,13 @@ func publishAction(a any) {
 }
 
 // arrivalFeeder walks one cluster's job stream in arrival order,
-// keeping a single pending arrival event per cluster.
+// keeping a single pending arrival event per cluster and bringing each
+// job into the system as it arrives.
 type arrivalFeeder struct {
 	eng  *engine
-	jobs []*gridJob // the cluster's jobs, nondecreasing in Submit
+	jobs []workload.Job // the cluster's stream, nondecreasing in Arrival
+	home int
+	base int64 // ID of jobs[0]
 	next int
 }
 
@@ -794,12 +891,14 @@ type arrivalFeeder struct {
 // order matches the old pre-scheduled arrivals as closely as possible.
 func feederAction(a any) {
 	f := a.(*arrivalFeeder)
-	gj := f.jobs[f.next]
+	e := f.eng
+	j := &f.jobs[f.next]
+	id := f.base + int64(f.next)
 	f.next++
 	if f.next < len(f.jobs) {
-		f.eng.sim.ScheduleFn(f.jobs[f.next].rec.Submit, f.eng.arrivalPrio(), feederAction, f)
+		e.sim.ScheduleFn(f.jobs[f.next].Arrival, e.arrivalPrio(), feederAction, f)
 	}
-	f.eng.arrive(gj)
+	e.arrive(e.newGridJob(id, f.home, j))
 }
 
 // arrivalPrio is the priority of arrival events: the seed engine's 0
@@ -822,8 +921,10 @@ type ctlMsg struct {
 
 // delayedSubmitAction delivers a fault-delayed remote submit.
 func delayedSubmitAction(a any) {
-	p := a.(*ctlMsg)
-	p.gj.eng.deliverSubmit(p.gj, p.target)
+	m := a.(*ctlMsg)
+	e := m.gj.eng
+	e.deliverSubmit(m.gj, m.target)
+	e.landMsg(m)
 }
 
 // latentSubmitAction delivers a remote submit after the control-plane
@@ -833,8 +934,10 @@ func delayedSubmitAction(a any) {
 // same latency), so the copy is enqueued and the in-flight broadcast
 // cancels it — or fails to, if a pass starts it first (an overrun).
 func latentSubmitAction(a any) {
-	p := a.(*ctlMsg)
-	p.gj.eng.submitCopy(p.gj, p.target)
+	m := a.(*ctlMsg)
+	e := m.gj.eng
+	e.submitCopy(m.gj, m.target)
+	e.landMsg(m)
 }
 
 // cancelMsgAction lands a cancel broadcast after the control-plane
@@ -849,12 +952,10 @@ func cancelMsgAction(a any) {
 		if c.Cluster().Index != m.target {
 			continue
 		}
-		if c.Cluster().Cancel(c) {
-			e.cLosers.Inc()
-			e.hCancelLatency.Observe(e.sim.Now() - c.Submit)
-		}
-		return
+		e.cancel(m.gj, c)
+		break
 	}
+	e.landMsg(m)
 }
 
 // delayedCancelAction delivers a fault-delayed loser cancel. By the
@@ -863,10 +964,20 @@ func cancelMsgAction(a any) {
 // start).
 func delayedCancelAction(a any) {
 	r := a.(*sched.Request)
-	e := r.Owner.(*gridJob).eng
-	if r.Cluster().Cancel(r) {
+	gj := r.Owner.(*gridJob)
+	gj.eng.cancel(gj, r)
+	gj.eng.release(gj)
+}
+
+// cancel withdraws gj's pending copy c, if it still is pending, and
+// counts a loser.
+func (e *engine) cancel(gj *gridJob, c *sched.Request) {
+	if c.Cluster().Cancel(c) {
+		// Cancel latency in virtual time: how long the losing copy
+		// occupied its queue before the cancel reached it.
 		e.cLosers.Inc()
-		e.hCancelLatency.Observe(e.sim.Now() - r.Submit)
+		e.hCancelLatency.Observe(e.sim.Now() - c.Submit)
+		e.release(gj)
 	}
 }
 
@@ -882,6 +993,7 @@ func (e *engine) arrive(gj *gridJob) {
 		// its stretch.
 		e.faults.SubmitsDeferred++
 		e.cFSubmitsDefer.Inc()
+		gj.refs++
 		e.sim.ScheduleFn(until, 0, arriveAction, gj)
 		return
 	}
@@ -904,10 +1016,14 @@ func (e *engine) arrive(gj *gridJob) {
 
 	lat := e.cfg.ControlLatency
 	if lat > 0 {
-		gj.targets = e.ints.take(len(targets))
-		copy(gj.targets, targets)
+		if cap(gj.targets) < len(targets) {
+			gj.targets = e.ints.take(len(targets))
+		}
+		gj.targets = append(gj.targets[:0], targets...)
 	}
-	gj.copies = e.copies.take(len(targets))[:0]
+	if cap(gj.copies) < len(targets) {
+		gj.copies = e.copies.take(len(targets))[:0]
+	}
 	for _, t := range targets {
 		if t != home {
 			// Remote copies ride the control plane: they can be lost
@@ -938,7 +1054,8 @@ func (e *engine) arrive(gj *gridJob) {
 	}
 }
 
-// submitCopy enqueues one copy of gj at cluster t.
+// submitCopy enqueues one copy of gj at cluster t; the job stays in
+// the system until the copy is Done or Canceled.
 func (e *engine) submitCopy(gj *gridJob, t int) {
 	est := gj.rec.Estimate
 	if t != gj.rec.Home && e.cfg.InflateRemote > 0 {
@@ -951,6 +1068,7 @@ func (e *engine) submitCopy(gj *gridJob, t int) {
 	r.Runtime = gj.rec.Runtime
 	r.Estimate = est
 	gj.copies = append(gj.copies, r)
+	gj.refs++
 	e.clusters[t].Submit(r)
 }
 
@@ -1014,15 +1132,11 @@ func (e *engine) onStart(r *sched.Request) {
 		} else if delay > 0 {
 			e.faults.CancelsDelayed++
 			e.cFCancelsDelayed.Inc()
+			gj.refs++
 			e.sim.ScheduleFn(e.sim.Now()+delay, 0, delayedCancelAction, c)
 			continue
 		}
-		if c.Cluster().Cancel(c) {
-			// Cancel latency in virtual time: how long the losing
-			// copy occupied a remote queue before the winner started.
-			e.cLosers.Inc()
-			e.hCancelLatency.Observe(e.sim.Now() - c.Submit)
-		}
+		e.cancel(gj, c)
 	}
 }
 
@@ -1031,9 +1145,9 @@ func (e *engine) onStart(r *sched.Request) {
 // before hearing of each other; the winner is the lexicographically
 // least (start time, cluster index) start — a rule that does not
 // depend on the order same-instant starts fire in — resolved finally
-// at collect. Each winner-improving start broadcasts cancels to the
-// job's other target clusters. (A non-improving start would only
-// re-broadcast no-ops: the first winner's cancels, sent no later,
+// when the job settles. Each winner-improving start broadcasts cancels
+// to the job's other target clusters. (A non-improving start would
+// only re-broadcast no-ops: the first winner's cancels, sent no later,
 // already covered every copy.)
 func (e *engine) onStartLatent(gj *gridJob, r *sched.Request) {
 	if w := gj.winner; w != nil {
@@ -1048,8 +1162,8 @@ func (e *engine) onStartLatent(gj *gridJob, r *sched.Request) {
 		}
 		if r.Start > w.Start || (r.Start == w.Start && r.Cluster().Index > w.Cluster().Index) {
 			// A late loser: it started before its cancel arrived and
-			// now runs to completion. Accounted as an overrun at
-			// collect.
+			// now runs to completion. Accounted as an overrun when the
+			// job settles.
 			return
 		}
 	}
@@ -1073,77 +1187,66 @@ func (e *engine) onStartLatent(gj *gridJob, r *sched.Request) {
 	}
 }
 
-// onFinish fires when the winning copy completes.
+// onFinish fires when a copy completes: the winner, or a copy that
+// started without winning and ran to completion.
 func (e *engine) onFinish(r *sched.Request) {
 	gj, _ := r.Owner.(*gridJob)
 	if gj == nil {
 		panic("core: finish callback for unknown request")
 	}
-	if gj.winner != r {
-		if e.inj != nil {
-			// An orphan ran to completion; its capacity cost was
-			// charged when it started.
-			return
-		}
-		if e.cfg.ControlLatency > 0 {
-			// An overrun completing; charged at collect.
-			return
-		}
+	switch {
+	case gj.winner == r:
+		gj.rec.End = r.End
+	case e.inj != nil:
+		// An orphan ran to completion; its capacity cost was charged
+		// when it started.
+	case e.cfg.ControlLatency > 0:
+		// An overrun completing; charged when the job settles.
+	default:
 		panic("core: finish callback for non-winning request")
 	}
-	gj.rec.End = r.End
+	e.release(gj)
 }
 
-// collect turns engine state into a Result, verifying that every job
-// ran exactly once.
+// collect turns the run into a Result, verifying that every job ran
+// exactly once. Jobs still in the system — only a run stopped before
+// its last event has any — are settled as retire would; those whose
+// winner had finished are recorded like retired ones.
 func (e *engine) collect() (*Result, error) {
 	res := &Result{
-		Jobs:    make([]JobRecord, 0, len(e.jobs)),
 		Events:  e.sim.Processed(),
 		Faults:  e.faults,
 		Routing: e.routing,
 	}
-	lat := e.cfg.ControlLatency
-	for _, gj := range e.jobs {
-		if lat > 0 && gj.winner != nil {
-			// Winner bookkeeping is deferred under ControlLatency
-			// (onStartLatent only tracks the provisional minimum).
-			gj.rec.Start = gj.winner.Start
-			gj.rec.Winner = gj.winner.Cluster().Index
-			if e.inj == nil {
-				for _, c := range gj.copies {
-					if c != gj.winner && c.State == sched.Done {
-						res.Overruns.Starts++
-						res.Overruns.CPUSeconds += c.Runtime * float64(c.Nodes)
-					}
-				}
-			}
+	for _, gj := range e.live {
+		e.settle(gj)
+		if gj.rec.End != 0 {
+			e.jobs[gj.rec.ID] = gj.rec
 		}
-		if gj.winner == nil || gj.rec.End == 0 {
+	}
+	// Jobs settle in no particular order; the sum is defined in (job
+	// ID, copy) order, which the stable sort restores.
+	slices.SortStableFunc(e.overruns, func(a, b overrun) int { return cmp.Compare(a.job, b.job) })
+	for _, o := range e.overruns {
+		res.Overruns.Starts++
+		res.Overruns.CPUSeconds += o.cpu
+	}
+	jobs := e.jobs[:0]
+	for id := range e.jobs {
+		rec := &e.jobs[id]
+		if rec.End == 0 {
 			if e.cfg.StopAtHorizon {
 				res.Unfinished++
 				continue
 			}
-			return nil, fmt.Errorf("core: job %d never ran", gj.rec.ID)
+			return nil, fmt.Errorf("core: job %d never ran", id)
 		}
-		if e.cfg.Predict {
-			pred := math.Inf(1)
-			for _, c := range gj.copies {
-				if rsv := c.Reserved; !math.IsNaN(rsv) {
-					if w := rsv - c.Submit; w < pred {
-						pred = w
-					}
-				}
-			}
-			if !math.IsInf(pred, 1) {
-				gj.rec.Predicted = pred
-			}
+		if rec.End > res.MakeSpan {
+			res.MakeSpan = rec.End
 		}
-		if gj.rec.End > res.MakeSpan {
-			res.MakeSpan = gj.rec.End
-		}
-		res.Jobs = append(res.Jobs, gj.rec)
+		jobs = append(jobs, *rec)
 	}
+	res.Jobs = jobs
 	for _, c := range e.clusters {
 		res.Clusters = append(res.Clusters, ClusterResult{
 			Name:  c.Name,

@@ -146,6 +146,10 @@ type Simulation struct {
 	seq       uint64
 	processed uint64
 	free      []*Event // recycled Event structs
+	// batch holds Event structs not yet handed out: past the free
+	// list's high-water mark, events are carved from it, one
+	// allocation per eventBatch events instead of one per event.
+	batch []Event
 
 	// lane is the now-lane: an event scheduled at the current instant —
 	// under redundancy most of them, one scheduler kick per submit and
@@ -254,6 +258,10 @@ func (s *Simulation) ScheduleTicket(at float64, priority int, ticket uint64, fn 
 	return s.schedule(at, priority, ticket, fn, arg)
 }
 
+// eventBatch is the number of Event structs allocated together once
+// the free list runs dry.
+const eventBatch = 256
+
 // schedule files an event under seq, its place in the insertion order.
 func (s *Simulation) schedule(at float64, priority int, seq uint64, fn func(any), arg any) *Event {
 	// Written so that NaN, for which every comparison is false and which
@@ -272,7 +280,12 @@ func (s *Simulation) schedule(at float64, priority int, seq uint64, fn func(any)
 		e.Time, e.Priority, e.fn, e.arg = at, priority, fn, arg
 		e.canceled = false
 	} else {
-		e = &Event{Time: at, Priority: priority, fn: fn, arg: arg}
+		if len(s.batch) == 0 {
+			s.batch = make([]Event, eventBatch)
+		}
+		e = &s.batch[0]
+		s.batch = s.batch[1:]
+		e.Time, e.Priority, e.fn, e.arg = at, priority, fn, arg
 	}
 	en := entry{time: at, key: packKey(priority, seq), ev: e}
 	if at == s.now {

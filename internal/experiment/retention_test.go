@@ -17,12 +17,11 @@ import (
 // this scale.
 const retainedBound = 16 << 20
 
-// liveHeap returns the bytes of live heap objects. Two collections
-// empty the engine's chunk pools too (a sync.Pool drops its objects at
-// the second), so pooled scratch memory does not count as retained.
+// liveHeap returns the bytes of live heap objects. A simulation's
+// per-job objects live on its own free lists and die with it, so one
+// collection leaves only what the pass retained.
 func liveHeap() int64 {
 	var ms runtime.MemStats
-	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)

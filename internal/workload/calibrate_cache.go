@@ -11,6 +11,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"redreq/internal/rng"
@@ -35,7 +36,8 @@ type calTape struct {
 	mu    sync.Mutex
 	src   *rng.Source
 	model Model // draw parameters only; clamps are applied at replay
-	nodes []float64
+	// nodes holds whole node counts, which float32 stores exactly.
+	nodes []float32
 	raw   []float64 // exp(x), the runtime before scaling and clamping
 }
 
@@ -44,6 +46,13 @@ type calTape struct {
 // runtime exponent. This loop must stay in lockstep with
 // Model.SampleRuntime's draw (see TestCalibrateClampedCached).
 func (t *calTape) ensure(n int) {
+	if grow := n - len(t.raw); grow > 0 {
+		// Grown once per batch to about the size it needs; append
+		// alone would regrow the slices several times per batch and
+		// leave them with up to twice the capacity they use.
+		t.nodes = slices.Grow(t.nodes, grow)
+		t.raw = slices.Grow(t.raw, grow)
+	}
 	for len(t.raw) < n {
 		nodes := t.model.SampleNodes(t.src)
 		p := t.model.PA*float64(nodes) + t.model.PB
@@ -54,7 +63,7 @@ func (t *calTape) ensure(n int) {
 			p = 1
 		}
 		x := t.src.HyperGamma(t.model.A1, t.model.B1, t.model.A2, t.model.B2, p)
-		t.nodes = append(t.nodes, float64(nodes))
+		t.nodes = append(t.nodes, float32(nodes))
 		t.raw = append(t.raw, math.Exp(x))
 	}
 }
@@ -95,6 +104,10 @@ func (m *Model) calTapeKey(seed uint64) calTapeKey {
 // the RuntimeScale side effect on m — is bit-identical to the direct
 // computation. Safe for concurrent use.
 func (m *Model) CalibrateClampedCached(seed uint64, totalNodes int, targetLoad float64, samples int) float64 {
+	if m.MaxNodes > 1<<24 {
+		// The tape's float32 node counts are exact only up to 2^24.
+		return m.CalibrateClamped(rng.New(seed), totalNodes, targetLoad, samples)
+	}
 	tkey := m.calTapeKey(seed)
 	skey := calScaleKey{
 		tape:       tkey,
@@ -133,7 +146,7 @@ func (m *Model) CalibrateClampedCached(seed uint64, totalNodes int, targetLoad f
 			if rt > m.MaxRuntime {
 				rt = m.MaxRuntime
 			}
-			work += t.nodes[i] * rt
+			work += float64(t.nodes[i]) * rt
 		}
 		work /= float64(samples)
 		rho := work / (m.MeanInterarrival() * float64(totalNodes))
