@@ -47,13 +47,17 @@ fmt:
 # time and redundant copies against FCFS, EASY or CBF clusters — and
 # holds every event to the reference for its algorithm: the full EASY
 # pass and Profile-built shadow, the CBF rewrite reference and timer
-# minimum, and exact start times on cancel-free streams. A failure leaves
-# its input under the package's testdata/fuzz to commit as a regression
-# case.
+# minimum, and exact start times on cancel-free streams; FuzzEnvelope
+# feeds arbitrary bytes to the middleware's envelope and reply decoder
+# and holds whatever it accepts to encoding/xml: the same value, the
+# same Validate verdict, and a re-encoding equal to the input. A failure
+# leaves its input under the package's testdata/fuzz to commit as a
+# regression case.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEventOrder -fuzztime 10s ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzProfileProbe -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzCluster -fuzztime 10s ./internal/sched
+	$(GO) test -run '^$$' -fuzz FuzzEnvelope -fuzztime 10s ./internal/middleware
 
 # validate runs the validation harness: the invariant suite (causality,
 # liveness, capacity, work conservation, CPU-time ledger, determinism)

@@ -5,12 +5,12 @@ package middleware
 import (
 	"bytes"
 	"context"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,7 +178,7 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 func (c *Client) call(ctx context.Context, body Body) (*Response, error) {
 	env := &Envelope{
 		Header: Header{
-			MessageID: fmt.Sprintf("%s-%x-%d", c.name, c.nonce, c.seq.Add(1)),
+			MessageID: c.mintID(),
 			Sender:    c.name,
 		},
 		Body: body,
@@ -243,14 +243,14 @@ func (c *Client) attempt(ctx context.Context, raw []byte) (*Response, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(data))}
 	}
-	var r Response
-	if err := xml.Unmarshal(data, &r); err != nil {
+	r, err := parseResponse(string(data))
+	if err != nil {
 		return nil, &DecodeError{Err: err}
 	}
 	if !r.OK {
 		return nil, &ServiceError{Reason: r.Error}
 	}
-	return &r, nil
+	return r, nil
 }
 
 // Submit sends a SubmitJob operation and returns the job ID.
@@ -365,11 +365,15 @@ func (r BatchResult) Err() error {
 	return nil
 }
 
-// opID mints a fresh per-operation idempotency key; like MessageIDs
-// it is unique per client instance so retried batches deduplicate at
-// the service without colliding across clients.
-func (c *Client) opID() string {
-	return fmt.Sprintf("%s-%x-%d", c.name, c.nonce, c.seq.Add(1))
+// mintID returns a fresh "<sender>-<nonce in hex>-<seq>" key, the
+// MessageID of an envelope or the OpID of a batch entry. Keys are
+// unique per client instance so retried batches deduplicate at the
+// service without colliding across clients.
+func (c *Client) mintID() string {
+	var buf [64]byte
+	b := append(append(buf[:0], c.name...), '-')
+	b = append(strconv.AppendUint(b, c.nonce, 16), '-')
+	return string(strconv.AppendInt(b, c.seq.Add(1), 10))
 }
 
 // SubmitBatch submits n jobs in one round trip — the r-way redundant
@@ -386,7 +390,7 @@ func (c *Client) SubmitBatchContext(ctx context.Context, jobs []BatchJob) ([]Bat
 	ops := make([]SubmitJob, len(jobs))
 	for i, j := range jobs {
 		ops[i] = SubmitJob{
-			OpID: c.opID(),
+			OpID: c.mintID(),
 			Name: j.Name, Nodes: j.Nodes, Walltime: j.Walltime.Seconds(),
 			Arguments: []string{"--input", "data.bin"},
 		}
@@ -412,7 +416,7 @@ func (c *Client) CancelBatch(ids []int64) ([]BatchResult, error) {
 func (c *Client) CancelBatchContext(ctx context.Context, ids []int64) ([]BatchResult, error) {
 	ops := make([]CancelJob, len(ids))
 	for i, id := range ids {
-		ops[i] = CancelJob{OpID: c.opID(), JobID: id}
+		ops[i] = CancelJob{OpID: c.mintID(), JobID: id}
 	}
 	r, err := c.call(ctx, Body{CancelBatch: &CancelBatch{Ops: ops}})
 	if err != nil {

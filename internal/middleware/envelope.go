@@ -10,10 +10,8 @@
 package middleware
 
 import (
-	"bytes"
 	"encoding/xml"
 	"fmt"
-	"io"
 )
 
 // Envelope is the SOAP-style message wrapper.
@@ -22,6 +20,13 @@ type Envelope struct {
 	Header  Header   `xml:"Header"`
 	Body    Body     `xml:"Body"`
 }
+
+// envelopeName and responseName are the XMLName encoding/xml's
+// decoder stores; the codec in codec.go stores the same.
+var (
+	envelopeName = xml.Name{Local: "Envelope"}
+	responseName = xml.Name{Local: "Response"}
+)
 
 // Header carries message metadata.
 type Header struct {
@@ -103,29 +108,6 @@ type BatchResult struct {
 	// single-op 503/429 statuses. Shed entries are never cached, so a
 	// retried batch re-attempts them.
 	Shed string `xml:"Shed,omitempty"`
-}
-
-// Marshal encodes an envelope as XML.
-func Marshal(e *Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(xml.Header)
-	enc := xml.NewEncoder(&buf)
-	if err := enc.Encode(e); err != nil {
-		return nil, fmt.Errorf("middleware: marshal: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal decodes an envelope and validates it structurally.
-func Unmarshal(r io.Reader) (*Envelope, error) {
-	var e Envelope
-	if err := xml.NewDecoder(r).Decode(&e); err != nil {
-		return nil, fmt.Errorf("middleware: unmarshal: %w", err)
-	}
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return &e, nil
 }
 
 // Validate checks that the envelope carries exactly one well-formed

@@ -11,9 +11,9 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/xml"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -25,6 +25,12 @@ import (
 	"redreq/internal/obs"
 	"redreq/internal/pbsd"
 )
+
+// maxEnvelopeBytes bounds a request body. A batched submission costs
+// about 190 bytes, so 1 MiB holds some 5 000 of them; the largest batch
+// the repository sends has 4. A body past the bound is answered 413
+// and nothing is enqueued.
+const maxEnvelopeBytes = 1 << 20
 
 // ServiceConfig configures the middleware service.
 type ServiceConfig struct {
@@ -68,9 +74,12 @@ type Service struct {
 
 	// Replay cache for idempotent mutating operations: responses by
 	// (sender, message ID), evicted FIFO at the configured window.
+	// idemRing holds the cached keys in arrival order once it is full,
+	// the oldest at idemNext.
 	idemMu    sync.Mutex
 	idemCache map[string]*Response
-	idemOrder []string
+	idemRing  []string
+	idemNext  int
 
 	key *rsa.PrivateKey
 
@@ -142,7 +151,17 @@ func (s *Service) handleGRAM(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	env, err := Unmarshal(r.Body)
+	raw, err := readBody(http.MaxBytesReader(w, r.Body, maxEnvelopeBytes), r.ContentLength)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.cErrors.Inc()
+		http.Error(w, "envelope too large", http.StatusRequestEntityTooLarge)
+		return
+	}
+	var env *Envelope
+	if err == nil {
+		env, err = decodeEnvelope(raw)
+	}
 	if err != nil {
 		s.cErrors.Inc()
 		s.reply(w, &Response{OK: false, Error: err.Error()})
@@ -152,7 +171,7 @@ func (s *Service) handleGRAM(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Trace != nil {
 		t0 = time.Now()
 	}
-	resp, shed := s.execute(env)
+	resp, shed := s.execute(env, raw)
 	if s.cfg.Trace != nil {
 		elapsed := time.Since(t0).Seconds()
 		switch {
@@ -190,6 +209,19 @@ func (s *Service) handleGRAM(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reply(w, resp)
 	s.txCount.Add(1)
+}
+
+// readBody reads a request body whole, into one exact allocation when
+// the sender declared its length.
+func readBody(r io.Reader, length int64) ([]byte, error) {
+	if length <= 0 || length > maxEnvelopeBytes {
+		return io.ReadAll(r)
+	}
+	raw := make([]byte, length)
+	if _, err := io.ReadFull(r, raw); err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 // shedVerdict classifies a request the backend refused to enqueue.
@@ -234,26 +266,27 @@ func (s *Service) remember(key string, resp *Response) {
 		return
 	}
 	s.idemCache[key] = resp
-	s.idemOrder = append(s.idemOrder, key)
-	if len(s.idemOrder) > s.cfg.IdempotencyWindow {
-		evict := s.idemOrder[0]
-		s.idemOrder = s.idemOrder[1:]
-		delete(s.idemCache, evict)
+	if len(s.idemRing) < s.cfg.IdempotencyWindow {
+		s.idemRing = append(s.idemRing, key)
+		return
 	}
+	delete(s.idemCache, s.idemRing[s.idemNext])
+	s.idemRing[s.idemNext] = key
+	s.idemNext = (s.idemNext + 1) % len(s.idemRing)
 }
 
-// execute runs one transaction. A non-notShed verdict means the
-// backend refused to enqueue the request (queue cap or admission
-// budget): the caller answers 503 BUSY or 429 LATE, and nothing is
-// cached — a retry should re-attempt, not replay.
-func (s *Service) execute(env *Envelope) (*Response, shedVerdict) {
+// execute runs one transaction; raw is the envelope as received. A
+// non-notShed verdict means the backend refused to enqueue the request
+// (queue cap or admission budget): the caller answers 503 BUSY or 429
+// LATE, and nothing is cached — a retry should re-attempt, not replay.
+func (s *Service) execute(env *Envelope, raw []byte) (*Response, shedVerdict) {
 	key := idemKey(env)
 	if cached, ok := s.replay(key); ok {
 		s.cIdemHit.Inc()
 		return cached, notShed
 	}
 	if s.cfg.Security {
-		if err := s.authorize(env); err != nil {
+		if err := s.authorize(raw); err != nil {
 			return &Response{OK: false, Error: err.Error()}, notShed
 		}
 	}
@@ -261,7 +294,7 @@ func (s *Service) execute(env *Envelope) (*Response, shedVerdict) {
 	case env.Body.Submit != nil:
 		op := env.Body.Submit
 		if s.cfg.Durable {
-			if err := s.persist("submit", env); err != nil {
+			if err := s.persist("submit", raw); err != nil {
 				return &Response{OK: false, Error: err.Error()}, notShed
 			}
 		}
@@ -281,7 +314,7 @@ func (s *Service) execute(env *Envelope) (*Response, shedVerdict) {
 		return resp, notShed
 	case env.Body.Cancel != nil:
 		if s.cfg.Durable {
-			if err := s.persist("cancel", env); err != nil {
+			if err := s.persist("cancel", raw); err != nil {
 				return &Response{OK: false, Error: err.Error()}, notShed
 			}
 		}
@@ -292,9 +325,9 @@ func (s *Service) execute(env *Envelope) (*Response, shedVerdict) {
 		s.remember(key, resp)
 		return resp, notShed
 	case env.Body.SubmitBatch != nil:
-		return s.executeSubmitBatch(env, key), notShed
+		return s.executeSubmitBatch(env, raw, key), notShed
 	case env.Body.CancelBatch != nil:
-		return s.executeCancelBatch(env, key), notShed
+		return s.executeCancelBatch(env, raw, key), notShed
 	case env.Body.Status != nil:
 		q, run, free := s.cfg.Backend.Stat()
 		return &Response{OK: true, Queued: q, Running: run, Free: free}, notShed
@@ -320,12 +353,12 @@ func (s *Service) opKey(env *Envelope, opID string) string {
 // the envelope, and shed entries are not cached — a retried batch
 // re-attempts exactly those. The envelope itself is cached only when
 // nothing was shed, for the same reason.
-func (s *Service) executeSubmitBatch(env *Envelope, key string) *Response {
+func (s *Service) executeSubmitBatch(env *Envelope, raw []byte, key string) *Response {
 	ops := env.Body.SubmitBatch.Jobs
 	if s.cfg.Durable {
 		// One durable state record covers the whole envelope — batching
 		// amortizes the fsync across every operation it carries.
-		if err := s.persist("submit-batch", env); err != nil {
+		if err := s.persist("submit-batch", raw); err != nil {
 			return &Response{OK: false, Error: err.Error()}
 		}
 	}
@@ -366,10 +399,10 @@ func (s *Service) executeSubmitBatch(env *Envelope, key string) *Response {
 }
 
 // executeCancelBatch is executeSubmitBatch's cancel-side twin.
-func (s *Service) executeCancelBatch(env *Envelope, key string) *Response {
+func (s *Service) executeCancelBatch(env *Envelope, raw []byte, key string) *Response {
 	ops := env.Body.CancelBatch.Ops
 	if s.cfg.Durable {
-		if err := s.persist("cancel-batch", env); err != nil {
+		if err := s.persist("cancel-batch", raw); err != nil {
 			return &Response{OK: false, Error: err.Error()}
 		}
 	}
@@ -394,14 +427,11 @@ func (s *Service) executeCancelBatch(env *Envelope, key string) *Response {
 }
 
 // authorize performs GSI-like message-level security work: it signs
-// the transaction digest with the service credential and verifies the
-// signature, the per-message public-key operations that dominate
-// WS-GRAM's request path.
-func (s *Service) authorize(env *Envelope) error {
-	raw, err := Marshal(env)
-	if err != nil {
-		return err
-	}
+// the digest of the envelope as received with the service credential
+// and verifies the signature, the per-message public-key operations
+// that dominate WS-GRAM's request path. The decoder accepts only
+// Marshal's output, so raw is Marshal(env) byte for byte.
+func (s *Service) authorize(raw []byte) error {
 	digest := sha256.Sum256(raw)
 	sig, err := rsa.SignPKCS1v15(rand.Reader, s.key, crypto.SHA256, digest[:])
 	if err != nil {
@@ -415,12 +445,10 @@ func (s *Service) authorize(env *Envelope) error {
 
 // persist writes one durable state record the way GRAM persists job
 // state: a new file per transaction, written, fsync'd, and atomically
-// renamed into place.
-func (s *Service) persist(op string, env *Envelope) error {
-	raw, err := Marshal(env)
-	if err != nil {
-		return err
-	}
+// renamed into place. The record names the transaction's sequence
+// number, operation, and the digest prefix and length of raw, the
+// envelope as received.
+func (s *Service) persist(op string, raw []byte) error {
 	sum := sha256.Sum256(raw)
 	s.mu.Lock()
 	s.stateSeq++
@@ -451,12 +479,7 @@ func (s *Service) persist(op string, env *Envelope) error {
 
 func (s *Service) reply(w http.ResponseWriter, resp *Response) {
 	w.Header().Set("Content-Type", "text/xml")
-	out, err := xml.Marshal(resp)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Write(out)
+	w.Write(appendResponse(make([]byte, 0, 256), resp))
 }
 
 // Endpoint serves the middleware over a real TCP socket and returns
