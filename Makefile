@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench fmt fuzz-smoke results validate overload-smoke overload-smoke-fast
+.PHONY: build test check bench fmt examples fuzz-smoke results validate overload-smoke overload-smoke-fast
 
 # Experiments recorded in results_full.txt: the registry minus sec4,
 # whose wall-clock measurements are not deterministic.
@@ -36,6 +36,16 @@ bench:
 fmt:
 	gofmt -l -w .
 
+# examples runs each program under examples/ to completion, so a
+# runtime failure fails the target, not only a compile error. Each
+# takes about a second once built.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/multicluster
+	$(GO) run ./examples/predictability
+	$(GO) run ./examples/tracereplay
+	$(GO) run ./examples/gridservice
+
 # fuzz-smoke runs the tree's native fuzz targets for ten seconds each:
 # FuzzEventOrder drives random scripts of schedules (future,
 # same-instant and under tickets drawn earlier), cancels and partial runs
@@ -50,14 +60,19 @@ fmt:
 # minimum, and exact start times on cancel-free streams; FuzzEnvelope
 # feeds arbitrary bytes to the middleware's envelope and reply decoder
 # and holds whatever it accepts to encoding/xml: the same value, the
-# same Validate verdict, and a re-encoding equal to the input. A failure
-# leaves its input under the package's testdata/fuzz to commit as a
-# regression case.
+# same Validate verdict, and a re-encoding equal to the input;
+# FuzzProtocol feeds arbitrary command lines to pbsd's line-protocol
+# handler in both cycle modes and holds every reply to the protocol's
+# shapes and the daemon's queue: an accepted QSUB queues one job under
+# a larger ID, an accepted QDEL removes one, and QSTAT reports Stat. A
+# failure leaves its input under the package's testdata/fuzz to commit
+# as a regression case.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEventOrder -fuzztime 10s ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzProfileProbe -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzCluster -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzEnvelope -fuzztime 10s ./internal/middleware
+	$(GO) test -run '^$$' -fuzz FuzzProtocol -fuzztime 10s ./internal/pbsd
 
 # validate runs the validation harness: the invariant suite (causality,
 # liveness, capacity, work conservation, CPU-time ledger, determinism)

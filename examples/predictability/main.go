@@ -4,8 +4,7 @@
 // recording at each submission the wait the scheduler would promise —
 // the CBF reservation; for redundant jobs, the minimum over all
 // copies. It then reports how far predictions overshoot effective
-// waits for each job class, and demonstrates the standalone
-// queue-snapshot predictor on a synthetic queue.
+// waits for each job class.
 package main
 
 import (
@@ -14,7 +13,6 @@ import (
 
 	"redreq/internal/core"
 	"redreq/internal/metrics"
-	"redreq/internal/predict"
 	"redreq/internal/sched"
 	"redreq/internal/workload"
 )
@@ -60,31 +58,4 @@ func main() {
 	show("40% ALL — r jobs:", res, metrics.RedundantOnly)
 	fmt.Println("Redundant-request churn inflates everyone's over-prediction;")
 	fmt.Println("jobs not using redundancy are penalized the most.")
-
-	// Standalone snapshot predictor: what wait would a new 32-node,
-	// 1-hour request see behind this queue?
-	fmt.Println()
-	snap := predict.Snapshot{
-		TotalNodes: 128,
-		Running: []predict.RunningEntry{
-			{Nodes: 64, RemainingEst: 1800},
-			{Nodes: 32, RemainingEst: 600},
-		},
-		Pending: []predict.QueueEntry{
-			{Nodes: 64, Estimate: 3600},
-			{Nodes: 16, Estimate: 900},
-		},
-	}
-	w, err := snap.WaitForNew(32, 3600)
-	if err != nil {
-		log.Fatalf("predictability: snapshot: %v", err)
-	}
-	fmt.Printf("Snapshot predictor: a new 32-node/1h request behind a 2-job queue waits ~%.0f s\n", w)
-	waits, err := snap.QueueWaits()
-	if err != nil {
-		log.Fatalf("predictability: snapshot: %v", err)
-	}
-	for i, qw := range waits {
-		fmt.Printf("  pending job %d predicted start in %.0f s\n", i+1, qw)
-	}
 }

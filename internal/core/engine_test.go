@@ -287,18 +287,3 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		}
 	}
 }
-
-func TestParseScheme(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Scheme
-	}{{"none", SchemeNone}, {"r2", SchemeR2}, {"R3", SchemeR3}, {"r4", SchemeR4}, {"Half", SchemeHalf}, {"ALL", SchemeAll}} {
-		got, err := ParseScheme(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseScheme(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseScheme("r9"); err == nil {
-		t.Error("expected error for unknown scheme")
-	}
-}

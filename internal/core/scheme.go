@@ -9,10 +9,7 @@
 // metrics are computed.
 package core
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Scheme is a redundant request scheme: how many clusters receive a
 // copy of each job's request (Section 3.3 evaluates R2, R3, R4, HALF,
@@ -54,25 +51,6 @@ func (s Scheme) String() string {
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
-}
-
-// ParseScheme converts a scheme name (case-insensitive) to a Scheme.
-func ParseScheme(name string) (Scheme, error) {
-	switch strings.ToUpper(strings.TrimSpace(name)) {
-	case "NONE", "R1":
-		return SchemeNone, nil
-	case "R2":
-		return SchemeR2, nil
-	case "R3":
-		return SchemeR3, nil
-	case "R4":
-		return SchemeR4, nil
-	case "HALF":
-		return SchemeHalf, nil
-	case "ALL":
-		return SchemeAll, nil
-	}
-	return 0, fmt.Errorf("core: unknown scheme %q", name)
 }
 
 // Copies returns the number of clusters that receive a request under

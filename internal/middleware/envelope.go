@@ -12,6 +12,8 @@ package middleware
 import (
 	"encoding/xml"
 	"fmt"
+
+	"redreq/internal/pbsd"
 )
 
 // Envelope is the SOAP-style message wrapper.
@@ -120,8 +122,8 @@ func (e *Envelope) Validate() error {
 		if s.Nodes < 1 {
 			return fmt.Errorf("middleware: SubmitJob.Nodes %d < 1", s.Nodes)
 		}
-		if s.Walltime <= 0 {
-			return fmt.Errorf("middleware: SubmitJob.Walltime %v <= 0", s.Walltime)
+		if _, err := pbsd.Walltime(s.Walltime); err != nil {
+			return fmt.Errorf("middleware: SubmitJob: %w", err)
 		}
 	}
 	if e.Body.Cancel != nil {
@@ -145,8 +147,8 @@ func (e *Envelope) Validate() error {
 			if s.Nodes < 1 {
 				return fmt.Errorf("middleware: SubmitBatch job %d: Nodes %d < 1", i, s.Nodes)
 			}
-			if s.Walltime <= 0 {
-				return fmt.Errorf("middleware: SubmitBatch job %d: Walltime %v <= 0", i, s.Walltime)
+			if _, err := pbsd.Walltime(s.Walltime); err != nil {
+				return fmt.Errorf("middleware: SubmitBatch job %d: %w", i, err)
 			}
 		}
 	}

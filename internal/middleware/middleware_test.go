@@ -3,6 +3,7 @@ package middleware
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -51,6 +52,12 @@ func TestEnvelopeValidation(t *testing.T) {
 		{"two ops", Body{Submit: &SubmitJob{Nodes: 1, Walltime: 1}, Cancel: &CancelJob{JobID: 1}}},
 		{"bad nodes", Body{Submit: &SubmitJob{Nodes: 0, Walltime: 1}}},
 		{"bad walltime", Body{Submit: &SubmitJob{Nodes: 1, Walltime: 0}}},
+		{"NaN walltime", Body{Submit: &SubmitJob{Nodes: 1, Walltime: math.NaN()}}},
+		{"Inf walltime", Body{Submit: &SubmitJob{Nodes: 1, Walltime: math.Inf(1)}}},
+		{"walltime past Duration", Body{Submit: &SubmitJob{Nodes: 1, Walltime: 1e10}}},
+		{"batch NaN walltime", Body{SubmitBatch: &SubmitBatch{Jobs: []SubmitJob{{OpID: "o", Nodes: 1, Walltime: math.NaN()}}}}},
+		{"batch Inf walltime", Body{SubmitBatch: &SubmitBatch{Jobs: []SubmitJob{{OpID: "o", Nodes: 1, Walltime: math.Inf(1)}}}}},
+		{"batch walltime past Duration", Body{SubmitBatch: &SubmitBatch{Jobs: []SubmitJob{{OpID: "o", Nodes: 1, Walltime: 1e10}}}}},
 		{"bad jobid", Body{Cancel: &CancelJob{JobID: 0}}},
 	}
 	for _, c := range cases {

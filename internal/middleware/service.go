@@ -298,8 +298,7 @@ func (s *Service) execute(env *Envelope, raw []byte) (*Response, shedVerdict) {
 				return &Response{OK: false, Error: err.Error()}, notShed
 			}
 		}
-		id, err := s.cfg.Backend.Submit(op.Name, op.Nodes,
-			time.Duration(op.Walltime*float64(time.Second)))
+		id, err := s.submit(op.Name, op.Nodes, op.Walltime)
 		if errors.Is(err, pbsd.ErrBusy) {
 			return &Response{OK: false, Error: err.Error()}, shedBusy
 		}
@@ -334,6 +333,17 @@ func (s *Service) execute(env *Envelope, raw []byte) (*Response, shedVerdict) {
 	default:
 		return &Response{OK: false, Error: "no operation"}, notShed
 	}
+}
+
+// submit converts a wire walltime in seconds and hands the job to the
+// backend. Validate has already refused walltimes no Duration holds, so
+// the conversion error is the backend's kind of refusal, not a shed.
+func (s *Service) submit(name string, nodes int, secs float64) (int64, error) {
+	walltime, err := pbsd.Walltime(secs)
+	if err != nil {
+		return 0, err
+	}
+	return s.cfg.Backend.Submit(name, nodes, walltime)
 }
 
 // opKey is the replay-cache key of one batch entry, distinct from any
@@ -371,8 +381,7 @@ func (s *Service) executeSubmitBatch(env *Envelope, raw []byte, key string) *Res
 			results[i] = BatchResult{OK: cached.OK, JobID: cached.JobID, Error: cached.Error}
 			continue
 		}
-		id, err := s.cfg.Backend.Submit(op.Name, op.Nodes,
-			time.Duration(op.Walltime*float64(time.Second)))
+		id, err := s.submit(op.Name, op.Nodes, op.Walltime)
 		switch {
 		case errors.Is(err, pbsd.ErrBusy):
 			results[i] = BatchResult{Error: err.Error(), Shed: "busy"}

@@ -206,10 +206,14 @@ func (l *Listener) serveCommand(line string) string {
 			return "ERR bad nodes"
 		}
 		secs, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil || secs <= 0 {
+		if err != nil {
 			return "ERR bad walltime"
 		}
-		id, err := l.srv.Submit(strings.Join(fields[3:], " "), nodes, time.Duration(secs*float64(time.Second)))
+		walltime, err := Walltime(secs)
+		if err != nil {
+			return "ERR bad walltime"
+		}
+		id, err := l.srv.Submit(strings.Join(fields[3:], " "), nodes, walltime)
 		if errors.Is(err, ErrBusy) {
 			// Graceful shedding is its own response shape, not an ERR:
 			// the client should back off and retry, and the protocol

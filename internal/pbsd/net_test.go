@@ -2,7 +2,9 @@ package pbsd
 
 import (
 	"bufio"
+	"math"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -244,6 +246,14 @@ func TestProtocolErrorShapes(t *testing.T) {
 		{"QSUB 1 x job", "ERR bad walltime"},
 		{"QSUB 1 -5 job", "ERR bad walltime"},
 		{"QSUB 1 0 job", "ERR bad walltime"},
+		// Walltimes no Duration holds: NaN, infinities, 2^63 ns and up,
+		// and under a nanosecond.
+		{"QSUB 1 NaN j", "ERR bad walltime"},
+		{"QSUB 1 Inf j", "ERR bad walltime"},
+		{"QSUB 1 -Inf j", "ERR bad walltime"},
+		{"QSUB 1 1e10 j", "ERR bad walltime"},
+		{"QSUB 1 9.3e9 j", "ERR bad walltime"},
+		{"QSUB 1 1e-10 j", "ERR bad walltime"},
 		{"QSUB 99 60 job", "ERR pbsd: request exceeds node pool"},
 		{"QDEL", "ERR usage: QDEL"},
 		{"QDEL 1 2", "ERR usage: QDEL"},
@@ -274,8 +284,28 @@ func TestProtocolErrorShapes(t *testing.T) {
 	if n := tr.Histogram("pbsd.latency.ping").Count(); n != 1 {
 		t.Errorf("pbsd.latency.ping count = %d, want 1", n)
 	}
-	if n := tr.Histogram("pbsd.latency.qsub").Count(); n != 7 {
-		t.Errorf("pbsd.latency.qsub count = %d, want 7 (every QSUB attempt is timed)", n)
+	if n := tr.Histogram("pbsd.latency.qsub").Count(); n != 13 {
+		t.Errorf("pbsd.latency.qsub count = %d, want 13 (every QSUB attempt is timed)", n)
+	}
+}
+
+// TestWalltime pins Walltime's range: positive Durations convert
+// exactly, and everything past either end of a Duration is refused.
+func TestWalltime(t *testing.T) {
+	for _, c := range []struct {
+		secs float64
+		want time.Duration // 0: refused
+	}{
+		{60, time.Minute},
+		{1e-9, time.Nanosecond},
+		{9.2e9, 9_200_000_000 * time.Second},
+		{0, 0}, {-1, 0}, {5e-10, 0}, {9.3e9, 0}, {1e10, 0},
+		{math.NaN(), 0}, {math.Inf(1), 0}, {math.Inf(-1), 0},
+	} {
+		got, err := Walltime(c.secs)
+		if (err == nil) != (c.want != 0) || got != c.want {
+			t.Errorf("Walltime(%v) = %v, %v; want %v", c.secs, got, err, c.want)
+		}
 	}
 }
 
@@ -350,4 +380,73 @@ func TestDialFailure(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1"); err == nil {
 		t.Error("Dial to closed port succeeded")
 	}
+}
+
+// FuzzProtocol feeds arbitrary newline-separated command lines to the
+// protocol handler of an in-process daemon that never runs jobs, in both
+// cycle modes. No line may panic; every reply is one line opening with
+// OK, ERR, BUSY or LATE; an OK to QSUB queues exactly one job under an
+// ID larger than any before it; an OK to QDEL or QDELHEAD removes
+// exactly one; and QSTAT reports what Stat reads.
+func FuzzProtocol(f *testing.F) {
+	for _, seed := range []string{
+		"PING\nQSUB 1 60 a\nQSUB 2 3600 b c\nQSTAT\nQDEL 1\nQDELHEAD\nQSTAT",
+		"QSUB 1 NaN j\nQSUB 1 Inf j\nQSUB 1 -Inf j\nQSUB 1 1e10 j\nQSUB 1 9.3e9 j\nQSUB 1 1e-10 j",
+		"QSUB 1 9.2e9 j\nQSUB 1 1e-9 j\nQSUB 1 0x1p-30 j\nQSTAT",
+		"QSUB 1 1 a\nQSUB 1 1 b\nQSUB 1 1 c\nQSUB 1 1 d\nQSUB 1 1 e\nQDEL 3\nQDEL 3\nQSUB 1 1 f",
+		"QSUB 99 60 big\nQSUB -1 60 neg\nQSUB 1 60\nQDEL x\nQDEL\nNOSUCH\n\n \t\r",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, script string) {
+		for _, fullScan := range []bool{false, true} {
+			srv, err := New(Config{Nodes: 16, MaxQueue: 4, FullScanCycle: fullScan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := &Listener{srv: srv}
+			var lastID int64
+			for _, line := range strings.Split(script, "\n") {
+				q0, _, _ := srv.Stat()
+				resp := l.serveCommand(line)
+				q1, r1, f1 := srv.Stat()
+				if strings.ContainsAny(resp, "\r\n") {
+					t.Fatalf("%q: reply %q is not one line", line, resp)
+				}
+				ok := resp == "OK" || strings.HasPrefix(resp, "OK ")
+				if !ok && !strings.HasPrefix(resp, "ERR ") && resp != "BUSY" && resp != "LATE" {
+					t.Fatalf("%q: reply %q opens with none of OK, ERR, BUSY, LATE", line, resp)
+				}
+				cmd := ""
+				if fields := strings.Fields(line); len(fields) > 0 {
+					cmd = fields[0]
+				}
+				switch {
+				case !ok:
+					if q1 != q0 {
+						t.Fatalf("%q: refused with %q, queue %d -> %d", line, resp, q0, q1)
+					}
+				case cmd == "QSUB":
+					id, err := strconv.ParseInt(strings.TrimPrefix(resp, "OK "), 10, 64)
+					if err != nil || id <= lastID {
+						t.Fatalf("%q: reply %q, want an ID above %d", line, resp, lastID)
+					}
+					lastID = id
+					if q1 != q0+1 {
+						t.Fatalf("%q: accepted, queue %d -> %d", line, q0, q1)
+					}
+				case cmd == "QDEL" || cmd == "QDELHEAD":
+					if q1 != q0-1 {
+						t.Fatalf("%q: accepted, queue %d -> %d", line, q0, q1)
+					}
+				case cmd == "QSTAT":
+					q, r, fr, err := parseStat(strings.TrimPrefix(resp, "OK"))
+					if err != nil || q != q1 || r != r1 || fr != f1 {
+						t.Fatalf("%q: reply %q (%v), Stat reads %d %d %d", line, resp, err, q1, r1, f1)
+					}
+				}
+			}
+			srv.Close()
+		}
+	})
 }

@@ -221,6 +221,20 @@ var ErrBusy = errors.New("pbsd: queue full")
 // weight. Callers should back off harder than for ErrBusy.
 var ErrLate = errors.New("pbsd: queue delay exceeds admission budget")
 
+// Walltime converts a walltime in seconds, as the line protocol and
+// the middleware envelope carry it, to the Duration Submit takes. It
+// rejects every value that does not convert to a positive Duration:
+// NaN, anything under a nanosecond, and anything at or past 2^63 ns
+// (about 292 years), where Go leaves a float-to-integer conversion
+// implementation-defined.
+func Walltime(secs float64) (time.Duration, error) {
+	ns := secs * float64(time.Second)
+	if !(ns >= 1 && ns < 1<<63) {
+		return 0, fmt.Errorf("pbsd: walltime %v s is not a positive Duration", secs)
+	}
+	return time.Duration(ns), nil
+}
+
 // New creates a daemon with the given configuration.
 func New(cfg Config) (*Server, error) {
 	if cfg.Nodes < 1 {

@@ -34,9 +34,6 @@ func (s *Source) Float64() float64 { return s.r.Float64() }
 // IntN returns a uniform integer in [0, n).
 func (s *Source) IntN(n int) int { return s.r.IntN(n) }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
 // Shuffle randomizes the order of n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
@@ -51,12 +48,6 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 // Exponential returns an exponential variate with the given mean.
 func (s *Source) Exponential(mean float64) float64 {
 	return -mean * math.Log(1-s.r.Float64())
-}
-
-// Normal returns a normal variate with the given mean and standard
-// deviation.
-func (s *Source) Normal(mean, stddev float64) float64 {
-	return mean + stddev*s.r.NormFloat64()
 }
 
 // Gamma returns a Gamma(shape, scale) variate (mean shape*scale) using
@@ -138,23 +129,4 @@ func (s *Source) WeightedChoice(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// SampleWithout returns k distinct integers drawn uniformly from
-// [0, n) excluding the value excl (pass excl < 0 to exclude nothing).
-// It panics if fewer than k candidates exist.
-func (s *Source) SampleWithout(n, k, excl int) []int {
-	candidates := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if i != excl {
-			candidates = append(candidates, i)
-		}
-	}
-	if k > len(candidates) {
-		panic("rng: SampleWithout: not enough candidates")
-	}
-	s.Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	return candidates[:k]
 }

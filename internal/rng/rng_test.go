@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -187,58 +186,5 @@ func TestWeightedChoicePanics(t *testing.T) {
 			}()
 			s.WeightedChoice(w)
 		}()
-	}
-}
-
-func TestSampleWithoutProperties(t *testing.T) {
-	s := New(11)
-	f := func(nRaw, kRaw, exclRaw uint8) bool {
-		n := int(nRaw%20) + 1
-		excl := int(exclRaw) % n
-		k := int(kRaw) % n // k <= n-1 so excluding one still leaves enough
-		got := s.SampleWithout(n, k, excl)
-		if len(got) != k {
-			return false
-		}
-		seen := make(map[int]bool)
-		for _, v := range got {
-			if v < 0 || v >= n || v == excl || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSampleWithoutNoExclusion(t *testing.T) {
-	s := New(12)
-	got := s.SampleWithout(5, 5, -1)
-	if len(got) != 5 {
-		t.Fatalf("expected all 5 candidates, got %d", len(got))
-	}
-}
-
-func TestSampleWithoutPanicsWhenShort(t *testing.T) {
-	s := New(13)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic when k exceeds candidates")
-		}
-	}()
-	s.SampleWithout(3, 3, 1) // only 2 candidates after exclusion
-}
-
-func TestNormalMoments(t *testing.T) {
-	s := New(14)
-	mean, variance := moments(200000, func() float64 { return s.Normal(10, 3) })
-	if math.Abs(mean-10) > 0.05 {
-		t.Errorf("normal mean = %v", mean)
-	}
-	if math.Abs(variance-9) > 0.3 {
-		t.Errorf("normal variance = %v", variance)
 	}
 }

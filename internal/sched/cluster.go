@@ -11,7 +11,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"redreq/internal/des"
 	"redreq/internal/obs"
@@ -43,20 +42,6 @@ func (a Algorithm) String() string {
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
-}
-
-// ParseAlgorithm converts a name ("fcfs", "easy", "cbf", any case) to
-// an Algorithm.
-func ParseAlgorithm(name string) (Algorithm, error) {
-	switch {
-	case strings.EqualFold(name, "fcfs"):
-		return FCFS, nil
-	case strings.EqualFold(name, "easy"):
-		return EASY, nil
-	case strings.EqualFold(name, "cbf"):
-		return CBF, nil
-	}
-	return 0, fmt.Errorf("sched: unknown algorithm %q", name)
 }
 
 // State is the lifecycle state of a Request at one cluster.
@@ -700,17 +685,6 @@ func (c *Cluster) Pending() []*Request {
 	}
 	return out
 }
-
-// Running returns the currently running requests, ordered by requested
-// end (Start + Estimate), ties in start order.
-func (c *Cluster) Running() []*Request {
-	out := make([]*Request, len(c.running))
-	copy(out, c.running)
-	return out
-}
-
-// Sim returns the simulation the cluster is attached to.
-func (c *Cluster) Sim() *des.Simulation { return c.sim }
 
 // checkInvariants validates node accounting and the running set's
 // order; used by tests.

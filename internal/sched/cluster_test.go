@@ -413,18 +413,3 @@ func TestSubmitValidation(t *testing.T) {
 	}()
 	c.Submit(testReq(1, 5, 10, 10))
 }
-
-func TestParseAlgorithm(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Algorithm
-	}{{"fcfs", FCFS}, {"EASY", EASY}, {"Cbf", CBF}} {
-		got, err := ParseAlgorithm(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseAlgorithm("bogus"); err == nil {
-		t.Error("expected error for unknown algorithm")
-	}
-}

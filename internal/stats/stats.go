@@ -1,16 +1,16 @@
 // Package stats provides the descriptive statistics used throughout the
 // evaluation: mean, standard deviation, coefficient of variation,
-// percentiles, and simple confidence intervals over replicated
-// experiments.
+// extremes and percentiles over replicated experiments.
 //
 // NaN handling is deterministic across all aggregates: a sample that
 // contains any NaN yields NaN from Mean, StdDev, CV, Min, Max, and
-// Percentile (and hence every Summary field). Mean and StdDev propagate
-// NaN through arithmetic naturally; Min, Max, and Percentile check
-// explicitly, because comparison- and sort-based reductions would
-// otherwise give NaNs no total order and make the result depend on the
-// input permutation — the same sample could report different
-// percentiles across runs, breaking byte-determinism downstream.
+// Percentile, with the same bits wherever the NaN sits. Mean and
+// StdDev propagate NaN through arithmetic naturally; Min, Max, and
+// Percentile check explicitly, because comparison- and sort-based
+// reductions would otherwise give NaNs no total order and make the
+// result depend on the input permutation — the same sample could
+// report different percentiles across runs, breaking byte-determinism
+// downstream.
 package stats
 
 import (
@@ -46,20 +46,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// SampleStdDev returns the sample (n-1) standard deviation of xs.
-func SampleStdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
 
 // CV returns the coefficient of variation of xs as a percentage
 // (stddev/mean * 100), the fairness metric of the paper (Section 3.2).
@@ -140,61 +126,4 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Summary bundles the descriptive statistics of one sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	CV     float64 // percent
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs. A sample containing any NaN
-// yields NaN in every float field, deterministically (see the package
-// comment).
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		CV:     CV(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Median: Percentile(xs, 50),
-	}
-}
-
-// CI95 returns the half-width of an approximate 95% confidence interval
-// for the mean of xs (1.96 * sample stddev / sqrt(n)).
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * SampleStdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
-// Histogram bins xs into nbins equal-width bins over [min, max] and
-// returns the bin counts. Values outside the range are clamped into the
-// first or last bin.
-func Histogram(xs []float64, min, max float64, nbins int) []int {
-	if nbins <= 0 || max <= min {
-		return nil
-	}
-	counts := make([]int, nbins)
-	width := (max - min) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - min) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts
 }

@@ -3,7 +3,6 @@ package swf
 import (
 	"bytes"
 	"errors"
-	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -210,66 +209,6 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFileRoundTripPlain(t *testing.T) {
-	tr, err := Parse(strings.NewReader(sampleTrace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/trace.swf"
-	if err := WriteFile(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != len(tr.Records) {
-		t.Fatalf("file round trip: %d vs %d records", len(got.Records), len(tr.Records))
-	}
-}
-
-func TestFileRoundTripGzip(t *testing.T) {
-	tr, err := Parse(strings.NewReader(sampleTrace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/trace.swf.gz"
-	if err := WriteFile(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	// The file really is gzip (magic bytes), not plain text.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
-		t.Fatal("gz file lacks gzip magic")
-	}
-	got, err := ParseFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != len(tr.Records) || got.Header != tr.Header {
-		t.Fatalf("gz round trip mismatch")
-	}
-}
-
-func TestParseFileMissing(t *testing.T) {
-	if _, err := ParseFile(t.TempDir() + "/nope.swf"); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func TestParseFileBadGzip(t *testing.T) {
-	path := t.TempDir() + "/bad.swf.gz"
-	if err := os.WriteFile(path, []byte("not gzip at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseFile(path); err == nil {
-		t.Error("corrupt gzip accepted")
 	}
 }
 

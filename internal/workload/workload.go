@@ -229,17 +229,6 @@ func (m *Model) GenerateWindow(src *rng.Source, horizon float64) []Job {
 	return jobs
 }
 
-// GenerateN generates exactly n jobs.
-func (m *Model) GenerateN(src *rng.Source, n int) []Job {
-	jobs := make([]Job, 0, n)
-	t := 0.0
-	for i := 0; i < n; i++ {
-		t += m.SampleInterarrival(src)
-		jobs = append(jobs, m.SampleJob(src, t))
-	}
-	return jobs
-}
-
 // OfferedLoad Monte-Carlo-estimates the offered load of the model on a
 // cluster with totalNodes nodes: E[nodes*runtime] / (iat * totalNodes).
 // A value above 1 means the cluster cannot drain its queue ("peak

@@ -173,14 +173,6 @@ func TestGenerateWindow(t *testing.T) {
 	}
 }
 
-func TestGenerateN(t *testing.T) {
-	m := NewModel(64)
-	jobs := m.GenerateN(rng.New(9), 100)
-	if len(jobs) != 100 {
-		t.Fatalf("GenerateN returned %d jobs", len(jobs))
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	m := NewModel(128)
 	a := m.GenerateWindow(rng.New(10), 600)
