@@ -52,7 +52,8 @@ examples:
 # against the DES kernel's (time, priority, seq) firing order;
 # FuzzProfileProbe drives random allocate/release/probe scripts against
 # sched.Profile and holds FindEarlierAnchor, CBF compression's
-# non-mutating search, to a per-second reference; FuzzCluster runs
+# non-mutating search, to a per-second reference and every Profile.Move
+# to the two AddBusy calls it replaces; FuzzCluster runs
 # sched's byte-script interpreter — submits, finishes, cancels, idle
 # time and redundant copies against FCFS, EASY or CBF clusters — and
 # holds every event to the reference for its algorithm: the full EASY
@@ -64,15 +65,19 @@ examples:
 # FuzzProtocol feeds arbitrary command lines to pbsd's line-protocol
 # handler in both cycle modes and holds every reply to the protocol's
 # shapes and the daemon's queue: an accepted QSUB queues one job under
-# a larger ID, an accepted QDEL removes one, and QSTAT reports Stat. A
-# failure leaves its input under the package's testdata/fuzz to commit
-# as a regression case.
+# a larger ID, an accepted QDEL removes one, and QSTAT reports Stat;
+# FuzzSWF feeds arbitrary bytes to the SWF trace parser and holds
+# whatever it accepts to a Write and Parse round trip that changes
+# nothing, and to a Jobs conversion that does not panic. A failure
+# leaves its input under the package's testdata/fuzz to commit as a
+# regression case.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEventOrder -fuzztime 10s ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzProfileProbe -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzCluster -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzEnvelope -fuzztime 10s ./internal/middleware
 	$(GO) test -run '^$$' -fuzz FuzzProtocol -fuzztime 10s ./internal/pbsd
+	$(GO) test -run '^$$' -fuzz FuzzSWF -fuzztime 10s ./internal/swf
 
 # validate runs the validation harness: the invariant suite (causality,
 # liveness, capacity, work conservation, CPU-time ledger, determinism)

@@ -17,23 +17,50 @@ import (
 	"math"
 )
 
+// passCBF compresses the reservations when capacity came back early
+// (finish, or cancel under CompressOnCancel), then admits.
+//
+// Every CBF walk leaves behind how far down the queue it got
+// (cbfCursor): the slots after it hold only requests submitted since,
+// none of them reserved yet. Before it, every pending request holds a
+// reservation, and the earliest of those reservations is known without
+// a walk in two cases. A compression has just visited each of them in
+// queue order, started the due ones and found the earliest of the rest.
+// Otherwise, while nothing is due yet (now < timerAt), each holds the
+// reservation and ticket the last walk left it — only compression moves
+// one — and the timer still stands for the earliest of them: Cancel
+// re-arms it when it withdraws the request it stood for. A full walk
+// would pass over them all without a start and fold in exactly that
+// minimum. So the admit walks only the slots from the cursor on, which
+// it reaches in the same order against the same profile as the full
+// walk, and starts exactly what the full walk would. The whole queue is
+// walked only when a reservation is due: the timer fired (timerAction
+// rewinds the cursor) or a pass runs at its instant before it fires.
 func (c *Cluster) passCBF() {
 	now := c.sim.Now()
 	c.profile.TrimBefore(now)
+	from, next, ticket := c.cbfCursor, c.timerAt, c.timerTicket
 	if c.needCompress {
 		c.needCompress = false
-		c.compressCBF(now)
+		next, ticket = c.compressCBF(now)
+	} else if now >= c.timerAt {
+		from, next, ticket = 0, math.Inf(1), 0
 	}
-	c.admitCBF(now)
+	if from > 0 {
+		c.cPassesClean.Inc()
+	}
+	c.admitCBF(now, from, next, ticket)
 }
 
-// admitCBF is the pass proper: in queue order it grants a reservation to
-// every request that has none and starts every request whose reservation
-// is due, then points the reservation timer at the earliest reservation
-// still pending, which the same walk has found.
-func (c *Cluster) admitCBF(now float64) {
-	next, ticket := math.Inf(1), uint64(0)
-	for i := 0; i < len(c.queue); i++ {
+// admitCBF is the pass proper: in queue order from slot from on it
+// grants a reservation to every request that has none and starts every
+// request whose reservation is due, then points the reservation timer at
+// the earliest reservation still pending — the walk's own minimum folded
+// into (next, ticket), the one before slot from — and moves the cursor
+// to the end of the queue.
+func (c *Cluster) admitCBF(now float64, from int, next float64, ticket uint64) {
+	c.cAdmitSlots.Add(int64(len(c.queue) - from))
+	for i := from; i < len(c.queue); i++ {
 		r := c.queue[i]
 		if r == nil || r.State != Pending {
 			continue
@@ -51,6 +78,7 @@ func (c *Cluster) admitCBF(now float64) {
 			next, ticket = r.resStart, r.resTicket
 		}
 	}
+	c.cbfCursor = len(c.queue)
 	if c.timerStale {
 		// A start callback withdrew a request of this cluster, perhaps
 		// one the walk had already counted.
@@ -140,19 +168,21 @@ func (c *Cluster) armTimer(at float64, ticket uint64) {
 func timerAction(a any) {
 	c := a.(*Cluster)
 	c.timerEv, c.timerAt, c.timerTicket = nil, math.Inf(1), 0
+	c.cbfCursor = 0
 	c.cTimerFires.Inc()
 	c.pass()
 }
 
 // compressCBF re-anchors every pending reservation in queue order after
-// capacity was released. For each request it asks the profile where the
-// reservation could move to if its own allocation were given back
-// (FindEarlierAnchor, which edits nothing) and rewrites the profile only
-// when the answer is earlier than the reservation it holds: most probes
-// find nothing earlier, and removing an allocation and adding it back
-// where it was leaves the profile — canonical after every AddBusy — as
-// it found it. The old slot always stays feasible for the request that
-// holds it, so reservations only move earlier, preserving CBF's promise.
+// capacity was released, starts every one that is due, and returns the
+// earliest reservation it left pending and its ticket (+Inf: none). For
+// each request it asks the profile where the reservation could move to
+// if its own allocation were given back (FindEarlierAnchor, which edits
+// nothing) and edits the profile only when the answer is earlier than
+// the reservation it holds, in one Profile.Move: most probes find
+// nothing earlier. The old slot always stays feasible for the request
+// that holds it, so reservations only move earlier, preserving CBF's
+// promise.
 //
 // The search is bounded by the released-capacity window [relStart,
 // relEnd) the cluster has accumulated since the last compression: an
@@ -167,8 +197,9 @@ func timerAction(a any) {
 // cancellations fired from start callbacks — widens the live window,
 // and is carried into c.relStart/c.relEnd for the next pass because
 // requests earlier in the queue were examined before the release.
-func (c *Cluster) compressCBF(now float64) {
+func (c *Cluster) compressCBF(now float64) (next float64, ticket uint64) {
 	c.cCompressions.Inc()
+	next = math.Inf(1)
 	relStart, relEnd := c.relStart, c.relEnd
 	c.relStart, c.relEnd = math.Inf(1), math.Inf(-1)
 	for i := 0; i < len(c.queue); i++ {
@@ -196,21 +227,26 @@ func (c *Cluster) compressCBF(now float64) {
 			// that is due still starts.
 			if old <= now {
 				c.startReserved(r, now)
+			} else if dueBefore(r, next, ticket) {
+				next, ticket = old, r.resTicket
 			}
 			continue
 		}
 		c.cCompressMoves.Inc()
-		c.profile.AddBusy(old, old+r.Estimate, -r.Nodes)
-		c.profile.AddBusy(anchor, anchor+r.Estimate, r.Nodes)
+		c.profile.Move(old, anchor, r.Estimate, r.Nodes)
 		r.resStart = anchor
 		// The move vacated [max(old, anchor+Estimate), old+Estimate).
 		c.noteRelease(math.Max(old, anchor+r.Estimate), old+r.Estimate)
 		if anchor <= now {
 			c.startReserved(r, now)
-		} else {
-			r.resTicket = c.sim.Ticket()
+			continue
+		}
+		r.resTicket = c.sim.Ticket()
+		if dueBefore(r, next, ticket) {
+			next, ticket = anchor, r.resTicket
 		}
 	}
+	return next, ticket
 }
 
 // Reservation returns the request's current CBF reservation time, or

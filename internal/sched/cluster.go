@@ -219,7 +219,10 @@ type Cluster struct {
 	easyCursor     int
 
 	// CBF persistent profile (running allocations + reservations).
-	profile      *Profile
+	profile *Profile
+	// cbfCursor is the queue slot the last CBF admit walk stopped at:
+	// only requests submitted since sit after it (see passCBF).
+	cbfCursor    int
 	needCompress bool
 	inPass       bool
 	needCompact  bool
@@ -272,6 +275,7 @@ type Cluster struct {
 	cCompressions   *obs.Counter
 	cCompressProbes *obs.Counter
 	cCompressMoves  *obs.Counter
+	cAdmitSlots     *obs.Counter
 	cTimerArms      *obs.Counter
 	cTimerFires     *obs.Counter
 	backfilling     bool
@@ -306,11 +310,13 @@ func NewCluster(sim *des.Simulation, name string, index int, cfg Config) *Cluste
 // sched.<name>.queue_depth virtual-time series sampled on every queue
 // transition, counters sched.starts.in_order and sched.starts.backfill
 // splitting start decisions by how they were made, sched.passes.clean
-// (EASY passes that only scanned the submissions since the pass before),
-// sched.reservations (CBF reservations granted), sched.compressions
-// (CBF compression passes), sched.compress.probes (reservations those
-// passes searched an earlier anchor for), sched.compress.moves (the
-// probes that found one, each a profile rewrite), sched.timer.arms (times
+// (EASY and CBF passes that only scanned the submissions since the pass
+// before), sched.reservations (CBF reservations granted),
+// sched.compressions (CBF compression passes), sched.compress.probes
+// (reservations those passes searched an earlier anchor for),
+// sched.compress.moves (the probes that found one, each a profile
+// edit), sched.admit.slots (queue slots CBF admit walks visited,
+// holes included), sched.timer.arms (times
 // the cluster's CBF reservation timer was scheduled) and
 // sched.timer.fires (times it fell due and ran a pass). A nil trace
 // detaches them.
@@ -318,7 +324,7 @@ func (c *Cluster) SetTrace(t *obs.Trace) {
 	if t == nil {
 		c.sQueueDepth, c.cStartsInOrder, c.cStartsBackfill = nil, nil, nil
 		c.cPassesClean, c.cReservations, c.cCompressions = nil, nil, nil
-		c.cCompressProbes, c.cCompressMoves = nil, nil
+		c.cCompressProbes, c.cCompressMoves, c.cAdmitSlots = nil, nil, nil
 		c.cTimerArms, c.cTimerFires = nil, nil
 		return
 	}
@@ -330,6 +336,7 @@ func (c *Cluster) SetTrace(t *obs.Trace) {
 	c.cCompressions = t.Counter("sched.compressions")
 	c.cCompressProbes = t.Counter("sched.compress.probes")
 	c.cCompressMoves = t.Counter("sched.compress.moves")
+	c.cAdmitSlots = t.Counter("sched.admit.slots")
 	c.cTimerArms = t.Counter("sched.timer.arms")
 	c.cTimerFires = t.Counter("sched.timer.fires")
 }
@@ -469,20 +476,24 @@ func (c *Cluster) removeFromQueue(r *Request) {
 }
 
 // compactQueue squeezes the nil holes out of the queue and moves
-// passEASY's scan cursor along with the slot it pointed at.
+// passEASY's scan cursor and admitCBF's along with the slots they
+// pointed at.
 func (c *Cluster) compactQueue() {
-	w, cursor := 0, 0
+	w, easy, cbf := 0, 0, 0
 	for i, q := range c.queue {
 		if q != nil {
 			c.queue[w] = q
 			q.slot = w
 			w++
 			if i < c.easyCursor {
-				cursor = w
+				easy = w
+			}
+			if i < c.cbfCursor {
+				cbf = w
 			}
 		}
 	}
-	c.easyCursor = cursor
+	c.easyCursor, c.cbfCursor = easy, cbf
 	for i := w; i < len(c.queue); i++ {
 		c.queue[i] = nil
 	}

@@ -227,6 +227,31 @@ func TestCBFNoCompressionAblation(t *testing.T) {
 	}
 }
 
+// TestCBFPassAtDueInstant runs a pass at the instant a reservation falls
+// due, before the reservation timer fires: a pass resumes its admit walk
+// at the cursor only while nothing is due, so this one starts the
+// request whatever fired it. The engine's own events never do this — a
+// kick scheduled at that instant orders after the timer, whose ticket is
+// older — so the test calls the pass directly.
+func TestCBFPassAtDueInstant(t *testing.T) {
+	sim := des.New()
+	c := NewCluster(sim, "test", 0, Config{Nodes: 4, Alg: CBF, DisableCompression: true})
+	a := testReq(1, 4, 100, 100) // [0, 100)
+	b := testReq(2, 4, 50, 50)   // reserved at 100
+	submitAt(sim, c, 0, a)
+	submitAt(sim, c, 1, b)
+	for a.State != Done && sim.Step() {
+	}
+	if sim.Now() != 100 || c.timerAt != 100 || c.timerEv == nil {
+		t.Fatalf("t=%v: a finished with the timer at %v (event %v), want both at 100", sim.Now(), c.timerAt, c.timerEv)
+	}
+	c.pass()
+	if b.State != Running || b.Start != 100 {
+		t.Fatalf("b is %v from %v after a pass at its reservation, want running from 100", b.State, b.Start)
+	}
+	runChecked(t, sim, c)
+}
+
 func TestCBFHoleUsableAfterCancelWithoutCompression(t *testing.T) {
 	sim := des.New()
 	c := newTestCluster(t, sim, 4, CBF)

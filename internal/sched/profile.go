@@ -70,27 +70,6 @@ func (p *Profile) segmentAt(t float64) int {
 // AvailAt returns the number of free nodes at time t.
 func (p *Profile) AvailAt(t float64) int { return p.avail[p.segmentAt(t)] }
 
-// ensureBreak inserts a breakpoint at t (if within the domain) and
-// returns the index of the segment starting at t.
-func (p *Profile) ensureBreak(t float64) int {
-	i := p.search(t)
-	if i < len(p.times) && p.times[i] == t {
-		return i
-	}
-	if i == 0 {
-		// t precedes the domain; treat domain start as t.
-		return 0
-	}
-	// Split segment i-1 at t.
-	p.times = append(p.times, 0)
-	copy(p.times[i+1:], p.times[i:])
-	p.times[i] = t
-	p.avail = append(p.avail, 0)
-	copy(p.avail[i+1:], p.avail[i:])
-	p.avail[i] = p.avail[i-1]
-	return i
-}
-
 // AddBusy subtracts nodes from availability over [start, end). Negative
 // nodes releases capacity. Intervals before the domain start are
 // clipped; empty intervals are ignored.
@@ -98,48 +77,126 @@ func (p *Profile) AddBusy(start, end float64, nodes int) {
 	if end <= start || nodes == 0 {
 		return
 	}
-	if start < p.times[0] {
-		start = p.times[0]
-	}
-	if end <= start {
-		return
-	}
-	i := p.ensureBreak(start)
-	j := p.ensureBreak(end)
-	for k := i; k < j; k++ {
-		p.avail[k] -= nodes
-	}
-	p.coalesce(i, j)
+	p.edit([4]float64{start, end}, [3]int{nodes}, 1)
 }
 
-// coalesce merges equal-availability adjacent segments in [lo-1, hi+1]
-// to bound profile growth.
-func (p *Profile) coalesce(lo, hi int) {
-	from := lo - 1
-	if from < 0 {
-		from = 0
+// Move moves a reservation the profile carries — nodes over
+// [from, from+dur) — earlier, to [to, to+dur), leaving the profile that
+// AddBusy(from, from+dur, -nodes) followed by AddBusy(to, to+dur, nodes)
+// leaves, in one edit. Where the two windows overlap nothing changes,
+// so the edit takes nodes over [to, min(to+dur, from)) and gives them
+// back over [max(to+dur, from), from+dur). CBF compression moves a
+// reservation this way once FindEarlierAnchor has found it an earlier
+// anchor; reservations never move later.
+func (p *Profile) Move(from, to, dur float64, nodes int) {
+	if to > from {
+		panic(fmt.Sprintf("sched: Profile.Move from %v to the later %v", from, to))
 	}
-	to := hi + 1
-	if to > len(p.times)-1 {
-		to = len(p.times) - 1
+	if to == from || dur <= 0 || nodes == 0 {
+		return
 	}
-	w := from
-	for r := from + 1; r <= to; r++ {
-		if p.avail[r] == p.avail[w] {
+	p.edit([4]float64{to, min(to+dur, from), max(to+dur, from), from + dur}, [3]int{nodes, 0, -nodes}, 3)
+}
+
+// edit subtracts busy[q] from availability over [at[q], at[q+1]) for
+// every q < m, where at[0] <= ... <= at[m]; points before the domain
+// start are clipped to it. The profile must be canonical — no two
+// adjacent segments with equal availability — and is left so.
+//
+// It makes one forward merge of the profile's breakpoints with the m+1
+// edit points, from the segment holding at[0] to the last breakpoint
+// at or before at[m], writing each segment's new availability in place
+// and dropping a breakpoint whose segment would equal the one before:
+// one binary search and one move of the tail whatever m is. The write
+// index can run ahead of the read index by at most the edit points
+// written so far, so a breakpoint about to be overwritten before it
+// has been read waits in a four-entry ring (m <= 3). From at[m] on
+// nothing changes, and the first breakpoint after it differs from the
+// segment before it already, so the merge stops there.
+func (p *Profile) edit(at [4]float64, busy [3]int, m int) {
+	t0 := p.times[0]
+	for q := 0; q <= m; q++ {
+		at[q] = max(at[q], t0)
+	}
+	if at[m] <= at[0] {
+		return
+	}
+	n := len(p.times)
+	i := p.segmentAt(at[0])
+	w, r := i, i
+	prev, hasPrev := 0, i > 0
+	if hasPrev {
+		prev = p.avail[i-1]
+	}
+	cur := 0
+	if p.times[i] < at[0] {
+		// Segment i keeps its availability up to at[0].
+		prev, hasPrev, cur = p.avail[i], true, p.avail[i]
+		w, r = i+1, i+1
+	}
+	var (
+		ringT  [4]float64
+		ringA  [4]int
+		rh, rn int
+	)
+	for q := 0; q <= m; {
+		t := at[q]
+		if rn > 0 && ringT[rh] <= t {
+			t, cur = ringT[rh], ringA[rh]
+			rh, rn = (rh+1)&3, rn-1
+		} else if rn == 0 && r < n && p.times[r] <= t {
+			t, cur = p.times[r], p.avail[r]
+			r++
+		}
+		for q <= m && at[q] == t {
+			q++
+		}
+		v := cur
+		if q <= m {
+			v -= busy[q-1]
+		}
+		if hasPrev && v == prev {
 			continue
 		}
+		prev, hasPrev = v, true
+		if w == r && r < n {
+			ringT[(rh+rn)&3], ringA[(rh+rn)&3] = p.times[r], p.avail[r]
+			rn++
+			r++
+		}
+		if w < len(p.times) {
+			p.times[w], p.avail[w] = t, v
+		} else {
+			p.times, p.avail = append(p.times, t), append(p.avail, v)
+		}
 		w++
-		p.times[w] = p.times[r]
-		p.avail[w] = p.avail[r]
 	}
-	if w < to {
-		// Shift the tail left.
-		tailLen := len(p.times) - (to + 1)
-		copy(p.times[w+1:], p.times[to+1:])
-		copy(p.avail[w+1:], p.avail[to+1:])
-		p.times = p.times[:w+1+tailLen]
-		p.avail = p.avail[:w+1+tailLen]
+	// The tail: what waits in the ring, then p.times[r:n].
+	tail := rn + n - r
+	if rn == 0 {
+		copy(p.times[w:], p.times[r:n])
+		copy(p.avail[w:], p.avail[r:n])
+	} else {
+		// Here w == r or r == n: the ring goes where the tail begins,
+		// and the tail moves right to make room for it.
+		p.times = grow(p.times, w+tail)
+		p.avail = grow(p.avail, w+tail)
+		copy(p.times[w+rn:], p.times[r:n])
+		copy(p.avail[w+rn:], p.avail[r:n])
+		for k := 0; k < rn; k++ {
+			p.times[w+k], p.avail[w+k] = ringT[(rh+k)&3], ringA[(rh+k)&3]
+		}
 	}
+	p.times = p.times[:w+tail]
+	p.avail = p.avail[:w+tail]
+}
+
+// grow returns s resliced or extended to length n >= len(s).
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // FindAnchor returns the earliest time t >= earliest such that at least
@@ -248,9 +305,10 @@ func (p *Profile) MinAvail(start, end float64) int {
 }
 
 // Validate checks structural invariants (strictly increasing
-// breakpoints, matching slice lengths) and that availability stays
-// within [0, capacity] when capacity >= 0. It is used by tests and
-// debug assertions.
+// breakpoints, matching slice lengths, canonical form: no two adjacent
+// segments with equal availability) and that availability stays within
+// [0, capacity] when capacity >= 0. It is used by tests and debug
+// assertions.
 func (p *Profile) Validate(capacity int) error {
 	if len(p.times) == 0 || len(p.times) != len(p.avail) {
 		return fmt.Errorf("profile: bad lengths times=%d avail=%d", len(p.times), len(p.avail))
@@ -258,6 +316,9 @@ func (p *Profile) Validate(capacity int) error {
 	for i := 1; i < len(p.times); i++ {
 		if p.times[i] <= p.times[i-1] {
 			return fmt.Errorf("profile: non-increasing breakpoints at %d: %v <= %v", i, p.times[i], p.times[i-1])
+		}
+		if p.avail[i] == p.avail[i-1] {
+			return fmt.Errorf("profile: segments %d and %d both have availability %d: not canonical", i-1, i, p.avail[i])
 		}
 	}
 	if capacity >= 0 {

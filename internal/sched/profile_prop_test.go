@@ -31,6 +31,28 @@ func (r *refProfile) addBusy(start, end float64, nodes int) {
 	}
 }
 
+// minAvail returns the least availability over [start, end).
+func (r *refProfile) minAvail(start, end float64) int {
+	m := math.MaxInt
+	for i, a := range r.avail {
+		if t := r.start + float64(i); t >= start && t < end {
+			m = min(m, a)
+		}
+	}
+	return m
+}
+
+// mismatch returns the first second at which p differs from the
+// reference, or -1.
+func (r *refProfile) mismatch(p *Profile) int {
+	for i, a := range r.avail {
+		if p.AvailAt(r.start+float64(i)) != a {
+			return i
+		}
+	}
+	return -1
+}
+
 func (r *refProfile) availAt(t float64) int {
 	i := int(t - r.start)
 	if i < 0 {
@@ -182,6 +204,9 @@ func TestFindAnchorLimitConsistency(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			start := float64(rng.IntN(300))
 			p.AddBusy(start, start+float64(1+rng.IntN(50)), 1+rng.IntN(3))
+			if err := p.Validate(-1); err != nil {
+				t.Fatalf("trial %d: %v\n%v", trial, err, p)
+			}
 		}
 		for probe := 0; probe < 50; probe++ {
 			earliest := float64(rng.IntN(300))
@@ -206,16 +231,31 @@ func TestFindAnchorLimitConsistency(t *testing.T) {
 // a megabyte.
 const probeScriptMax = 4 * 128
 
+// probeRun is what runProbeScript reports: the last probe's answer (NaN
+// when the script made none), how many probes it made, how many of them
+// found an earlier anchor, how many moves it made, and the profile it
+// left.
+type probeRun struct {
+	last                 float64
+	probes, found, moves int
+	profile              *Profile
+}
+
 // runProbeScript replays a script of four-byte operations against a
-// Profile and the per-second reference and returns the last probe's
-// answer (NaN when the script made none), how many probes it made and
-// how many of them found an earlier anchor. An operation allocates
-// (start, duration, nodes), if that still fits; releases one of the live
-// allocations; or probes: it takes a live allocation as the reservation
+// Profile and the per-second reference. An operation allocates (start,
+// duration, nodes), if that still fits; releases one of the live
+// allocations; probes: it takes a live allocation as the reservation
 // held, asks FindEarlierAnchor where it could move to within
 // [earliest, earliest+span), and requires the reference's answer with
-// the allocation added back — and a profile left exactly as it was.
-func runProbeScript(t *testing.T, script []byte) (last float64, probes, found int) {
+// the allocation added back — and a profile left exactly as it was; or
+// moves a live allocation earlier with Profile.Move, to the start given
+// when that is earlier and the move fits (odd third byte) or to the
+// earliest anchor FindEarlierAnchor finds from there, as compression
+// does, and requires the profile that removing it and adding it back at
+// the destination with AddBusy leaves, element for element, and the
+// reference's availability at every second. The profile is validated,
+// canonical form included, after every operation.
+func runProbeScript(t *testing.T, script []byte) probeRun {
 	const (
 		capacity = 8
 		horizon  = 512 // starts < 256, durations <= 64, so every window fits
@@ -227,10 +267,10 @@ func runProbeScript(t *testing.T, script []byte) (last float64, probes, found in
 	var live []alloc
 	p := NewProfile(0, capacity)
 	ref := newRefProfile(0, capacity, horizon)
-	last = math.NaN()
+	run := probeRun{last: math.NaN(), profile: p}
 	script = script[:min(len(script), probeScriptMax)]
 	for ; len(script) >= 4; script = script[4:] {
-		op, a, b, c := script[0]%4, int(script[1]), int(script[2]), int(script[3])
+		op, a, b, c := script[0]%5, int(script[1]), int(script[2]), int(script[3])
 		switch {
 		case op < 2:
 			al := alloc{float64(a), float64(a + 1 + b%64), 1 + c%capacity}
@@ -247,6 +287,37 @@ func runProbeScript(t *testing.T, script []byte) (last float64, probes, found in
 			live = append(live[:k], live[k+1:]...)
 			p.AddBusy(al.start, al.end, -al.nodes)
 			ref.addBusy(al.start, al.end, -al.nodes)
+		case op == 4:
+			k := a % len(live)
+			held := live[k]
+			to, dur := float64(b), held.end-held.start
+			if c%2 == 0 {
+				to = p.FindEarlierAnchor(to, math.Inf(1), held.start, dur, held.nodes)
+			}
+			if to >= held.start {
+				continue
+			}
+			ref.addBusy(held.start, held.end, -held.nodes)
+			if ref.minAvail(to, to+dur) < held.nodes {
+				ref.addBusy(held.start, held.end, held.nodes)
+				continue
+			}
+			ref.addBusy(to, to+dur, held.nodes)
+			want := &Profile{times: slices.Clone(p.times), avail: slices.Clone(p.avail)}
+			want.AddBusy(held.start, held.end, -held.nodes)
+			want.AddBusy(to, to+dur, held.nodes)
+			before := p.String()
+			p.Move(held.start, to, dur, held.nodes)
+			if !slices.Equal(p.times, want.times) || !slices.Equal(p.avail, want.avail) {
+				t.Fatalf("Move(%v, %v, %v, %d) turned %v into\n%v, the two AddBusy calls into\n%v",
+					held.start, to, dur, held.nodes, before, p, want)
+			}
+			if i := ref.mismatch(p); i >= 0 {
+				t.Fatalf("Move(%v, %v, %v, %d) turned %v into %v: availability %d at %d, the reference %d",
+					held.start, to, dur, held.nodes, before, p, p.AvailAt(float64(i)), i, ref.avail[i])
+			}
+			live[k] = alloc{to, to + dur, held.nodes}
+			run.moves++
 		default:
 			held := live[a%len(live)]
 			earliest, limit, duration := float64(b), float64(b+c), held.end-held.start
@@ -262,17 +333,17 @@ func runProbeScript(t *testing.T, script []byte) (last float64, probes, found in
 				t.Fatalf("FindEarlierAnchor(%v, %v, held %v, %v, %d) = %v, want %v\n%v",
 					earliest, limit, held.start, duration, held.nodes, got, want, p)
 			}
-			last = got
-			probes++
+			run.last = got
+			run.probes++
 			if got < held.start {
-				found++
+				run.found++
 			}
 		}
 		if err := p.Validate(capacity); err != nil {
 			t.Fatalf("%v\n%v", err, p)
 		}
 	}
-	return last, probes, found
+	return run
 }
 
 func opAlloc(start, duration, nodes int) []byte {
@@ -283,6 +354,9 @@ func opRelease(k int) []byte { return []byte{2, byte(k), 0, 0} }
 
 // opProbe probes for the k-th live allocation over [earliest, earliest+span).
 func opProbe(k, earliest, span int) []byte { return []byte{3, byte(k), byte(earliest), byte(span)} }
+
+// opMove moves the k-th live allocation to start at to.
+func opMove(k, to int) []byte { return []byte{4, byte(k), byte(to), 1} }
 
 // probeCases are FindEarlierAnchor's unit cases in script form, on eight
 // nodes; each ends in the probe whose answer is want. They seed
@@ -350,37 +424,120 @@ var probeCases = []struct {
 	},
 }
 
+// editCases are the unit cases of Profile's one-pass edit in script
+// form, on eight nodes: each ends in the move or allocation that leaves
+// want. runProbeScript holds every move to the two AddBusy calls it
+// replaces and to the per-second reference. They seed FuzzProfileProbe.
+var editCases = []struct {
+	name   string
+	script []byte
+	want   string
+}{
+	{
+		name:   "overlapping windows",
+		script: slices.Concat(opAlloc(10, 20, 3), opMove(0, 5)),
+		want:   "Profile{[0:8] [5:5] [25:8]}",
+	},
+	{
+		name:   "destination ending where the source begins",
+		script: slices.Concat(opAlloc(0, 10, 4), opAlloc(20, 10, 2), opMove(1, 10)),
+		want:   "Profile{[0:4] [10:6] [20:8]}",
+	},
+	{
+		name:   "edit starting at index 0",
+		script: slices.Concat(opAlloc(5, 5, 2), opMove(0, 0)),
+		want:   "Profile{[0:6] [5:8]}",
+	},
+	{
+		// [0:5][10:8][20:5][30:8]: the destination begins on the
+		// breakpoint at 10 and its segment merges into the one before.
+		name:   "edit starting on a breakpoint, merging backwards",
+		script: slices.Concat(opAlloc(0, 10, 3), opAlloc(20, 10, 3), opMove(1, 10)),
+		want:   "Profile{[0:5] [20:8]}",
+	},
+	{
+		// [0:8][40:7][70:8]: the held 1 node over [50, 60) has no
+		// breakpoints of its own, so all four edit points are new.
+		name:   "four new breakpoints",
+		script: slices.Concat(opAlloc(40, 10, 1), opAlloc(50, 10, 1), opAlloc(60, 10, 1), opMove(1, 10)),
+		want:   "Profile{[0:8] [10:7] [20:8] [40:7] [50:8] [60:7] [70:8]}",
+	},
+	{
+		// A move ends at or before the last breakpoint, which is the
+		// latest end of an allocation; an allocation can reach past it.
+		name:   "edit reaching past the last breakpoint",
+		script: slices.Concat(opAlloc(0, 10, 2), opAlloc(50, 10, 3)),
+		want:   "Profile{[0:6] [10:8] [50:5] [60:8]}",
+	},
+	{
+		// [0:8][40:7][70:8][200:7][210:8][220:7][230:8]: four new
+		// breakpoints fill the ring, and the tail moves right behind them.
+		name:   "four new breakpoints before a tail",
+		script: slices.Concat(opAlloc(40, 10, 1), opAlloc(50, 10, 1), opAlloc(60, 10, 1), opAlloc(200, 10, 1), opAlloc(220, 10, 1), opMove(1, 10)),
+		want:   "Profile{[0:8] [10:7] [20:8] [40:7] [50:8] [60:7] [70:8] [200:7] [210:8] [220:7] [230:8]}",
+	},
+	{
+		// [0:0][5:8][40:4][60:8][200:7][210:8] loses two breakpoints and
+		// its tail moves left.
+		name:   "fewer breakpoints, tail moving left",
+		script: slices.Concat(opAlloc(0, 5, 8), opAlloc(40, 20, 4), opAlloc(200, 10, 1), opMove(1, 5)),
+		want:   "Profile{[0:0] [5:4] [25:8] [200:7] [210:8]}",
+	},
+}
+
+func TestEditCases(t *testing.T) {
+	for _, c := range editCases {
+		if got := runProbeScript(t, c.script).profile.String(); got != c.want {
+			t.Errorf("%s: the edit left %v, want %v", c.name, got, c.want)
+		}
+	}
+	// A destination before the domain start is clipped, as AddBusy
+	// clips: [5:8][10:6][30:8] trimmed from [0:8][10:6][30:8].
+	p := NewProfile(0, 8)
+	p.AddBusy(10, 30, 2)
+	p.TrimBefore(5)
+	p.Move(10, 0, 20, 2)
+	if got, want := p.String(), "Profile{[5:6] [20:8]}"; got != want {
+		t.Errorf("clipped destination: Move left %v, want %v", got, want)
+	}
+}
+
 func TestFindEarlierAnchorCases(t *testing.T) {
 	for _, c := range probeCases {
-		if got, _, _ := runProbeScript(t, c.script); got != c.want {
+		if got := runProbeScript(t, c.script).last; got != c.want {
 			t.Errorf("%s: FindEarlierAnchor = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
 // TestFindEarlierAnchorAgainstBruteForce drives random scripts through
-// the probe check.
+// the probe and move checks.
 func TestFindEarlierAnchorAgainstBruteForce(t *testing.T) {
-	probes, found := 0, 0
-	for trial := 0; trial < 1500; trial++ {
+	probes, found, moves := 0, 0, 0
+	for trial := 0; trial < 2000; trial++ {
 		r := rand.New(rand.NewPCG(uint64(trial), 21))
 		script := make([]byte, 4*(8+r.IntN(120)))
 		for i := range script {
 			script[i] = byte(r.Uint32())
 		}
-		_, n, k := runProbeScript(t, script)
-		probes += n
-		found += k
+		run := runProbeScript(t, script)
+		probes += run.probes
+		found += run.found
+		moves += run.moves
 	}
-	t.Logf("%d probes, %d found an earlier anchor", probes, found)
-	if probes < 20000 || found < 2000 {
-		t.Fatalf("%d probes, %d with an earlier anchor: the scripts no longer exercise the probe", probes, found)
+	t.Logf("%d probes, %d found an earlier anchor; %d moves", probes, found, moves)
+	if probes < 20000 || found < 2000 || moves < 8000 {
+		t.Fatalf("%d probes, %d with an earlier anchor, %d moves: the scripts no longer exercise the probe and the move", probes, found, moves)
 	}
 }
 
-// FuzzProfileProbe is the same check under the native fuzzer.
+// FuzzProfileProbe is the same check under the native fuzzer, seeded
+// with the probe and move cases.
 func FuzzProfileProbe(f *testing.F) {
 	for _, c := range probeCases {
+		f.Add(c.script)
+	}
+	for _, c := range editCases {
 		f.Add(c.script)
 	}
 	f.Fuzz(func(t *testing.T, script []byte) { runProbeScript(t, script) })

@@ -39,7 +39,7 @@ const (
 )
 
 // scriptMax bounds a script: the harness copies a CBF cluster before
-// every compressing pass, and the fuzzer grows inputs to a megabyte.
+// every pass, and the fuzzer grows inputs to a megabyte.
 const scriptMax = 1200
 
 // scriptBytes reads a script; past its end every byte is zero.
@@ -66,6 +66,8 @@ const (
 	nCursorCompactions        // compactions between passes under a remembered EASY cursor
 	nBlocked                  // blocked EASY heads whose shadow was held to the Profile oracle
 	nExactStarts              // FCFS and EASY start times held to refEASY
+	nCBFPasses                // CBF passes held to referencePassCBF
+	nResumed                  // of them, passes whose admit resumed at the cursor
 	nCompressing              // CBF compressing passes held to referencePassCBF
 	nProbes                   // reservations they searched an earlier anchor for
 	nMoves                    // probes that moved the reservation
@@ -332,7 +334,7 @@ func referencePassCBF(c *Cluster, n *counts) {
 		c.needCompress = false
 		referenceCompress(c, now, n)
 	}
-	c.admitCBF(now)
+	c.admitCBF(now, 0, math.Inf(1), 0)
 	c.inPass = false
 	if c.needCompact {
 		c.needCompact = false
@@ -441,10 +443,10 @@ func withdrawFrom(c *Cluster, r *Request) {
 
 // harness steps a script's clusters event by event. Before an event that
 // may be a cluster's pass it takes down what the reference expects —
-// predictPass, or a copy for referencePassCBF when the pass compresses —
-// and when it was that pass, requires exactly that. After every event,
-// and every cancel between passes, it checks the invariants, the blocked
-// EASY heads' shadows and the CBF reservation timers.
+// predictPass, or a copy for referencePassCBF — and when it was that
+// pass, requires exactly that. After every event, and every cancel
+// between passes, it checks the invariants, the blocked EASY heads'
+// shadows and the CBF reservation timers.
 type harness struct {
 	t        *testing.T
 	sim      *des.Simulation
@@ -564,7 +566,7 @@ func (h *harness) step() bool {
 		twin                          *cbfTwin
 		clean                         bool
 		passes, queued, due, canceled int
-		fires, probes, moves          int64
+		fires, probes, moves, resumed int64
 		ticket                        uint64
 	}
 	before := make([]snapshot, len(h.cs))
@@ -576,6 +578,7 @@ func (h *harness) step() bool {
 		b := &before[i]
 		b.passes, b.queued, b.canceled, b.ticket = c.stats.Passes, len(c.queue), c.stats.Canceled, c.timerTicket
 		b.fires, b.probes, b.moves = c.cTimerFires.Value(), c.cCompressProbes.Value(), c.cCompressMoves.Value()
+		b.resumed = c.cPassesClean.Value()
 		kicked := c.kickEv != nil && c.kickEv.Time == at
 		timed := c.timerEv != nil && c.timerEv.Time == at
 		if timed {
@@ -587,9 +590,7 @@ func (h *harness) step() bool {
 			b.want, b.clean = &want, c.easyHead != nil
 		case c.cfg.Alg == CBF && (kicked || timed):
 			b.due = due(c, at)
-			if c.needCompress {
-				b.twin = cloneCBF(c, h.withdraw)
-			}
+			b.twin = cloneCBF(c, h.withdraw)
 		}
 	}
 	h.sim.Step()
@@ -646,6 +647,8 @@ func (h *harness) step() bool {
 			probes, moves := h.n[nProbes], h.n[nMoves]
 			referencePassCBF(tw.c, &h.n)
 			h.compare(c, h.started[i], tw)
+			h.n[nCBFPasses]++
+			h.n[nResumed] += int(c.cPassesClean.Value() - b.resumed)
 			h.n[nWithdrawn] += tw.c.stats.Canceled
 			// The trace counts what the reference did.
 			if p, m := c.cCompressProbes.Value()-b.probes, c.cCompressMoves.Value()-b.moves; p != int64(h.n[nProbes]-probes) || m != int64(h.n[nMoves]-moves) {
@@ -998,10 +1001,10 @@ func TestAgainstReferenceOracle(t *testing.T) {
 
 // TestCompressionMatchesRewriteReference runs CBF scripts — the unit
 // cases and random ones on one cluster and on several — and requires
-// every compressing pass to leave the cluster exactly where the remove,
-// search, clamp and re-add reference leaves it, and the timer to stand
-// for the earliest pending reservation, to fire only when one is due, in
-// ticket order, and to leave none overdue.
+// every pass to leave the cluster exactly where the remove, search,
+// clamp and re-add reference with a full admit walk leaves it, and the
+// timer to stand for the earliest pending reservation, to fire only when
+// one is due, in ticket order, and to leave none overdue.
 func TestCompressionMatchesRewriteReference(t *testing.T) {
 	s, m := runRandom(t, 21, 4000, func(trial int) (byte, byte) {
 		return header(CBF, OrderFCFS), flag(trial%2 == 1, scriptWithdraw) | flag(trial%3 == 0, scriptCompressOnCancel) |
@@ -1012,6 +1015,9 @@ func TestCompressionMatchesRewriteReference(t *testing.T) {
 		s.add(n)
 	}
 	assertFloors(t,
+		floor{"passes whose admit resumed at the cursor, single-cluster", s[nResumed], 50000},
+		floor{"passes whose admit resumed at the cursor, multi-cluster", m[nResumed], 50000},
+		floor{"passes whose admit started at slot 0", s[nCBFPasses] - s[nResumed] + m[nCBFPasses] - m[nResumed], 20000},
 		floor{"compressing passes in single-cluster scripts", s[nCompressing], 50000},
 		floor{"compressing passes in multi-cluster scripts", m[nCompressing], 40000},
 		floor{"probes in single-cluster scripts", s[nProbes], 500000},

@@ -163,10 +163,12 @@ func Write(w io.Writer, tr *Trace) error {
 	if tr.Header.Computer != "" {
 		fmt.Fprintf(bw, "; Computer: %s\n", tr.Header.Computer)
 	}
-	if tr.Header.MaxNodes > 0 {
+	// Every value Parse can read back is written, the -1 of an unknown
+	// size included; 0 is what a trace without the header parses to.
+	if tr.Header.MaxNodes != 0 {
 		fmt.Fprintf(bw, "; MaxNodes: %d\n", tr.Header.MaxNodes)
 	}
-	if tr.Header.MaxProcs > 0 {
+	if tr.Header.MaxProcs != 0 {
 		fmt.Fprintf(bw, "; MaxProcs: %d\n", tr.Header.MaxProcs)
 	}
 	if tr.Header.Note != "" {

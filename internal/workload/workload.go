@@ -219,6 +219,9 @@ func (m *Model) SampleJob(src *rng.Source, arrival float64) Job {
 }
 
 // GenerateWindow generates all jobs arriving in [0, horizon) seconds.
+// The stream it returns has no spare capacity: it is copied once into a
+// slice of its exact length, since append's growth would leave up to a
+// quarter of a long-lived stream's backing array unused.
 func (m *Model) GenerateWindow(src *rng.Source, horizon float64) []Job {
 	var jobs []Job
 	t := m.SampleInterarrival(src)
@@ -226,7 +229,12 @@ func (m *Model) GenerateWindow(src *rng.Source, horizon float64) []Job {
 		jobs = append(jobs, m.SampleJob(src, t))
 		t += m.SampleInterarrival(src)
 	}
-	return jobs
+	if len(jobs) == cap(jobs) {
+		return jobs
+	}
+	exact := make([]Job, len(jobs))
+	copy(exact, jobs)
+	return exact
 }
 
 // OfferedLoad Monte-Carlo-estimates the offered load of the model on a

@@ -173,6 +173,32 @@ func TestGenerateWindow(t *testing.T) {
 	}
 }
 
+// TestGenerateWindowExactSize holds a generated stream to no spare
+// capacity, the same jobs one SampleJob call after another gives, and
+// allocations that grow with the stream's doublings, not its jobs.
+func TestGenerateWindowExactSize(t *testing.T) {
+	m := NewModel(128)
+	jobs := m.GenerateWindow(rng.New(8), 3600)
+	if len(jobs) != cap(jobs) {
+		t.Fatalf("stream of %d jobs in %d of capacity", len(jobs), cap(jobs))
+	}
+	src := rng.New(8)
+	n := 0
+	for at := m.SampleInterarrival(src); at < 3600; at += m.SampleInterarrival(src) {
+		if want := m.SampleJob(src, at); n >= len(jobs) || jobs[n] != want {
+			t.Fatalf("job %d: stream has %d jobs, want %+v", n, len(jobs), want)
+		}
+		n++
+	}
+	if n != len(jobs) {
+		t.Fatalf("stream has %d jobs, want %d", len(jobs), n)
+	}
+	// About 700 jobs: ten doublings of append's growth and the copy.
+	if allocs := testing.AllocsPerRun(10, func() { m.GenerateWindow(rng.New(8), 3600) }); allocs > 16 {
+		t.Errorf("GenerateWindow made %v allocations for %d jobs", allocs, len(jobs))
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	m := NewModel(128)
 	a := m.GenerateWindow(rng.New(10), 600)
