@@ -57,7 +57,7 @@ examples:
 # sched's byte-script interpreter — submits, finishes, cancels, idle
 # time and redundant copies against FCFS, EASY or CBF clusters — and
 # holds every event to the reference for its algorithm: the full EASY
-# pass and Profile-built shadow, the CBF rewrite reference and timer
+# pass, class caps included, and Profile-built shadow, the CBF rewrite reference and timer
 # minimum, and exact start times on cancel-free streams; FuzzEnvelope
 # feeds arbitrary bytes to the middleware's envelope and reply decoder
 # and holds whatever it accepts to encoding/xml: the same value, the
@@ -68,7 +68,11 @@ examples:
 # a larger ID, an accepted QDEL removes one, and QSTAT reports Stat;
 # FuzzSWF feeds arbitrary bytes to the SWF trace parser and holds
 # whatever it accepts to a Write and Parse round trip that changes
-# nothing, and to a Jobs conversion that does not panic. A failure
+# nothing, and to a Jobs conversion that does not panic; FuzzJournal
+# feeds arbitrary logs, and prefixes of them cut anywhere, to pbsd's
+# journal replay and holds it to a line-by-line reference: a torn tail
+# is ignored whether or not it parses, and a newline-terminated line
+# that does not parse fails recovery. A failure
 # leaves its input under the package's testdata/fuzz to commit as a
 # regression case.
 fuzz-smoke:
@@ -78,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelope -fuzztime 10s ./internal/middleware
 	$(GO) test -run '^$$' -fuzz FuzzProtocol -fuzztime 10s ./internal/pbsd
 	$(GO) test -run '^$$' -fuzz FuzzSWF -fuzztime 10s ./internal/swf
+	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/pbsd
 
 # validate runs the validation harness: the invariant suite (causality,
 # liveness, capacity, work conservation, CPU-time ledger, determinism)

@@ -234,8 +234,8 @@ func TestCSVStdout(t *testing.T) {
 // shared-pool scheduling as pure wall-clock optimizations: a fixed-seed
 // multi-experiment run must produce byte-identical JSON whether
 // simulations run on one worker or eight, with the cache on or off.
-// The set spans matrix experiments, a scheme sweep, a bespoke scenario
-// engine, and fault injection; qgrowth is left out only because its
+// The set spans matrix experiments, a scheme sweep, the multi-queue
+// extension (which runs outside the matrix), and fault injection; qgrowth is left out only because its
 // pinned 24h horizon would dominate the suite (TestGoldenJSON covers
 // it cache-on).
 func TestDeterministicAcrossWorkersAndCache(t *testing.T) {
@@ -279,7 +279,7 @@ func TestCacheFlagValidation(t *testing.T) {
 	}
 }
 
-// TestBadOrderingExitsUsage rejects unknown queue orderings.
+// TestBadRoutingExitsUsage rejects unknown routing policies.
 func TestBadRoutingExitsUsage(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-run", "table1", "-routing", "psychic"}, &out, &errb); code != 2 {
@@ -290,6 +290,7 @@ func TestBadRoutingExitsUsage(t *testing.T) {
 	}
 }
 
+// TestBadOrderingExitsUsage rejects unknown queue orderings.
 func TestBadOrderingExitsUsage(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-run", "table1", "-ordering", "lifo"}, &out, &errb); code != 2 {

@@ -5,166 +5,253 @@
 package experiment
 
 import (
+	"fmt"
+
 	"redreq/internal/core"
+	"redreq/internal/des"
 	"redreq/internal/metrics"
 	"redreq/internal/moldable"
-	"redreq/internal/multiq"
 	"redreq/internal/report"
+	"redreq/internal/rng"
 	"redreq/internal/sched"
 	"redreq/internal/stats"
+	"redreq/internal/workload"
 )
 
-// multiQueueResult compares best-single-queue submission against
-// redundant submission to all eligible queues of one resource
-// (option iii).
-type multiQueueResult struct {
-	SingleAvgStretch    float64
-	RedundantAvgStretch float64
-	RelAvgStretch       float64
-	// ShortWinsSingle / ShortWinsRedundant are the fractions of jobs
-	// served by the "short" queue under each policy.
-	ShortWinsSingle    float64
-	ShortWinsRedundant float64
-	Reps               int
+// The multi-queue resource of option (iii) is one EASY cluster whose
+// request classes are its queues, served in class order: a "short"
+// queue of requests up to an hour, at most four running at once (a
+// tight PBS-style slot limit), before an unlimited "long" one. The slot
+// limit makes the queue choice a dilemma: the short queue is served
+// first but can be slot-saturated while the long queue has headroom.
+const (
+	shortQueue, longQueue = 0, 1
+	shortMaxEstimate      = 3600
+	shortMaxRunning       = 4
+)
+
+// multiQueueCluster is that resource's scheduler.
+var multiQueueCluster = sched.Config{Alg: sched.EASY, Order: sched.OrderClass, ClassLimit: []int{shortQueue: shortMaxRunning, longQueue: 0}}
+
+// The shapes a moldable job of option (iv) offers under redundancy: up
+// to two halving and doubling steps around its base shape, none below
+// half parallel efficiency.
+const (
+	moldableExtraShapes   = 2
+	moldableMinEfficiency = 0.5
+)
+
+// extJob is one job of an extension run: the stream's job, the requests
+// it sends, and the one that won.
+type extJob struct {
+	workload.Job
+	copies []sched.Request
+	winner *sched.Request
 }
 
-// multiQueue runs the option (iii) experiment over opts.Reps seeds.
-// It loops over multiq.RunScenario directly rather than the matrix
-// harness: the scenario engine has its own config and result types.
-func multiQueue(opts Options) (multiQueueResult, error) {
-	var singles, reds []float64
-	var shortS, shortR float64
+// runExtension runs replication rep of the options' calibrated workload
+// on one cluster under cfg. copies gives each job's requests, shape and
+// class; it may draw from src, after the stream is generated. A job's
+// requests are submitted together at its arrival, the first to start
+// wins and the rest are canceled. Every job comes back with a winner
+// that finished.
+func runExtension(opts Options, rep int, cfg sched.Config, copies copyFunc) ([]extJob, error) {
+	if opts.Nodes < 1 || opts.Horizon <= 0 {
+		return nil, fmt.Errorf("experiment: bad extension platform: %d nodes, horizon %v", opts.Nodes, opts.Horizon)
+	}
+	model := workload.NewModel(opts.Nodes)
+	if opts.MinRuntime > 0 {
+		model.MinRuntime = opts.MinRuntime
+	}
+	if opts.MaxRuntime > 0 {
+		model.MaxRuntime = opts.MaxRuntime
+	}
+	if opts.TargetLoad > 0 {
+		model.CalibrateClampedCached(0xCA11B8A7E, opts.Nodes, opts.TargetLoad, 100000)
+	}
+	if err := model.Validate(); err != nil {
+		return nil, err
+	}
+	src := rng.New(opts.BaseSeed + uint64(rep)*seedStride)
+	stream := model.GenerateWindow(src, opts.Horizon)
+	jobs := make([]extJob, len(stream))
+	for i, j := range stream {
+		cs, err := copies(src, j)
+		if err != nil {
+			return nil, err
+		}
+		jobs[i] = extJob{Job: j, copies: cs}
+	}
+
+	sim := des.New()
+	cfg.Nodes = opts.Nodes
+	cl := sched.NewCluster(sim, "extension", 0, cfg)
+	cl.OnStart = func(r *sched.Request) {
+		j := r.Owner.(*extJob)
+		j.winner = r
+		for k := range j.copies {
+			if c := &j.copies[k]; c != r {
+				cl.Cancel(c)
+			}
+		}
+	}
+	for i := range jobs {
+		j := &jobs[i]
+		sim.Schedule(j.Arrival, func() {
+			for k := range j.copies {
+				r := &j.copies[k]
+				r.JobID, r.Owner = int64(i), j
+				cl.Submit(r)
+			}
+		})
+	}
+	sim.Run()
+	for i := range jobs {
+		if w := jobs[i].winner; w == nil || w.State != sched.Done {
+			return nil, fmt.Errorf("experiment: job %d never completed", i)
+		}
+	}
+	return jobs, nil
+}
+
+// stretch is a job's turnaround over its stream runtime (the base
+// shape's, for a moldable job), at least 1.
+func (j *extJob) stretch() float64 {
+	return max(1, (j.winner.End-j.Arrival)/j.Runtime)
+}
+
+// copyFunc gives a job's requests, shape and class; it may draw from
+// src.
+type copyFunc func(src *rng.Source, j workload.Job) ([]sched.Request, error)
+
+// copyPolicy gives the copyFunc of the single-request policy or of the
+// redundant one.
+type copyPolicy func(redundant bool) copyFunc
+
+// policyResult is one extension's comparison over opts.Reps seeds, each
+// mean taken over the reps: index 0 is the single-request policy, 1 the
+// redundant one. Share is the share of jobs an extension marks.
+type policyResult struct {
+	AvgStretch [2]float64
+	RelAvg     float64 // mean of redundant/single average stretch
+	Share      [2]float64
+}
+
+// comparePolicies runs both request policies on every rep's stream.
+func comparePolicies(opts Options, cfg sched.Config, policy copyPolicy, mark func(*extJob) bool) (policyResult, error) {
+	var avg, share [2][]float64
 	for rep := 0; rep < opts.Reps; rep++ {
-		cfg := multiq.ScenarioConfig{
-			Nodes:      opts.Nodes,
-			Queues:     multiq.DefaultQueues(),
-			Seed:       opts.BaseSeed + uint64(rep)*seedStride,
-			Horizon:    opts.Horizon,
-			TargetLoad: opts.TargetLoad,
-			MinRuntime: opts.MinRuntime,
-			MaxRuntime: opts.MaxRuntime,
+		for p, redundant := range []bool{false, true} {
+			jobs, err := runExtension(opts, rep, cfg, policy(redundant))
+			if err != nil {
+				return policyResult{}, err
+			}
+			stretches := make([]float64, len(jobs))
+			marked := 0
+			for i := range jobs {
+				stretches[i] = jobs[i].stretch()
+				if mark(&jobs[i]) {
+					marked++
+				}
+			}
+			avg[p] = append(avg[p], stats.Mean(stretches))
+			share[p] = append(share[p], float64(marked)/float64(len(jobs)))
 		}
-		cfg.Policy = multiq.BestQueue
-		s, err := multiq.RunScenario(cfg)
-		if err != nil {
-			return multiQueueResult{}, err
-		}
-		cfg.Policy = multiq.RedundantQueues
-		r, err := multiq.RunScenario(cfg)
-		if err != nil {
-			return multiQueueResult{}, err
-		}
-		singles = append(singles, s.AvgStretch)
-		reds = append(reds, r.AvgStretch)
-		shortS += float64(s.WinsByQueue["short"]) / float64(len(s.Jobs))
-		shortR += float64(r.WinsByQueue["short"]) / float64(len(r.Jobs))
 	}
-	n := float64(opts.Reps)
-	out := multiQueueResult{
-		SingleAvgStretch:    stats.Mean(singles),
-		RedundantAvgStretch: stats.Mean(reds),
-		ShortWinsSingle:     shortS / n,
-		ShortWinsRedundant:  shortR / n,
-		Reps:                opts.Reps,
+	ratios := make([]float64, opts.Reps)
+	for i := range ratios {
+		ratios[i] = avg[1][i] / avg[0][i]
 	}
-	var ratios []float64
-	for i := range singles {
-		ratios = append(ratios, reds[i]/singles[i])
-	}
-	out.RelAvgStretch = stats.Mean(ratios)
-	return out, nil
+	return policyResult{
+		AvgStretch: [2]float64{stats.Mean(avg[0]), stats.Mean(avg[1])},
+		RelAvg:     stats.Mean(ratios),
+		Share:      [2]float64{stats.Mean(share[0]), stats.Mean(share[1])},
+	}, nil
 }
 
+// queueCopies sends a job to the short queue when it is eligible, and
+// also to the long one when redundant or not eligible.
+func queueCopies(redundant bool) copyFunc {
+	return func(_ *rng.Source, j workload.Job) ([]sched.Request, error) {
+		r := sched.Request{Nodes: j.Nodes, Runtime: j.Runtime, Estimate: j.Estimate, Class: longQueue}
+		if j.Estimate > shortMaxEstimate {
+			return []sched.Request{r}, nil
+		}
+		short := r
+		short.Class = shortQueue
+		if !redundant {
+			return []sched.Request{short}, nil
+		}
+		return []sched.Request{short, r}, nil
+	}
+}
+
+// multiqSpec compares best-single-queue submission against redundant
+// submission to all eligible queues of one resource (option iii).
 var multiqSpec = &Spec{
 	Name:   "multiq",
 	Title:  "Extension (option iii): redundant requests across queues of one resource",
 	Desc:   "best-queue vs submit-to-all-queues on a multi-queue resource",
 	Params: "queues=short,long (multiq defaults)",
 	Tables: func(opts Options) ([]*report.Table, error) {
-		r, err := multiQueue(opts)
+		r, err := comparePolicies(opts, multiQueueCluster, queueCopies, func(j *extJob) bool { return j.winner.Class == shortQueue })
 		if err != nil {
 			return nil, err
 		}
 		t := report.NewTable("Redundant requests across queues of one resource",
 			"metric", "value")
-		t.AddRow("avg stretch, best-queue", report.F(r.SingleAvgStretch, 2))
-		t.AddRow("avg stretch, redundant-queues", report.F(r.RedundantAvgStretch, 2))
-		t.AddRow("ratio redundant/best", report.F(r.RelAvgStretch, 2))
-		t.AddRow("short-queue wins, best-queue (%)", report.F(r.ShortWinsSingle*100, 0))
-		t.AddRow("short-queue wins, redundant (%)", report.F(r.ShortWinsRedundant*100, 0))
+		t.AddRow("avg stretch, best-queue", report.F(r.AvgStretch[0], 2))
+		t.AddRow("avg stretch, redundant-queues", report.F(r.AvgStretch[1], 2))
+		t.AddRow("ratio redundant/best", report.F(r.RelAvg, 2))
+		t.AddRow("short-queue wins, best-queue (%)", report.F(r.Share[0]*100, 0))
+		t.AddRow("short-queue wins, redundant (%)", report.F(r.Share[1]*100, 0))
 		return []*report.Table{t}, nil
 	},
 }
 
-// moldableResult compares fixed-shape submission against redundant
-// shape variants (option iv).
-type moldableResult struct {
-	FixedAvgStretch     float64
-	RedundantAvgStretch float64
-	RelAvgStretch       float64
-	// ShapeChangedFrac is the fraction of jobs that ended up running
-	// with a shape different from their base request.
-	ShapeChangedFrac float64
-	Reps             int
+// shapeCopies draws a job's sequential fraction, rebuilds its speedup
+// model from the base shape, and sends the base shape alone, or every
+// variant when redundant. Each shape keeps the job's estimate-to-runtime
+// ratio.
+func shapeCopies(maxNodes int) copyPolicy {
+	return func(redundant bool) copyFunc {
+		return func(src *rng.Source, j workload.Job) ([]sched.Request, error) {
+			m, err := moldable.FromObservation(j.Nodes, j.Runtime, moldable.RandomSeqFraction(src))
+			if err != nil {
+				return nil, err
+			}
+			variants := []moldable.Variant{{Nodes: j.Nodes, Time: j.Runtime}}
+			if redundant {
+				variants = m.Variants(j.Nodes, maxNodes, moldableExtraShapes, moldableMinEfficiency)
+			}
+			estRatio := j.Estimate / j.Runtime
+			rs := make([]sched.Request, len(variants))
+			for i, v := range variants {
+				rs[i] = sched.Request{Nodes: v.Nodes, Runtime: v.Time, Estimate: v.Time * estRatio}
+			}
+			return rs, nil
+		}
+	}
 }
 
-// moldableExp runs the option (iv) experiment over opts.Reps seeds.
-func moldableExp(opts Options) (moldableResult, error) {
-	var fixed, red, changed []float64
-	for rep := 0; rep < opts.Reps; rep++ {
-		cfg := moldable.ScenarioConfig{
-			Nodes:      opts.Nodes,
-			Alg:        sched.EASY,
-			Seed:       opts.BaseSeed + uint64(rep)*seedStride,
-			Horizon:    opts.Horizon,
-			TargetLoad: opts.TargetLoad,
-			MinRuntime: opts.MinRuntime,
-			MaxRuntime: opts.MaxRuntime,
-		}
-		cfg.Policy = moldable.FixedShape
-		f, err := moldable.RunScenario(cfg)
-		if err != nil {
-			return moldableResult{}, err
-		}
-		cfg.Policy = moldable.RedundantShapes
-		r, err := moldable.RunScenario(cfg)
-		if err != nil {
-			return moldableResult{}, err
-		}
-		fixed = append(fixed, f.AvgStretch)
-		red = append(red, r.AvgStretch)
-		changed = append(changed, float64(r.ShapeChanged)/float64(len(r.Jobs)))
-	}
-	out := moldableResult{
-		FixedAvgStretch:     stats.Mean(fixed),
-		RedundantAvgStretch: stats.Mean(red),
-		ShapeChangedFrac:    stats.Mean(changed),
-		Reps:                opts.Reps,
-	}
-	var ratios []float64
-	for i := range fixed {
-		ratios = append(ratios, red[i]/fixed[i])
-	}
-	out.RelAvgStretch = stats.Mean(ratios)
-	return out, nil
-}
-
+// moldableSpec compares fixed-shape submission against redundant shape
+// variants (option iv).
 var moldableSpec = &Spec{
 	Name:   "moldable",
 	Title:  "Extension (option iv): redundant shape variants for moldable jobs",
 	Desc:   "fixed-shape vs redundant shape variants under EASY",
 	Params: "shapes per job from moldable defaults",
 	Tables: func(opts Options) ([]*report.Table, error) {
-		r, err := moldableExp(opts)
+		r, err := comparePolicies(opts, sched.Config{Alg: sched.EASY}, shapeCopies(opts.Nodes), func(j *extJob) bool { return j.winner.Nodes != j.Nodes })
 		if err != nil {
 			return nil, err
 		}
 		t := report.NewTable("Redundant shape variants for moldable jobs (stretch vs base-shape runtime)",
 			"metric", "value")
-		t.AddRow("avg stretch, fixed shape", report.F(r.FixedAvgStretch, 2))
-		t.AddRow("avg stretch, redundant shapes", report.F(r.RedundantAvgStretch, 2))
-		t.AddRow("ratio redundant/fixed", report.F(r.RelAvgStretch, 2))
-		t.AddRow("jobs run with a changed shape (%)", report.F(r.ShapeChangedFrac*100, 0))
+		t.AddRow("avg stretch, fixed shape", report.F(r.AvgStretch[0], 2))
+		t.AddRow("avg stretch, redundant shapes", report.F(r.AvgStretch[1], 2))
+		t.AddRow("ratio redundant/fixed", report.F(r.RelAvg, 2))
+		t.AddRow("jobs run with a changed shape (%)", report.F(r.Share[1]*100, 0))
 		return []*report.Table{t}, nil
 	},
 }

@@ -20,7 +20,7 @@ import (
 // (variant, replication) pair through the shared runMatrix harness and
 // hands the matrix of per-run summaries — indexed [variant][rep] in
 // Variants order — to Reduce. Experiments that cannot run through the matrix
-// (wall-clock measurements, bespoke scenario loops) set Tables
+// (wall-clock measurements, the single-cluster extensions) set Tables
 // instead, which takes full control.
 type Spec struct {
 	// Name is the registry key (`redsim -run <name>`).

@@ -53,7 +53,7 @@ func TestLookup(t *testing.T) {
 
 // TestSpecRunSmoke runs every matrix experiment at tiny scale through
 // the registry path and checks each produces at least one table with
-// rows. sec4 (wall-clock) and the bespoke scenario extensions are
+// rows. sec4 (wall-clock) and the single-cluster extensions are
 // covered by their own tests and the CLI smoke.
 func TestSpecRunSmoke(t *testing.T) {
 	if testing.Short() {
@@ -68,7 +68,7 @@ func TestSpecRunSmoke(t *testing.T) {
 	}
 	for _, s := range All() {
 		if s.Tables != nil {
-			continue // bespoke: wall-clock or scenario engines
+			continue // bespoke: wall-clock or the extension runner
 		}
 		s := s
 		t.Run(s.Name, func(t *testing.T) {

@@ -1,5 +1,5 @@
-// Package moldable implements option (iv) of the paper's Section 2,
-// which the paper leaves as future work: redundant batch requests for
+// Package moldable holds the speedup model behind option (iv) of the
+// paper's Section 2, which the paper leaves as future work: redundant batch requests for
 // *moldable* jobs, which can run on different numbers of nodes. A user
 // submits several requests for the same job with different node counts
 // (and correspondingly different compute times) to a single batch
@@ -11,7 +11,8 @@
 // a job with sequential fraction s and single-node work W runs in
 // T(n) = W*(s + (1-s)/n) on n nodes. Requesting more nodes shortens
 // execution but typically lengthens queueing, which is exactly the
-// trade-off redundant shape variants sidestep.
+// trade-off redundant shape variants sidestep. The experiment package's
+// moldable spec runs the scenario.
 package moldable
 
 import (

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"redreq/internal/rng"
-	"redreq/internal/sched"
 )
 
 func TestSpeedupModelTime(t *testing.T) {
@@ -136,75 +135,6 @@ func TestValidate(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("model %+v accepted", bad)
 		}
-	}
-}
-
-func TestRunScenarioPolicies(t *testing.T) {
-	base := ScenarioConfig{
-		Nodes: 64, Alg: sched.EASY, Seed: 5, Horizon: 1200,
-		TargetLoad: 0.6, MinRuntime: 30,
-	}
-	fixed := base
-	fixed.Policy = FixedShape
-	rf, err := RunScenario(fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	red := base
-	red.Policy = RedundantShapes
-	rr, err := RunScenario(red)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rf.Jobs) != len(rr.Jobs) {
-		t.Fatalf("job counts differ: %d vs %d", len(rf.Jobs), len(rr.Jobs))
-	}
-	for _, j := range rf.Jobs {
-		if j.Copies != 1 || j.WonNodes != j.BaseNodes {
-			t.Fatalf("fixed-shape job changed shape: %+v", j)
-		}
-	}
-	multi := 0
-	for _, j := range rr.Jobs {
-		if j.Copies > 1 {
-			multi++
-		}
-		if j.End <= j.Start {
-			t.Fatalf("bad timeline %+v", j)
-		}
-	}
-	if multi == 0 {
-		t.Error("no job offered multiple shapes")
-	}
-	if rf.ShapeChanged != 0 {
-		t.Errorf("fixed policy changed %d shapes", rf.ShapeChanged)
-	}
-}
-
-func TestScenarioDeterministic(t *testing.T) {
-	cfg := ScenarioConfig{
-		Nodes: 32, Alg: sched.EASY, Policy: RedundantShapes,
-		Seed: 8, Horizon: 600, TargetLoad: 0.6, MinRuntime: 30,
-	}
-	a, err := RunScenario(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunScenario(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.AvgStretch != b.AvgStretch || a.ShapeChanged != b.ShapeChanged {
-		t.Fatalf("not deterministic: %v/%d vs %v/%d", a.AvgStretch, a.ShapeChanged, b.AvgStretch, b.ShapeChanged)
-	}
-}
-
-func TestScenarioValidation(t *testing.T) {
-	if _, err := RunScenario(ScenarioConfig{Nodes: 0, Horizon: 1}); err == nil {
-		t.Error("zero nodes accepted")
-	}
-	if _, err := RunScenario(ScenarioConfig{Nodes: 4, Horizon: 0}); err == nil {
-		t.Error("zero horizon accepted")
 	}
 }
 

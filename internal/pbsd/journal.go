@@ -16,9 +16,13 @@
 // recorded and no D or C followed. A started-but-uncompleted job (R
 // without C) is REQUEUED at its original queue position — its nodes
 // died with the daemon, which is what PBS does for jobs without
-// checkpoints. A torn final line (the crash happened mid-write) is
-// ignored; anything malformed earlier is a corrupt journal and fails
-// recovery loudly rather than silently dropping jobs.
+// checkpoints. An unterminated final line (the crash happened
+// mid-write) is torn and ignored, whether or not what reached the disk
+// happens to parse: a cut "D 123" reads as "D 12". A newline-terminated
+// line that does not parse is a corrupt journal wherever it sits, and
+// fails recovery loudly rather than silently dropping jobs. Reopening
+// cuts the torn tail off before the next append, so a new record never
+// joins a fragment.
 //
 // Two write disciplines share this format. The legacy discipline
 // appends one line per event (syncing every 256 lines). The
@@ -78,13 +82,16 @@ func openJournal(dir string, group bool) (*journal, []*Job, int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, fmt.Errorf("pbsd: journal: %w", err)
 	}
-	path := filepath.Join(dir, "jobs.log")
-	pending, maxID, err := replay(path)
+	f, err := os.OpenFile(filepath.Join(dir, "jobs.log"), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, 0, fmt.Errorf("pbsd: journal: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	pending, maxID, complete, err := replay(f)
+	if err == nil {
+		err = f.Truncate(complete)
+	}
 	if err != nil {
+		f.Close()
 		return nil, nil, 0, fmt.Errorf("pbsd: journal: %w", err)
 	}
 	j := &journal{dir: dir, file: f, group: group}
@@ -92,65 +99,58 @@ func openJournal(dir string, group bool) (*journal, []*Job, int64, error) {
 	return j, pending, maxID, nil
 }
 
-// replay reconstructs the pending queue from the event log at path.
-func replay(path string) ([]*Job, int64, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("pbsd: journal replay: %w", err)
-	}
-	defer f.Close()
-
+// replay reconstructs the pending queue from an event log. It also
+// returns the highest job ID ever issued and the length in bytes of the
+// log's complete lines, the prefix that excludes a torn tail.
+func replay(log io.Reader) ([]*Job, int64, int64, error) {
+	// Every job ever submitted, nil once deleted or completed: IDs are
+	// never reused, so a second submit of one is corruption too.
 	jobs := make(map[int64]*Job)
 	var order []int64 // submit order, including since-removed ids
-	var maxID int64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := sc.Text()
-		job, id, kind, err := parseEvent(line)
-		if err != nil {
-			// A torn final line is the expected signature of a crash
-			// mid-write; anything malformed before the end is corruption.
-			if !sc.Scan() {
-				break
-			}
-			return nil, 0, fmt.Errorf("pbsd: journal replay: line %d: %v", lineno, err)
+	var maxID, complete int64
+	rd := bufio.NewReaderSize(log, 64<<10)
+	for lineno := 1; ; lineno++ {
+		line, err := rd.ReadString('\n')
+		if err == io.EOF {
+			break // the torn tail, if line holds one
 		}
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("replay: %w", err)
+		}
+		job, id, kind, err := parseEvent(line[:len(line)-1])
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("replay: line %d: %v", lineno, err)
+		}
+		complete += int64(len(line))
 		switch kind {
 		case 'S':
 			if id > maxID {
 				maxID = id
 			}
 			if _, dup := jobs[id]; dup {
-				return nil, 0, fmt.Errorf("pbsd: journal replay: line %d: duplicate submit for job %d", lineno, id)
+				return nil, 0, 0, fmt.Errorf("replay: line %d: duplicate submit for job %d", lineno, id)
 			}
 			jobs[id] = job
 			order = append(order, id)
 		case 'D', 'C':
-			delete(jobs, id)
+			if jobs[id] != nil {
+				jobs[id] = nil
+			}
 		case 'R':
 			// Started but never completed: requeue on recovery. The job
 			// stays in the map at its original position.
-			if j, ok := jobs[id]; ok {
+			if j := jobs[id]; j != nil {
 				j.State = Queued
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("pbsd: journal replay: %w", err)
-	}
 	pending := make([]*Job, 0, len(jobs))
 	for _, id := range order {
-		if j, ok := jobs[id]; ok {
+		if j := jobs[id]; j != nil {
 			pending = append(pending, j)
 		}
 	}
-	return pending, maxID, nil
+	return pending, maxID, complete, nil
 }
 
 // parseEvent decodes one journal line into its event kind, job id,

@@ -5,9 +5,12 @@
 package pbsd
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -169,6 +172,72 @@ func TestJournalRecoveryTornTail(t *testing.T) {
 	defer srv2.Close()
 	if got := srv2.Recovered(); got != 3 {
 		t.Fatalf("Recovered() = %d, want 3 (torn tail ignored)", got)
+	}
+}
+
+// A torn tail that happens to parse is still torn: a crash that cut
+// "D 123\n" to "D 12" must not delete job 12. Job 123's delete never
+// completed, so it stays pending too.
+func TestJournalRecoveryTornTailThatParses(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.log")
+	log := "S 1 1 3600000000000 0 a\nS 12 1 3600000000000 0 b\nS 123 1 3600000000000 0 c\nD 12"
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Nodes: 16, JournalDir: dir})
+	if err != nil {
+		t.Fatalf("restart over torn journal: %v", err)
+	}
+	defer srv.Close()
+	var ids []int64
+	for _, j := range srv.Pending() {
+		ids = append(ids, j.ID)
+	}
+	if fmt.Sprint(ids) != "[1 12 123]" {
+		t.Fatalf("recovered %v, want [1 12 123]", ids)
+	}
+}
+
+// The daemon cuts a torn tail off before it appends again: the next
+// record starts on a line of its own, and a second restart recovers it.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{Nodes: 16, JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Submit("first", 1, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	killed(srv)
+	f, err := os.OpenFile(filepath.Join(dir, "jobs.log"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("S 2 2 10"); err != nil { // torn mid-record
+		t.Fatal(err)
+	}
+	f.Close()
+
+	srv2, err := New(Config{Nodes: 16, JournalDir: dir})
+	if err != nil {
+		t.Fatalf("restart over torn journal: %v", err)
+	}
+	id, err := srv2.Submit("acknowledged", 1, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed(srv2)
+
+	srv3, err := New(Config{Nodes: 16, JournalDir: dir})
+	if err != nil {
+		t.Fatalf("second restart: %v", err)
+	}
+	defer srv3.Close()
+	got := srv3.Pending()
+	if len(got) != 2 || got[1].ID != id || got[1].Name != "acknowledged" {
+		t.Fatalf("recovered %+v, want job %d \"acknowledged\" behind \"first\"", got, id)
 	}
 }
 
@@ -387,4 +456,82 @@ func TestJournalGroupCommitRecoveryExactQueue(t *testing.T) {
 			t.Fatalf("recovered[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// refReplay is replay's reference: it splits the log into lines, drops
+// an unterminated last one, and applies every complete line's event to a
+// queue kept in submit order. A line that does not parse, or a second
+// submit of one job, fails it.
+func refReplay(log []byte) (pending []Job, maxID int64, complete int, err error) {
+	submitted := map[int64]bool{}
+	for _, line := range strings.SplitAfter(string(log), "\n") {
+		if !strings.HasSuffix(line, "\n") {
+			break
+		}
+		job, id, kind, err := parseEvent(strings.TrimSuffix(line, "\n"))
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		complete += len(line)
+		switch i := slices.IndexFunc(pending, func(j Job) bool { return j.ID == id }); {
+		case kind == 'S' && submitted[id]:
+			return nil, 0, 0, fmt.Errorf("job %d submitted twice", id)
+		case kind == 'S':
+			submitted[id] = true
+			maxID = max(maxID, id)
+			pending = append(pending, *job)
+		case (kind == 'D' || kind == 'C') && i >= 0:
+			pending = slices.Delete(pending, i, i+1)
+		}
+	}
+	return pending, maxID, complete, nil
+}
+
+// FuzzJournal holds replay to refReplay on an arbitrary log and on a
+// prefix of it cut anywhere: a torn tail is ignored whether or not it
+// parses, any prefix of a log that replays replays to exactly the state
+// of its complete lines, and a newline-terminated line that does not
+// parse fails replay. It is seeded with the records of the tests above,
+// a log of every event kind, and one submit cut at every byte.
+func FuzzJournal(f *testing.F) {
+	submit := "S 1 1 3600000000000 0 ok\n"
+	for _, seed := range []string{
+		"S 1 2 3600000000000 1700000000000000000 job 0\nR 1\nS 2 3 3600000000000 1700000000000000001 job  1\nD 2\nC 1\nR 3\n",
+		submit + "GARBAGE LINE\nS 2 1 3600000000000 0 ok2\n",
+		"S 1 1 3600000000000 0 a\nS 12 1 3600000000000 0 b\nS 123 1 3600000000000 0 c\nD 12",
+		submit + "S 4 2 3600000000000 0 whole\nS 5 2 360",
+		submit + "S 2 2 10S 3 1 3600000000000 0 glued\n",
+		submit + "R 1\nC 1\nS 1 1 1 0 again\n",
+	} {
+		f.Add([]byte(seed), uint16(len(seed)))
+	}
+	for cut := range submit {
+		f.Add([]byte(submit+submit), uint16(cut))
+	}
+	f.Fuzz(func(t *testing.T, log []byte, cut uint16) {
+		_, _, _, wholeErr := replay(bytes.NewReader(log))
+		for _, b := range [][]byte{log, log[:int(cut)%(len(log)+1)]} {
+			got, gotMax, gotComplete, err := replay(bytes.NewReader(b))
+			want, wantMax, wantComplete, wantErr := refReplay(b)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%q: replay error %v, the reference %v", b, err, wantErr)
+			}
+			if err != nil {
+				if wholeErr == nil {
+					t.Fatalf("%q replays, its prefix %q fails: %v", log, b, err)
+				}
+				continue
+			}
+			if gotMax != wantMax || gotComplete != int64(wantComplete) || len(got) != len(want) {
+				t.Fatalf("%q: %d pending, max ID %d, %d bytes complete; the reference %d, %d, %d",
+					b, len(got), gotMax, gotComplete, len(want), wantMax, wantComplete)
+			}
+			for i, j := range got {
+				w := want[i]
+				if j.ID != w.ID || j.Name != w.Name || j.Nodes != w.Nodes || j.Walltime != w.Walltime || !j.Submit.Equal(w.Submit) || j.State != w.State {
+					t.Fatalf("%q: pending[%d] = %+v, the reference %+v", b, i, *j, w)
+				}
+			}
+		}
+	})
 }

@@ -11,6 +11,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"redreq/internal/des"
 	"redreq/internal/obs"
@@ -112,7 +113,11 @@ type Request struct {
 	resTicket uint64
 	finishEv  *des.Event
 	queued    bool
-	slot      int // index in cluster.queue while queued; -1 otherwise
+	// Class is the request's queue on a cluster that serves several
+	// (OrderClass and Config.ClassLimit); other clusters ignore it. It
+	// sits here, in the padding after queued, to keep Request's size.
+	Class int32
+	slot  int // index in cluster.queue while queued; -1 otherwise
 }
 
 // Wait returns the request's queue waiting time; it panics if the
@@ -158,6 +163,13 @@ type Config struct {
 	// OrderFCFS: its reservations are granted at submission, before
 	// any reordering could apply.
 	Order Ordering
+	// ClassLimit caps the running requests of each class: ClassLimit[k]
+	// of class k at once, 0 for no cap. A request whose class is at its
+	// cap neither starts nor blocks the pass: it is held, the PBS-style
+	// per-queue slot limit. Only EASY with an ordering other than
+	// OrderFCFS honours it; when it is set, every request's Class must
+	// index it.
+	ClassLimit []int
 }
 
 // Stats aggregates per-cluster counters.
@@ -206,6 +218,9 @@ type Cluster struct {
 	// orderView is the reusable policy-ordered pending view built by
 	// orderedPending for non-FCFS passes.
 	orderView []*Request
+	// classRunning counts the running requests of each class; nil when
+	// Config.ClassLimit is.
+	classRunning []int
 
 	// What the last passEASY left behind (see there). easyHead is the
 	// queue head it found blocked, nil when the next pass must be a full
@@ -290,6 +305,9 @@ func NewCluster(sim *des.Simulation, name string, index int, cfg Config) *Cluste
 	if cfg.Alg == CBF && cfg.Order != OrderFCFS {
 		panic("sched: CBF supports only FCFS ordering")
 	}
+	if cfg.ClassLimit != nil && (cfg.Alg != EASY || cfg.Order == OrderFCFS || slices.ContainsFunc(cfg.ClassLimit, func(n int) bool { return n < 0 })) {
+		panic("sched: class limits need EASY, an ordering other than FCFS and no negative cap")
+	}
 	c := &Cluster{
 		Name:     name,
 		Index:    index,
@@ -302,6 +320,9 @@ func NewCluster(sim *des.Simulation, name string, index int, cfg Config) *Cluste
 	}
 	if cfg.Alg == CBF {
 		c.profile = NewProfile(sim.Now(), cfg.Nodes)
+	}
+	if cfg.ClassLimit != nil {
+		c.classRunning = make([]int, len(cfg.ClassLimit))
 	}
 	return c
 }
@@ -377,6 +398,9 @@ func (c *Cluster) Submit(r *Request) {
 	}
 	if r.Estimate < r.Runtime {
 		panic("sched: estimate below actual runtime")
+	}
+	if c.classRunning != nil && (r.Class < 0 || int(r.Class) >= len(c.classRunning)) {
+		panic(fmt.Sprintf("sched: request of class %d on %s, which limits %d classes", r.Class, c.Name, len(c.classRunning)))
 	}
 	if c.cfg.Alg == CBF && r.Estimate <= 0 {
 		// A zero-length reservation holds nothing in the profile while
@@ -563,6 +587,9 @@ func (c *Cluster) start(r *Request) {
 	c.removeFromQueue(r)
 	c.queuedWork -= r.Estimate * float64(r.Nodes)
 	c.insertRunning(r)
+	if c.classRunning != nil {
+		c.classRunning[r.Class]++
+	}
 	c.stats.Started++
 	if len(c.running) > c.stats.MaxRunning {
 		c.stats.MaxRunning = len(c.running)
@@ -590,6 +617,9 @@ func (c *Cluster) finish(r *Request) {
 	r.End = now
 	r.finishEv = nil
 	c.removeRunning(r)
+	if c.classRunning != nil {
+		c.classRunning[r.Class]--
+	}
 	c.free += r.Nodes
 	c.easyHead = nil
 	c.stats.Finished++
@@ -697,8 +727,8 @@ func (c *Cluster) Pending() []*Request {
 	return out
 }
 
-// checkInvariants validates node accounting and the running set's
-// order; used by tests.
+// checkInvariants validates node accounting, the running set's order
+// and the per-class running counts; used by tests.
 func (c *Cluster) checkInvariants() error {
 	used := 0
 	for i, r := range c.running {
@@ -710,6 +740,15 @@ func (c *Cluster) checkInvariants() error {
 		if pe, e := prev.requestedEnd(), r.requestedEnd(); pe > e || pe == e && prev.Start > r.Start {
 			return fmt.Errorf("sched: %s running set out of order at %d: job %d (start %v, end %v) before job %d (start %v, end %v)",
 				c.Name, i, prev.JobID, prev.Start, pe, r.JobID, r.Start, e)
+		}
+	}
+	if c.classRunning != nil {
+		byClass := make([]int, len(c.classRunning))
+		for _, r := range c.running {
+			byClass[r.Class]++
+		}
+		if !slices.Equal(byClass, c.classRunning) {
+			return fmt.Errorf("sched: %s counts %v running per class, the running set holds %v", c.Name, c.classRunning, byClass)
 		}
 	}
 	if used+c.free != c.cfg.Nodes {

@@ -34,6 +34,13 @@ const (
 	// quickly, but every job's priority grows without bound while it
 	// waits, so nothing starves.
 	OrderAged
+	// OrderClass considers requests by Request.Class, lowest first, and
+	// in arrival order within a class: the service order of one node
+	// pool behind several prioritized queues, one class per queue
+	// (Config.ClassLimit caps each queue's running requests). It is
+	// for callers that model such a resource, not a policy axis, so
+	// ParseOrdering does not name it.
+	OrderClass
 )
 
 func (o Ordering) String() string {
@@ -44,6 +51,8 @@ func (o Ordering) String() string {
 		return "sjf"
 	case OrderAged:
 		return "aged"
+	case OrderClass:
+		return "class"
 	default:
 		return fmt.Sprintf("Ordering(%d)", int(o))
 	}
@@ -88,6 +97,10 @@ func (c *Cluster) orderedPending(now float64) []*Request {
 		slices.SortStableFunc(v, func(a, b *Request) int {
 			return cmp.Compare(agedPriority(b, now), agedPriority(a, now))
 		})
+	case OrderClass:
+		slices.SortStableFunc(v, func(a, b *Request) int {
+			return cmp.Compare(a.Class, b.Class)
+		})
 	}
 	c.orderView = v
 	return v
@@ -111,9 +124,20 @@ func (c *Cluster) passFCFSOrdered() {
 	}
 }
 
+// held reports whether r's class is at its Config.ClassLimit cap.
+func (c *Cluster) held(r *Request) bool {
+	if c.classRunning == nil {
+		return false
+	}
+	limit := c.cfg.ClassLimit[r.Class]
+	return limit > 0 && c.classRunning[r.Class] >= limit
+}
+
 // passEASYOrdered is passEASY over the policy-ordered view: the view
 // head gets the shadow reservation, and later view entries backfill
-// iff they do not delay it (same one-dip argument as passEASY).
+// iff they do not delay it (same one-dip argument as passEASY). A held
+// request (see held) is passed over as if it were not queued: it
+// neither starts nor becomes the head.
 func (c *Cluster) passEASYOrdered() {
 	if c.cfg.Predict {
 		c.predictNew()
@@ -124,7 +148,7 @@ func (c *Cluster) passEASYOrdered() {
 	i := 0
 	for ; i < len(view); i++ {
 		r := view[i]
-		if r.State != Pending {
+		if r.State != Pending || c.held(r) {
 			continue
 		}
 		if r.Nodes > c.free {
@@ -135,7 +159,7 @@ func (c *Cluster) passEASYOrdered() {
 
 	var head *Request
 	for ; i < len(view); i++ {
-		if r := view[i]; r.State == Pending {
+		if r := view[i]; r.State == Pending && !c.held(r) {
 			head = r
 			break
 		}
@@ -148,7 +172,7 @@ func (c *Cluster) passEASYOrdered() {
 	c.backfilling = true
 	for j := i + 1; j < len(view) && c.free > 0; j++ {
 		r := view[j]
-		if r.State != Pending || r.Nodes > c.free {
+		if r.State != Pending || r.Nodes > c.free || c.held(r) {
 			continue
 		}
 		if crosses := now+r.Estimate > shadow; !crosses || r.Nodes <= shadowFree {

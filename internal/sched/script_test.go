@@ -16,8 +16,10 @@ import (
 // byte script against one or more clusters and, after every event, holds
 // each cluster to the reference model of its algorithm. The first byte
 // picks the algorithm and the ordering, the second the node count, the
-// third the flags below. Every operation after that is one byte — submit
-// (followed by nodes, estimate and runtime), cancel behind the head, cancel
+// third the flags below; EASY in class order reads a fourth, the running
+// caps of classes 0 to 2, two bits each. Every operation after that is one
+// byte — submit (followed by nodes, estimate and runtime, and in class
+// order the class), cancel behind the head, cancel
 // any pending request, cancel the head (each followed by which, when it
 // takes one), run to the next event, let up to three seconds pass
 // (followed by how many), or nothing — whose upper part says which
@@ -66,6 +68,7 @@ const (
 	nCursorCompactions        // compactions between passes under a remembered EASY cursor
 	nBlocked                  // blocked EASY heads whose shadow was held to the Profile oracle
 	nExactStarts              // FCFS and EASY start times held to refEASY
+	nHeldPasses               // EASY passes that passed over a request held at its class cap
 	nCBFPasses                // CBF passes held to referencePassCBF
 	nResumed                  // of them, passes whose admit resumed at the cursor
 	nCompressing              // CBF compressing passes held to referencePassCBF
@@ -119,10 +122,11 @@ func oracleShadow(c *Cluster, now, estimate float64, nodes int) (float64, int) {
 
 // referencePass is what predictPass expects of a pass: the requests it
 // starts, in order, the backfill candidates ending exactly at the shadow
-// time, and the blocked heads the start callback withdrew.
+// time, the blocked heads the start callback withdrew, and the requests
+// it passed over because their class was at its cap.
 type referencePass struct {
-	starts              []*Request
-	ties, headWithdrawn int
+	starts                    []*Request
+	ties, headWithdrawn, held int
 }
 
 // predictPass is the reference for an FCFS or EASY pass, plain or
@@ -141,15 +145,33 @@ func predictPass(c *Cluster, withdraws bool) referencePass {
 		gone    = map[*Request]bool{}
 		running []busy
 		head    *Request
+		// Running requests per class, counted afresh.
+		classes = map[int32]int{}
 	)
 	for _, r := range c.running {
 		running = append(running, busy{r.requestedEnd(), r.Nodes})
+		classes[r.Class]++
 	}
 	pending := func(r *Request) bool { return r != nil && r.State == Pending && !gone[r] }
+	// eligible is pending and not held: a request whose class is at its
+	// cap is passed over as if it were not queued.
+	eligible := func(r *Request) bool {
+		if !pending(r) {
+			return false
+		}
+		if c.cfg.ClassLimit != nil {
+			if limit := c.cfg.ClassLimit[r.Class]; limit > 0 && classes[r.Class] >= limit {
+				ref.held++
+				return false
+			}
+		}
+		return true
+	}
 	start := func(r *Request) {
 		ref.starts = append(ref.starts, r)
 		gone[r] = true
 		free -= r.Nodes
+		classes[r.Class]++
 		running = append(running, busy{now + r.Estimate, r.Nodes})
 		if withdraws && r.JobID%6 == 0 {
 			if i := slices.IndexFunc(c.queue, pending); i >= 0 {
@@ -161,7 +183,7 @@ func predictPass(c *Cluster, withdraws bool) referencePass {
 
 	i := 0
 	for ; i < len(queue); i++ {
-		if r := queue[i]; pending(r) {
+		if r := queue[i]; eligible(r) {
 			if r.Nodes > free {
 				break
 			}
@@ -169,7 +191,7 @@ func predictPass(c *Cluster, withdraws bool) referencePass {
 		}
 	}
 	for ; i < len(queue) && head == nil; i++ {
-		if pending(queue[i]) {
+		if eligible(queue[i]) {
 			head = queue[i]
 		}
 	}
@@ -195,7 +217,7 @@ func predictPass(c *Cluster, withdraws bool) referencePass {
 
 	for ; i < len(queue) && free > 0; i++ {
 		r := queue[i]
-		if !pending(r) || r.Nodes > free {
+		if !pending(r) || r.Nodes > free || !eligible(r) {
 			continue
 		}
 		ref.ties += boolInt(now+r.Estimate == shadow)
@@ -612,6 +634,7 @@ func (h *harness) step() bool {
 				}
 				h.n[nPasses]++
 				h.n[nHeadWithdrawn] += b.want.headWithdrawn
+				h.n[nHeldPasses] += boolInt(b.want.held > 0)
 				if b.clean {
 					h.n[nClean]++
 					h.n[nCleanStarts] += len(b.want.starts)
@@ -727,21 +750,27 @@ func (h *harness) runUntil(t float64) {
 func runScript(t *testing.T, data []byte) (counts, int) {
 	s := scriptBytes(data[:min(len(data), scriptMax)])
 	pick, nodes, flags := s.next(), 2+s.next()%31, s.next()
-	cfg := Config{Nodes: nodes, Alg: Algorithm(pick % 3), Order: Ordering(pick / 3 % 3), Predict: flags&scriptPredict != 0,
+	cfg := Config{Nodes: nodes, Alg: Algorithm(pick % 3), Order: Ordering(pick / 3 % 4), Predict: flags&scriptPredict != 0,
 		CompressOnCancel: flags&scriptCompressOnCancel != 0, DisableCancelBackfill: flags&scriptNoCancelBackfill != 0}
 	if cfg.Alg == CBF {
 		cfg.Order = OrderFCFS
+	}
+	classes := cfg.Order == OrderClass
+	if classes && cfg.Alg == EASY {
+		caps := s.next()
+		cfg.ClassLimit = []int{caps & 3, caps >> 2 & 3, caps >> 4 & 3}
 	}
 	cancels, deep, k := flags&scriptNoCancel == 0, flags&scriptDeep != 0, 1+flags>>6%3
 	h := newHarness(t, k, cfg, cancels && flags&scriptWithdraw != 0)
 	var id int64
 	// submit sends a job to copies clusters from home on.
-	submit := func(home, copies, n int, estimate, runtime float64) {
+	submit := func(home, copies, n int, estimate, runtime float64, class int32) {
 		id++
 		reqs := make([]*Request, copies)
 		for j := range reqs {
 			reqs[j] = testReq(id, n, runtime, estimate)
 			reqs[j].Owner = reqs
+			reqs[j].Class = class
 		}
 		for j, r := range reqs {
 			c := h.cs[(home+j)%k]
@@ -753,10 +782,10 @@ func runScript(t *testing.T, data []byte) (counts, int) {
 		// Under CBF the wide job ends at 40, early, so compression runs over
 		// the deep queue; elsewhere it holds the blocked head and its cursor.
 		for i := range h.cs {
-			submit(i, 1, nodes-1, 1000, float64(1000-960*boolInt(cfg.Alg == CBF)))
+			submit(i, 1, nodes-1, 1000, float64(1000-960*boolInt(cfg.Alg == CBF)), 0)
 		}
 		for j := 0; j < 120; j++ {
-			submit(j%k, 1, 2+s.next()%(nodes-1), float64(5+s.next()%8), 5)
+			submit(j%k, 1, 2+s.next()%(nodes-1), float64(5+s.next()%8), 5, int32(j%3*boolInt(classes)))
 		}
 		h.runUntil(h.sim.Now())
 	}
@@ -778,7 +807,11 @@ func runScript(t *testing.T, data []byte) (counts, int) {
 			if run%2 == 0 {
 				runtime = float64(run / 2 % (int(estimate) + 1))
 			}
-			submit(c.Index, copies, n, estimate, runtime)
+			class := 0
+			if classes {
+				class = s.next() % 3
+			}
+			submit(c.Index, copies, n, estimate, runtime, int32(class))
 		case kind < 7 && cancels:
 			switch pend := c.Pending(); {
 			case kind == 5 && len(pend) > 0:
@@ -912,6 +945,10 @@ var easySeeds = [][]byte{
 	// TestCBFRejectsZeroEstimate's EASY half, aged, with copies on two
 	// clusters.
 	{7, 2, clusters(2) | scriptWithdraw, 13, 3, 0, 0, 11, 1, 0, 0, 12, 0, 0, 0, 17},
+	// TestClassOrdering's capped class, on 16 nodes with class 0 capped
+	// at one: the second class-0 request is held while a class-1 one
+	// starts.
+	{header(EASY, OrderClass), 14, 0, 1, 10, 1, 10, 1, 0, 18, 1, 10, 1, 1, 1, 0, 18, 1, 10, 1, 1, 1, 1},
 }
 
 // cleanPassScripts is TestCleanPassMatchesFullPass's slice: EASY in
@@ -984,6 +1021,24 @@ func TestCleanPassMatchesFullPass(t *testing.T) {
 		floor{"zero-estimate starts", total[nZeroStarts], 500},
 		floor{"heads withdrawn from OnStart mid-pass", total[nHeadWithdrawn], 50},
 		floor{"compactions under a remembered cursor", total[nCursorCompactions], 50},
+	)
+}
+
+// TestClassHoldMatchesFullPass runs EASY scripts in class order under
+// random class caps, on one cluster and on several, and requires every
+// pass to start exactly what a full pass that passes over the held
+// requests starts.
+func TestClassHoldMatchesFullPass(t *testing.T) {
+	single, multi := runRandom(t, 36, 1000, func(trial int) (byte, byte) {
+		return header(EASY, OrderClass), flag(trial%2 == 1, scriptWithdraw) | flag(trial%4 == 0, scriptPredict) |
+			flag(trial%10 == 0, scriptDeep) | clusters(1+trial%3)
+	})
+	assertFloors(t,
+		floor{"class-ordered passes compared, single-cluster", single[nPasses], 15000},
+		floor{"class-ordered passes compared, multi-cluster", multi[nPasses], 45000},
+		floor{"passes that passed over a held request, single-cluster", single[nHeldPasses], 3000},
+		floor{"passes that passed over a held request, multi-cluster", multi[nHeldPasses], 7000},
+		floor{"blocked-head states compared", single[nBlocked] + multi[nBlocked], 90000},
 	)
 }
 
