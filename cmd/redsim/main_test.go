@@ -18,10 +18,32 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden fixtures in testdata/")
 
 // goldenExperiments are the fixed-seed experiments whose quick-scale
-// JSON output is pinned byte-for-byte. sec4 and the wall-clock layers
-// are excluded (nondeterministic); the sweep experiments with long
-// default axes are excluded to keep the test fast.
-var goldenExperiments = []string{"table1", "table4", "fig4", "qgrowth", "inflate", "faults", "validate", "trace", "routing"}
+// JSON output is pinned byte-for-byte, each with the extra flags its
+// fixture was generated with: sweep experiments run at one or two
+// positions of their axis to keep the test fast. sec4 and the
+// wall-clock layers are excluded (nondeterministic).
+var goldenExperiments = []struct {
+	name  string
+	extra []string
+}{
+	{"table1", nil},
+	{"table4", nil},
+	{"fig4", nil},
+	{"qgrowth", nil},
+	{"inflate", nil},
+	{"faults", nil},
+	{"validate", nil},
+	{"trace", nil},
+	{"routing", nil},
+	{"fig12", []string{"-sweep", "2,3"}},
+	{"fig3", []string{"-sweep", "4.9"}},
+	{"loadsweep", []string{"-sweep", "0.9"}},
+	{"table2", nil},
+	{"table3", nil},
+	{"ablations", nil},
+	{"multiq", nil},
+	{"moldable", nil},
+}
 
 // quickArgs is the reduced-scale configuration the fixtures were
 // generated with (matches experiment.Quick()).
@@ -33,12 +55,13 @@ func TestGoldenJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full experiments")
 	}
-	for _, name := range goldenExperiments {
-		name := name
+	for _, g := range goldenExperiments {
+		name := g.name
+		args := append(quickArgs(name), g.extra...)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			var out, errb bytes.Buffer
-			if code := run(quickArgs(name), &out, &errb); code != 0 {
+			if code := run(args, &out, &errb); code != 0 {
 				t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
 			}
 			golden := filepath.Join("testdata", name+"_quick.json")
