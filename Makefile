@@ -2,8 +2,8 @@ GO ?= go
 
 .PHONY: build test check bench fmt examples fuzz-smoke results validate overload-smoke overload-smoke-fast
 
-# Experiments recorded in results_full.txt: the registry minus sec4,
-# whose wall-clock measurements are not deterministic.
+# Experiments recorded in results_full.txt: the registry minus sec4 and
+# overload, whose wall-clock measurements are not deterministic.
 RESULTS_EXPERIMENTS = fig12,table1,table2,fig3,table3,fig4,table4,qgrowth,inflate,loadsweep,ablations,multiq,moldable,faults,validate,trace,routing
 
 build:

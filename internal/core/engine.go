@@ -85,9 +85,6 @@ type Config struct {
 	DisableCancelBackfill bool
 	DisableCompression    bool
 	CompressOnCancel      bool
-	// MaxJobsPerCluster truncates each cluster's stream (0 = no
-	// limit); used to bound benchmark runtime.
-	MaxJobsPerCluster int
 	// RuntimeScale explicitly multiplies runtimes (0 = none unless
 	// TargetLoad calibration is set; TargetLoad takes precedence).
 	RuntimeScale float64
@@ -176,6 +173,9 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.ControlLatency < 0 {
 		return fmt.Errorf("core: negative control latency %v", cfg.ControlLatency)
+	}
+	if o, err := sched.ParseOrdering(cfg.Ordering.String()); err != nil || o != cfg.Ordering {
+		return fmt.Errorf("core: unknown queue ordering %v", cfg.Ordering)
 	}
 	if cfg.Alg == sched.CBF && cfg.Ordering != sched.OrderFCFS {
 		return fmt.Errorf("core: CBF supports only FCFS ordering (got %v)", cfg.Ordering)
@@ -606,8 +606,7 @@ func validateStream(i int, jobs []workload.Job, nodes int) error {
 
 // clusterJobSlice materializes cluster i's full job stream as a slice:
 // the explicit stream when Streams is set (validated), else the
-// generated stream (through the Workloads cache when present), with
-// MaxJobsPerCluster applied.
+// generated stream (through the Workloads cache when present).
 func (cfg *Config) clusterJobSlice(i int, scale float64) ([]workload.Job, error) {
 	model, err := cfg.buildModel(i, scale)
 	if err != nil {
@@ -628,9 +627,6 @@ func (cfg *Config) clusterJobSlice(i int, scale float64) ([]workload.Job, error)
 		jobs = cfg.Workloads.Jobs(key, func() []workload.Job {
 			return model.GenerateWindow(rng.New(seed), cfg.Horizon)
 		})
-	}
-	if cfg.MaxJobsPerCluster > 0 && len(jobs) > cfg.MaxJobsPerCluster {
-		jobs = jobs[:cfg.MaxJobsPerCluster]
 	}
 	return jobs, nil
 }

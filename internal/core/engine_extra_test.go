@@ -150,18 +150,6 @@ func TestSchedulerAblationFlagsRun(t *testing.T) {
 	}
 }
 
-func TestMaxJobsPerCluster(t *testing.T) {
-	cfg := smallConfig(2, SchemeNone)
-	cfg.MaxJobsPerCluster = 10
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Jobs) != 20 {
-		t.Fatalf("simulated %d jobs, want 20 (10 per cluster)", len(res.Jobs))
-	}
-}
-
 func TestExplicitRuntimeScale(t *testing.T) {
 	meanRuntime := func(scale float64) float64 {
 		cfg := smallConfig(2, SchemeNone)

@@ -280,6 +280,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 0},
 		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, RedundantFraction: 2},
 		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, InflateRemote: -1},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, Ordering: sched.Ordering(7)},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, Ordering: sched.OrderClass},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

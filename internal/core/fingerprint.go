@@ -22,7 +22,8 @@ type Fingerprint [sha256.Size]byte
 // v2: added ControlLatency.
 // v3: Selection became Routing (same word position); added Staleness
 // and Ordering.
-const fingerprintVersion = 3
+// v4: dropped MaxJobsPerCluster.
+const fingerprintVersion = 4
 
 // fpBuf is the canonical encoding of a Config under construction:
 // every field is appended as a fixed-width little-endian word, with
@@ -75,7 +76,6 @@ func (cfg *Config) Fingerprint() Fingerprint {
 		boolean(cfg.DisableCancelBackfill).
 		boolean(cfg.DisableCompression).
 		boolean(cfg.CompressOnCancel).
-		i64(int64(cfg.MaxJobsPerCluster)).
 		f64(cfg.RuntimeScale).
 		f64(cfg.MaxRuntime).
 		boolean(cfg.StopAtHorizon).

@@ -36,8 +36,8 @@ func pinnedFingerprintConfigs() map[string]Config {
 // fails here, and requires Fingerprint not to allocate.
 func TestFingerprintPinned(t *testing.T) {
 	want := map[string]string{
-		"small":  "6d1d7552f411979239d8109ba18e73c4eb03a4172b36a8e70c18edaf87a3f5c0",
-		"faulty": "d3bccf3c6d44d2fdaa5f40db3ed3a45ac2397f98b00766ecf6774588adc75aab",
+		"small":  "f79bc7d491733b8e1d9d5d79d945120430113de3a3d62b825b3c824437733ab3",
+		"faulty": "31b5ee50edc362ff33c5f55689b6b1e40e1a921ca41bbe849f1e157b458c82f1",
 	}
 	for name, cfg := range pinnedFingerprintConfigs() {
 		fp := cfg.Fingerprint()

@@ -51,7 +51,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"DisableCancelBackfill": func(c *Config) { c.DisableCancelBackfill = true },
 		"DisableCompression":    func(c *Config) { c.DisableCompression = true },
 		"CompressOnCancel":      func(c *Config) { c.CompressOnCancel = true },
-		"MaxJobsPerCluster":     func(c *Config) { c.MaxJobsPerCluster = 10 },
 		"RuntimeScale":          func(c *Config) { c.RuntimeScale = 2 },
 		"MaxRuntime":            func(c *Config) { c.MaxRuntime = 3600 },
 		"StopAtHorizon":         func(c *Config) { c.StopAtHorizon = true },

@@ -163,55 +163,71 @@ func TestRunMatrixPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestSchemesVsNStructure(t *testing.T) {
-	points, err := schemesVsN(tinyOpts(), []int{2, 3})
+// runGroups runs a relative spec's groups through runMatrix and its
+// reduction.
+func runGroups(t *testing.T, opts Options, groups func(Options) []compared) []relGroup {
+	t.Helper()
+	res, err := runMatrix(opts, groupVariants(groups(opts)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("%d points", len(points))
+	gs, err := relativize(groups(opts), res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, pt := range points {
-		if len(pt.Schemes) != len(core.Schemes) {
-			t.Fatalf("N=%d has %d schemes", pt.N, len(pt.Schemes))
+	return gs
+}
+
+func TestSchemesVsNStructure(t *testing.T) {
+	opts := tinyOpts()
+	opts.Sweep = []float64{2, 3}
+	gs := runGroups(t, opts, fig12Groups)
+	if len(gs) != 2 {
+		t.Fatalf("%d points", len(gs))
+	}
+	for i, g := range gs {
+		n := opts.Sweep[i]
+		if len(g.rel) != len(core.Schemes) {
+			t.Fatalf("N=%v has %d schemes", n, len(g.rel))
 		}
-		if pt.BaselineAvgStretch < 1 {
-			t.Errorf("N=%d baseline stretch %v < 1", pt.N, pt.BaselineAvgStretch)
+		if b := meanOver(g.base, avgStretch(allJobs)); b < 1 {
+			t.Errorf("N=%v baseline stretch %v < 1", n, b)
 		}
-		for _, sr := range pt.Schemes {
-			if sr.Rel.AvgStretch <= 0 || sr.Rel.CVStretch <= 0 {
-				t.Errorf("N=%d %v: non-positive relative metrics %+v", pt.N, sr.Scheme, sr.Rel)
+		for si, rel := range g.rel {
+			if rel.AvgStretch <= 0 || rel.CVStretch <= 0 {
+				t.Errorf("N=%v %v: non-positive relative metrics %+v", n, core.Schemes[si], rel)
 			}
-			if sr.Rel.Reps != 2 {
-				t.Errorf("N=%d %v: reps = %d", pt.N, sr.Scheme, sr.Rel.Reps)
+			if rel.Reps != 2 {
+				t.Errorf("N=%v %v: reps = %d", n, core.Schemes[si], rel.Reps)
 			}
 		}
 	}
 }
 
 func TestTable1Structure(t *testing.T) {
-	rows, err := table1(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
+	algs := rows(runGroups(t, tinyOpts(), table1Groups), len(table1Ests))
+	if len(algs) != 3 {
+		t.Fatalf("%d rows, want 3 algorithms", len(algs))
 	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows, want 3 algorithms", len(rows))
-	}
-	for _, r := range rows {
-		for _, v := range []float64{r.AvgStretchExact, r.AvgStretchReal, r.CVStretchesExact, r.CVStretchesReal} {
-			if v <= 0 {
-				t.Errorf("%v: non-positive metric in %+v", r.Alg, r)
+	for i, ests := range algs {
+		for _, g := range ests {
+			r := g.rel[0]
+			for _, v := range []float64{r.AvgStretch, r.CVStretch} {
+				if v <= 0 {
+					t.Errorf("%v: non-positive metric in %+v", table1Algs[i], r)
+				}
 			}
 		}
 	}
 }
 
 func TestFigure4Classes(t *testing.T) {
-	points, err := figure4(tinyOpts(), []float64{0, 0.5, 1})
+	fractions := []float64{0, 0.5, 1}
+	res, err := runMatrix(tinyOpts(), figure4Variants(tinyOpts(), fractions))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pt := range points {
+	for _, pt := range figure4Points(fractions, res) {
 		switch pt.Fraction {
 		case 0:
 			if pt.RStretch != 0 {
@@ -259,10 +275,11 @@ func TestTable3HeterogeneousMutate(t *testing.T) {
 }
 
 func TestTable4Structure(t *testing.T) {
-	res, err := table4(tinyOpts())
+	m, err := runMatrix(tinyOpts(), table4Variants(tinyOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := table4Reduce(m)
 	if res.BaselineN == 0 || res.NonRedundantN == 0 || res.RedundantN == 0 {
 		t.Fatalf("empty populations: %+v", res)
 	}
@@ -275,10 +292,11 @@ func TestTable4Structure(t *testing.T) {
 
 func TestQueueGrowthStructure(t *testing.T) {
 	opts := tinyOpts()
-	res, err := queueGrowth(opts)
+	m, err := runMatrix(opts, queueGrowthVariants(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := queueGrowthReduce(m)
 	if res.MaxQueueNone <= 0 || res.MaxQueueAll <= 0 || res.Ratio <= 0 {
 		t.Fatalf("degenerate result %+v", res)
 	}
@@ -304,18 +322,15 @@ func TestHeadlineFindingRegression(t *testing.T) {
 	opts.Reps = 3
 	opts.Horizon = 1800
 	opts.Nodes = 64
-	points, err := schemesVsN(opts, []int{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sr := range points[0].Schemes {
-		if sr.Rel.AvgStretch >= 1.02 {
+	opts.Sweep = []float64{5}
+	for si, rel := range runGroups(t, opts, fig12Groups)[0].rel {
+		if rel.AvgStretch >= 1.02 {
 			t.Errorf("%v: relative average stretch %.3f — redundancy no longer beneficial",
-				sr.Scheme, sr.Rel.AvgStretch)
+				core.Schemes[si], rel.AvgStretch)
 		}
-		if sr.Rel.CVStretch >= 1.02 {
+		if rel.CVStretch >= 1.02 {
 			t.Errorf("%v: relative CV %.3f — fairness no longer improved",
-				sr.Scheme, sr.Rel.CVStretch)
+				core.Schemes[si], rel.CVStretch)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"redreq/internal/core"
 	"redreq/internal/des"
-	"redreq/internal/metrics"
 	"redreq/internal/moldable"
 	"redreq/internal/report"
 	"redreq/internal/rng"
@@ -137,25 +136,44 @@ type policyResult struct {
 	Share      [2]float64
 }
 
-// comparePolicies runs both request policies on every rep's stream.
+// comparePolicies runs both request policies on every rep's stream,
+// opts.Workers simulations at a time, and reduces in (rep, policy)
+// order.
 func comparePolicies(opts Options, cfg sched.Config, policy copyPolicy, mark func(*extJob) bool) (policyResult, error) {
 	var avg, share [2][]float64
+	for p := range avg {
+		avg[p] = make([]float64, opts.Reps)
+		share[p] = make([]float64, opts.Reps)
+	}
+	errs := make([][2]error, opts.Reps)
+	pool := NewPool(opts.Workers)
 	for rep := 0; rep < opts.Reps; rep++ {
 		for p, redundant := range []bool{false, true} {
-			jobs, err := runExtension(opts, rep, cfg, policy(redundant))
+			pool.Do(func() {
+				jobs, err := runExtension(opts, rep, cfg, policy(redundant))
+				if err != nil {
+					errs[rep][p] = err
+					return
+				}
+				stretches := make([]float64, len(jobs))
+				marked := 0
+				for i := range jobs {
+					stretches[i] = jobs[i].stretch()
+					if mark(&jobs[i]) {
+						marked++
+					}
+				}
+				avg[p][rep] = stats.Mean(stretches)
+				share[p][rep] = float64(marked) / float64(len(jobs))
+			})
+		}
+	}
+	pool.Close()
+	for _, e := range errs {
+		for _, err := range e {
 			if err != nil {
 				return policyResult{}, err
 			}
-			stretches := make([]float64, len(jobs))
-			marked := 0
-			for i := range jobs {
-				stretches[i] = jobs[i].stretch()
-				if mark(&jobs[i]) {
-					marked++
-				}
-			}
-			avg[p] = append(avg[p], stats.Mean(stretches))
-			share[p] = append(share[p], float64(marked)/float64(len(jobs)))
 		}
 	}
 	ratios := make([]float64, opts.Reps)
@@ -256,13 +274,6 @@ var moldableSpec = &Spec{
 	},
 }
 
-// ablationRow is one scheduler design choice toggled.
-type ablationRow struct {
-	Name          string
-	RelAvgStretch float64 // HALF vs NONE under the ablated scheduler
-	RelCVStretch  float64
-}
-
 // ablationToggles are the design-choice toggles DESIGN.md calls out:
 // no backfilling on cancellation, no CBF compression, compression on
 // cancellation, and queue-length-aware remote selection.
@@ -284,50 +295,18 @@ var ablationToggles = []struct {
 	{"queue-length-aware selection", func(cfg *core.Config) { cfg.Routing = core.RouteLeastQueue }},
 }
 
-// ablationVariants builds the flattened toggle matrix: a (NONE, HALF)
-// pair per design-choice toggle. Replication seeds depend only on the
-// replication index, so one flat matrix reproduces the numbers of
-// per-toggle runs exactly.
-func ablationVariants(opts Options) []variant {
-	const n = 10
-	var vs []variant
+// ablationGroups builds the toggle matrix: the core HALF-vs-NONE
+// comparison (N=10, EASY or CBF as noted) under each design-choice
+// toggle. Replication seeds depend only on the replication index, so
+// one flat matrix reproduces the numbers of per-toggle runs exactly.
+func ablationGroups(opts Options) []compared {
+	var gs []compared
 	for _, tg := range ablationToggles {
-		baseCfg := opts.base(n)
-		tg.mod(&baseCfg)
-		halfCfg := baseCfg
-		halfCfg.Scheme = core.SchemeHalf
-		vs = append(vs,
-			variant{Name: "NONE/" + tg.name, Config: baseCfg},
-			variant{Name: "HALF/" + tg.name, Config: halfCfg})
+		cfg := opts.base(10)
+		tg.mod(&cfg)
+		gs = append(gs, against(tg.name, cfg, core.SchemeHalf))
 	}
-	return vs
-}
-
-// ablationRows reduces the matrix built by ablationVariants.
-func ablationRows(res [][]runSummary) ([]ablationRow, error) {
-	rows := make([]ablationRow, 0, len(ablationToggles))
-	for i, tg := range ablationToggles {
-		rel, err := metrics.Relativize(samples(res[2*i+1], allJobs), samples(res[2*i], allJobs))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ablationRow{
-			Name:          tg.name,
-			RelAvgStretch: rel.AvgStretch,
-			RelCVStretch:  rel.CVStretch,
-		})
-	}
-	return rows, nil
-}
-
-// ablations re-runs the core HALF-vs-NONE comparison (N=10, EASY or
-// CBF as noted) under each design-choice toggle.
-func ablations(opts Options) ([]ablationRow, error) {
-	res, err := runMatrix(opts, ablationVariants(opts))
-	if err != nil {
-		return nil, err
-	}
-	return ablationRows(res)
+	return gs
 }
 
 var ablationsSpec = &Spec{
@@ -335,16 +314,16 @@ var ablationsSpec = &Spec{
 	Title:    "Ablations: scheduler design choices (HALF vs NONE, N=10)",
 	Desc:     "cancel-backfill, CBF compression, selection-policy toggles",
 	Params:   "N=10, scheme=HALF",
-	Variants: func(opts Options) []variant { return ablationVariants(opts) },
+	Variants: func(opts Options) []variant { return groupVariants(ablationGroups(opts)) },
 	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
-		rows, err := ablationRows(res)
+		gs, err := relativize(ablationGroups(opts), res)
 		if err != nil {
 			return nil, err
 		}
 		t := report.NewTable("Scheduler design-choice ablations (HALF vs NONE, N=10)",
 			"design choice", "rel avg stretch", "rel CV of stretches")
-		for _, r := range rows {
-			t.AddRow(r.Name, report.F(r.RelAvgStretch, 2), report.F(r.RelCVStretch, 2))
+		for i, g := range gs {
+			t.AddRow(ablationToggles[i].name, report.F(g.rel[0].AvgStretch, 2), report.F(g.rel[0].CVStretch, 2))
 		}
 		return []*report.Table{t}, nil
 	},

@@ -14,7 +14,6 @@ import (
 
 	"redreq/internal/core"
 	"redreq/internal/fault"
-	"redreq/internal/metrics"
 	"redreq/internal/report"
 )
 
@@ -24,23 +23,23 @@ var defaultCancelLoss = []float64{0, 0.10, 0.25, 0.50}
 
 const faultsClusters = 10
 
-// faultsVariants builds the matrix: one fault-free NONE baseline, then
-// scheme x loss. Baseline jobs are never redundant, so cancel loss
-// cannot touch them — one baseline serves every row.
-func faultsVariants(opts Options) []variant {
-	losses := sweepOr(opts, defaultCancelLoss)
-	vs := []variant{{Name: "NONE", Config: opts.base(faultsClusters)}}
-	for _, loss := range losses {
+// faultsGroups builds the matrix: every scheme x loss against one
+// fault-free NONE baseline, loss by loss. Baseline jobs are never
+// redundant, so cancel loss cannot touch them — one baseline serves
+// every row.
+func faultsGroups(opts Options) []compared {
+	g := compared{base: variant{Name: "NONE", Config: opts.base(faultsClusters)}}
+	for _, loss := range sweepOr(opts, defaultCancelLoss) {
 		for _, s := range core.Schemes {
 			cfg := opts.base(faultsClusters)
 			cfg.Scheme = s
 			if loss > 0 {
 				cfg.Faults = &fault.Plan{CancelLoss: loss}
 			}
-			vs = append(vs, variant{Name: fmt.Sprintf("%s/loss=%g", s, loss), Config: cfg})
+			g.cells = append(g.cells, variant{Name: fmt.Sprintf("%s/loss=%g", s, loss), Config: cfg})
 		}
 	}
-	return vs
+	return []compared{g}
 }
 
 // wastedFraction is the share of consumed CPU-seconds burned by
@@ -59,16 +58,16 @@ func wastedFraction(r *core.Result) float64 {
 }
 
 var faultsSpec = &Spec{
-	Name:   "faults",
-	Title:  "Faults: redundant requests under an unreliable control plane (lost cancels orphan copies)",
-	Desc:   "cancel-loss rate x scheme: relative stretch/CV plus orphaned work",
-	Params: fmt.Sprintf("N=%d, cancel loss=0,0.10,0.25,0.50 (Sweep overrides)", faultsClusters),
-	Variants: func(opts Options) []variant {
-		return faultsVariants(opts)
-	},
+	Name:     "faults",
+	Title:    "Faults: redundant requests under an unreliable control plane (lost cancels orphan copies)",
+	Desc:     "cancel-loss rate x scheme: relative stretch/CV plus orphaned work",
+	Params:   fmt.Sprintf("N=%d, cancel loss=0,0.10,0.25,0.50 (Sweep overrides)", faultsClusters),
+	Variants: func(opts Options) []variant { return groupVariants(faultsGroups(opts)) },
 	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
-		losses := sweepOr(opts, defaultCancelLoss)
-		base := samples(res[0], allJobs)
+		gs, err := relativize(faultsGroups(opts), res)
+		if err != nil {
+			return nil, err
+		}
 		header := []string{"cancel loss"}
 		for _, s := range core.Schemes {
 			header = append(header, s.String())
@@ -77,17 +76,15 @@ var faultsSpec = &Spec{
 		cv := report.NewTable("CV of stretches relative to no redundancy (fault-free baseline)", header...)
 		wasted := report.NewTable("Wasted-work fraction (orphan CPU-seconds / total consumed)", header...)
 		orphans := report.NewTable("Orphan starts per run (mean over replications)", header...)
-		for li, loss := range losses {
-			rowS := []any{report.F(loss, 2)}
-			rowC := []any{report.F(loss, 2)}
-			rowW := []any{report.F(loss, 2)}
-			rowO := []any{report.F(loss, 2)}
-			for si := range core.Schemes {
-				grp := res[1+li*len(core.Schemes)+si]
-				rel, err := metrics.Relativize(samples(grp, allJobs), base)
-				if err != nil {
-					return nil, err
-				}
+		losses := sweepOr(opts, defaultCancelLoss)
+		runs := rows(gs[0].cells, len(core.Schemes))
+		for li, rels := range rows(gs[0].rel, len(core.Schemes)) {
+			rowS := []any{report.F(losses[li], 2)}
+			rowC := []any{report.F(losses[li], 2)}
+			rowW := []any{report.F(losses[li], 2)}
+			rowO := []any{report.F(losses[li], 2)}
+			for si, rel := range rels {
+				grp := runs[li][si]
 				rowS = append(rowS, report.F(rel.AvgStretch, 3))
 				rowC = append(rowC, report.F(rel.CVStretch, 3))
 				rowW = append(rowW, report.F(meanOver(grp, func(r *runSummary) float64 { return r.Wasted }), 4))

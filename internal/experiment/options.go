@@ -299,6 +299,71 @@ enqueue:
 	return results, nil
 }
 
+// compared is one group of a relative-to-baseline table: a baseline
+// variant and the variants measured against it on the same paired
+// seeds (identical job streams).
+type compared struct {
+	base  variant
+	cells []variant
+}
+
+// groupVariants lists the groups' variants for runMatrix, each group's
+// baseline first.
+func groupVariants(groups []compared) []variant {
+	var vs []variant
+	for _, g := range groups {
+		vs = append(vs, g.base)
+		vs = append(vs, g.cells...)
+	}
+	return vs
+}
+
+// relGroup is one group of a reduced matrix: the runs of its baseline
+// and of each cell, and each cell's metrics over all jobs relative to
+// the baseline.
+type relGroup struct {
+	base  []runSummary
+	cells [][]runSummary
+	rel   []metrics.Relative
+}
+
+// relativize reduces the matrix runMatrix returned for
+// groupVariants(groups), group by group.
+func relativize(groups []compared, res [][]runSummary) ([]relGroup, error) {
+	out := make([]relGroup, len(groups))
+	for gi, g := range groups {
+		n := 1 + len(g.cells)
+		r := relGroup{base: res[0], cells: res[1:n], rel: make([]metrics.Relative, n-1)}
+		res = res[n:]
+		base := samples(r.base, allJobs)
+		for ci, runs := range r.cells {
+			rel, err := metrics.Relativize(samples(runs, allJobs), base)
+			if err != nil {
+				return nil, err
+			}
+			r.rel[ci] = rel
+		}
+		out[gi] = r
+	}
+	return out, nil
+}
+
+// rows splits xs into consecutive rows of n: the cells of a table
+// built row by row.
+func rows[T any](xs []T, n int) [][]T {
+	out := make([][]T, 0, len(xs)/n)
+	for i := 0; i < len(xs); i += n {
+		out = append(out, xs[i:i+n])
+	}
+	return out
+}
+
+// avgStretch reads a run's average stretch over the jobs of class c,
+// for meanOver.
+func avgStretch(c jobClass) func(*runSummary) float64 {
+	return func(r *runSummary) float64 { return r.Sample[c].AvgStretch }
+}
+
 // samples returns one variant's per-run samples over the jobs of
 // class c.
 func samples(runs []runSummary, c jobClass) []metrics.Sample {

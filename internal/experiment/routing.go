@@ -53,7 +53,8 @@ var routingRows = []struct {
 	{"po2, 900s stale", core.RoutePowerTwo, 900},
 }
 
-// routingOrderings are the queue-ordering rows of the companion table.
+// routingOrderings are the queue-ordering rows of the companion table,
+// each crossed with routingOrderSchemes.
 var routingOrderings = []struct {
 	name  string
 	order sched.Ordering
@@ -62,82 +63,69 @@ var routingOrderings = []struct {
 	{"aged", sched.OrderAged},
 }
 
-// routingVariants builds the flat matrix: the NONE/uniform/FCFS
-// baseline first, then routing policy × staleness × scheme, then
-// ordering × {NONE, R2}. Reduce indexes this order.
-func routingVariants(opts Options) []variant {
+var routingOrderSchemes = []core.Scheme{core.SchemeNone, core.SchemeR2}
+
+// routingGroups builds the matrix: against the NONE/uniform/FCFS
+// baseline, routing policy × staleness × scheme, then ordering ×
+// {NONE, R2}.
+func routingGroups(opts Options) []compared {
 	base := opts.base(routingN)
 	base.ControlLatency = routingLatency
-	vs := []variant{{Name: "NONE/uniform/fcfs", Config: base}}
+	g := compared{base: variant{Name: "NONE/uniform/fcfs", Config: base}}
 	for _, row := range routingRows {
 		for _, sc := range routingSchemes {
 			cfg := base
 			cfg.Routing = row.pol
 			cfg.Staleness = row.staleness
 			cfg.Scheme = sc.scheme
-			vs = append(vs, variant{
+			g.cells = append(g.cells, variant{
 				Name:   fmt.Sprintf("%s/%s", sc.name, row.name),
 				Config: cfg,
 			})
 		}
 	}
 	for _, od := range routingOrderings {
-		for _, scheme := range []core.Scheme{core.SchemeNone, core.SchemeR2} {
+		for _, scheme := range routingOrderSchemes {
 			cfg := base
 			cfg.Ordering = od.order
 			cfg.Scheme = scheme
-			vs = append(vs, variant{
+			g.cells = append(g.cells, variant{
 				Name:   fmt.Sprintf("%v/uniform/%s", scheme, od.name),
 				Config: cfg,
 			})
 		}
 	}
-	return vs
+	return []compared{g}
 }
 
 // routingReduce relativizes every cell against the NONE/uniform/FCFS
 // baseline (paired seeds: identical job streams).
 func routingReduce(opts Options, res [][]runSummary) ([]*report.Table, error) {
-	baseline := samples(res[0], allJobs)
-	rel := func(idx int) (report.Num, error) {
-		r, err := metrics.Relativize(samples(res[idx], allJobs), baseline)
-		if err != nil {
-			return report.Num{}, err
-		}
-		return report.F(r.AvgStretch, 2), nil
+	gs, err := relativize(routingGroups(opts), res)
+	if err != nil {
+		return nil, err
 	}
+	row := func(name string, rels []metrics.Relative) []any {
+		cells := []any{name}
+		for _, rel := range rels {
+			cells = append(cells, report.F(rel.AvgStretch, 2))
+		}
+		return cells
+	}
+	policies := len(routingRows) * len(routingSchemes)
 
 	t1 := report.NewTable(
 		fmt.Sprintf("Routing × redundancy at equal information cost (N=%d, EASY, latency %ds): avg stretch relative to NONE", routingN, routingLatency),
 		"routing policy", "R2", "R3", "ALL")
-	idx := 1
-	for _, row := range routingRows {
-		cells := []any{row.name}
-		for range routingSchemes {
-			v, err := rel(idx)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, v)
-			idx++
-		}
-		t1.AddRow(cells...)
+	for i, rels := range rows(gs[0].rel[:policies], len(routingSchemes)) {
+		t1.AddRow(row(routingRows[i].name, rels)...)
 	}
 
 	t2 := report.NewTable(
 		fmt.Sprintf("Queue ordering under redundancy (N=%d, EASY, uniform routing): avg stretch relative to NONE/FCFS", routingN),
 		"ordering", "NONE", "R2")
-	for _, od := range routingOrderings {
-		cells := []any{od.name}
-		for range 2 {
-			v, err := rel(idx)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, v)
-			idx++
-		}
-		t2.AddRow(cells...)
+	for i, rels := range rows(gs[0].rel[policies:], len(routingOrderSchemes)) {
+		t2.AddRow(row(routingOrderings[i].name, rels)...)
 	}
 	return []*report.Table{t1, t2}, nil
 }
@@ -148,6 +136,6 @@ var routingSpec = &Spec{
 	Desc:  "informed routing (queuelen/leastwork/po2) × redundancy × snapshot staleness, plus SJF/aged queue orderings",
 	Params: fmt.Sprintf("N=%d, latency=%ds, staleness={%d,900}s, schemes=R2,R3,ALL",
 		routingN, routingLatency, routingLatency),
-	Variants: routingVariants,
+	Variants: func(opts Options) []variant { return groupVariants(routingGroups(opts)) },
 	Reduce:   routingReduce,
 }

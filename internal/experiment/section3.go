@@ -18,21 +18,6 @@ import (
 // DefaultNs are the platform sizes of Figures 1 and 2.
 var DefaultNs = []int{2, 3, 4, 5, 10, 20}
 
-// schemeRelative pairs a scheme with its metrics relative to the
-// no-redundancy baseline.
-type schemeRelative struct {
-	Scheme core.Scheme
-	Rel    metrics.Relative
-}
-
-// vsNPoint is one x-position of Figures 1 and 2: all schemes' relative
-// metrics on an N-cluster platform.
-type vsNPoint struct {
-	N                  int
-	BaselineAvgStretch float64 // absolute, mean over replications
-	Schemes            []schemeRelative
-}
-
 // vsNsOf reads the Figure 1/2 platform sizes from the sweep override.
 func vsNsOf(opts Options) []int {
 	sweep := sweepOr(opts, nil)
@@ -46,75 +31,42 @@ func vsNsOf(opts Options) []int {
 	return ns
 }
 
-// schemesVsNVariants builds the Figure 1 / Figure 2 matrix: for each N
-// in ns, the no-redundancy baseline plus every scheme on N identical
-// 128-node EASY clusters.
-func schemesVsNVariants(opts Options, ns []int) []variant {
-	var vs []variant
-	for _, n := range ns {
-		vs = append(vs, variant{Name: fmt.Sprintf("NONE/N=%d", n), Config: opts.base(n)})
-		for _, s := range core.Schemes {
-			cfg := opts.base(n)
-			cfg.Scheme = s
-			vs = append(vs, variant{Name: fmt.Sprintf("%s/N=%d", s, n), Config: cfg})
-		}
+// against is the group of cfg without redundancy against cfg under
+// each of schemes, its variants named scheme/label.
+func against(label string, cfg core.Config, schemes ...core.Scheme) compared {
+	g := compared{base: variant{Name: "NONE/" + label, Config: cfg}}
+	for _, s := range schemes {
+		c := cfg
+		c.Scheme = s
+		g.cells = append(g.cells, variant{Name: s.String() + "/" + label, Config: c})
 	}
-	return vs
+	return g
 }
 
-// schemesVsNPoints reduces the matrix built by schemesVsNVariants.
-func schemesVsNPoints(ns []int, res [][]runSummary) ([]vsNPoint, error) {
-	per := 1 + len(core.Schemes)
-	points := make([]vsNPoint, 0, len(ns))
-	for gi, n := range ns {
-		grp := res[gi*per : (gi+1)*per]
-		base := samples(grp[0], allJobs)
-		pt := vsNPoint{N: n}
-		for i, s := range core.Schemes {
-			rel, err := metrics.Relativize(samples(grp[i+1], allJobs), base)
-			if err != nil {
-				return nil, err
-			}
-			pt.Schemes = append(pt.Schemes, schemeRelative{Scheme: s, Rel: rel})
-		}
-		pt.BaselineAvgStretch = meanSample(base, func(s metrics.Sample) float64 { return s.AvgStretch })
-		points = append(points, pt)
+// fig12Groups builds the Figure 1 / Figure 2 matrix: for each N, every
+// scheme against the no-redundancy baseline on N identical 128-node
+// EASY clusters.
+func fig12Groups(opts Options) []compared {
+	var gs []compared
+	for _, n := range vsNsOf(opts) {
+		gs = append(gs, against(fmt.Sprintf("N=%d", n), opts.base(n), core.Schemes...))
 	}
-	return points, nil
+	return gs
 }
 
-// schemesVsN runs the Figure 1 / Figure 2 experiment for each N in ns.
-func schemesVsN(opts Options, ns []int) ([]vsNPoint, error) {
-	if len(ns) == 0 {
-		ns = DefaultNs
-	}
-	res, err := runMatrix(opts, schemesVsNVariants(opts, ns))
-	if err != nil {
-		return nil, err
-	}
-	return schemesVsNPoints(ns, res)
-}
-
-func meanSample(ss []metrics.Sample, f func(metrics.Sample) float64) float64 {
-	var sum float64
-	for _, s := range ss {
-		sum += f(s)
-	}
-	return sum / float64(len(ss))
-}
-
-// schemeCurveTable renders one relative metric as an N x scheme table
-// (the tabular form of the paper's figure curves).
-func schemeCurveTable(title, xlabel string, xs []any, points []vsNPoint, f func(metrics.Relative) float64) *report.Table {
+// schemeCurveTable renders one relative metric as an axis x scheme
+// table (the tabular form of the paper's figure curves), one row per
+// group.
+func schemeCurveTable(title, xlabel string, xs []any, gs []relGroup, f func(metrics.Relative) float64) *report.Table {
 	header := []string{xlabel}
 	for _, s := range core.Schemes {
 		header = append(header, s.String())
 	}
 	t := report.NewTable(title, header...)
-	for i, pt := range points {
+	for i, g := range gs {
 		row := []any{xs[i]}
-		for _, sr := range pt.Schemes {
-			row = append(row, report.F(f(sr.Rel), 3))
+		for _, rel := range g.rel {
+			row = append(row, report.F(f(rel), 3))
 		}
 		t.AddRow(row...)
 	}
@@ -128,105 +80,55 @@ var fig12Spec = &Spec{
 	Desc:          "every scheme vs no redundancy as the platform grows",
 	Params:        "N=2,3,4,5,10,20 (Sweep overrides)",
 	PositiveSweep: true,
-	Variants: func(opts Options) []variant {
-		return schemesVsNVariants(opts, vsNsOf(opts))
-	},
+	Variants:      func(opts Options) []variant { return groupVariants(fig12Groups(opts)) },
 	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
-		ns := vsNsOf(opts)
-		points, err := schemesVsNPoints(ns, res)
+		gs, err := relativize(fig12Groups(opts), res)
 		if err != nil {
 			return nil, err
 		}
-		xs := make([]any, len(points))
-		for i, pt := range points {
-			xs[i] = pt.N
+		ns := vsNsOf(opts)
+		xs := make([]any, len(ns))
+		for i, n := range ns {
+			xs[i] = n
 		}
 		fig1 := schemeCurveTable("Figure 1: average stretch relative to no redundancy", "N",
-			xs, points, func(r metrics.Relative) float64 { return r.AvgStretch })
+			xs, gs, func(r metrics.Relative) float64 { return r.AvgStretch })
 		fig2 := schemeCurveTable("Figure 2: coefficient of variation of stretches relative to no redundancy", "N",
-			xs, points, func(r metrics.Relative) float64 { return r.CVStretch })
+			xs, gs, func(r metrics.Relative) float64 { return r.CVStretch })
 		maxs := schemeCurveTable("(extra) maximum stretch relative to no redundancy", "N",
-			xs, points, func(r metrics.Relative) float64 { return r.MaxStretch })
+			xs, gs, func(r metrics.Relative) float64 { return r.MaxStretch })
 		wins := report.NewTable("Win statistics (fraction of replications where the scheme beats no redundancy; worst loss)",
 			"N", "scheme", "win%", "worst loss%", "baseline avg stretch")
-		for _, pt := range points {
-			for _, sr := range pt.Schemes {
-				wins.AddRow(pt.N, sr.Scheme.String(),
-					report.F(sr.Rel.WinFraction*100, 0),
-					report.F(sr.Rel.WorstLoss*100, 1),
-					report.F(pt.BaselineAvgStretch, 2))
+		for i, g := range gs {
+			baseline := report.F(meanOver(g.base, avgStretch(allJobs)), 2)
+			for si, rel := range g.rel {
+				wins.AddRow(ns[i], core.Schemes[si].String(),
+					report.F(rel.WinFraction*100, 0),
+					report.F(rel.WorstLoss*100, 1),
+					baseline)
 			}
 		}
 		return []*report.Table{fig1, fig2, maxs, wins}, nil
 	},
 }
 
-// table1Row is one algorithm's row of Table 1: relative average
-// stretch and relative CV under exact and real (phi-model) estimates,
-// for the HALF scheme on 10 clusters.
-type table1Row struct {
-	Alg              sched.Algorithm
-	AvgStretchExact  float64
-	AvgStretchReal   float64
-	CVStretchesExact float64
-	CVStretchesReal  float64
-}
-
 var table1Algs = []sched.Algorithm{sched.EASY, sched.CBF, sched.FCFS}
 var table1Ests = []workload.EstimateMode{workload.Exact, workload.Phi}
 
-// table1Variants builds the scheduling-algorithm x estimate-quality
-// matrix: a (NONE, HALF) pair per (algorithm, estimate mode).
-func table1Variants(opts Options) []variant {
-	const n = 10
-	var vs []variant
+// table1Groups builds the scheduling-algorithm x estimate-quality
+// matrix on 10 clusters: HALF against no redundancy per (algorithm,
+// estimate mode).
+func table1Groups(opts Options) []compared {
+	var gs []compared
 	for _, alg := range table1Algs {
 		for _, est := range table1Ests {
-			baseCfg := opts.base(n)
-			baseCfg.Alg = alg
-			baseCfg.EstMode = est
-			halfCfg := baseCfg
-			halfCfg.Scheme = core.SchemeHalf
-			vs = append(vs,
-				variant{Name: fmt.Sprintf("NONE/%s/%v", alg, est), Config: baseCfg},
-				variant{Name: fmt.Sprintf("HALF/%s/%v", alg, est), Config: halfCfg})
+			cfg := opts.base(10)
+			cfg.Alg = alg
+			cfg.EstMode = est
+			gs = append(gs, against(fmt.Sprintf("%s/%v", alg, est), cfg, core.SchemeHalf))
 		}
 	}
-	return vs
-}
-
-// table1Rows reduces the matrix built by table1Variants.
-func table1Rows(res [][]runSummary) ([]table1Row, error) {
-	rows := make([]table1Row, 0, len(table1Algs))
-	idx := 0
-	for _, alg := range table1Algs {
-		row := table1Row{Alg: alg}
-		for _, est := range table1Ests {
-			rel, err := metrics.Relativize(samples(res[idx+1], allJobs), samples(res[idx], allJobs))
-			if err != nil {
-				return nil, err
-			}
-			idx += 2
-			if est == workload.Exact {
-				row.AvgStretchExact = rel.AvgStretch
-				row.CVStretchesExact = rel.CVStretch
-			} else {
-				row.AvgStretchReal = rel.AvgStretch
-				row.CVStretchesReal = rel.CVStretch
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// table1 runs the scheduling-algorithm / estimate-quality experiment.
-func table1(opts Options) ([]table1Row, error) {
-	res, err := runMatrix(opts, table1Variants(opts))
-	if err != nil {
-		return nil, err
-	}
-	return table1Rows(res)
+	return gs
 }
 
 var table1Spec = &Spec{
@@ -234,18 +136,19 @@ var table1Spec = &Spec{
 	Title:    "Table 1: scheduling algorithms x estimate quality (N=10, HALF)",
 	Desc:     "EASY/CBF/FCFS under exact and phi-model runtime estimates",
 	Params:   "N=10, scheme=HALF",
-	Variants: func(opts Options) []variant { return table1Variants(opts) },
+	Variants: func(opts Options) []variant { return groupVariants(table1Groups(opts)) },
 	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
-		rows, err := table1Rows(res)
+		gs, err := relativize(table1Groups(opts), res)
 		if err != nil {
 			return nil, err
 		}
 		t := report.NewTable("Table 1: relative metrics for HALF vs no redundancy",
 			"algorithm", "rel avg stretch (exact)", "rel avg stretch (real)", "rel CV (exact)", "rel CV (real)")
-		for _, r := range rows {
-			t.AddRow(r.Alg.String(),
-				report.F(r.AvgStretchExact, 2), report.F(r.AvgStretchReal, 2),
-				report.F(r.CVStretchesExact, 2), report.F(r.CVStretchesReal, 2))
+		for i, ests := range rows(gs, len(table1Ests)) {
+			exact, real := ests[0].rel[0], ests[1].rel[0]
+			t.AddRow(table1Algs[i].String(),
+				report.F(exact.AvgStretch, 2), report.F(real.AvgStretch, 2),
+				report.F(exact.CVStretch, 2), report.F(real.CVStretch, 2))
 		}
 		return []*report.Table{t}, nil
 	},
@@ -254,50 +157,18 @@ var table1Spec = &Spec{
 // table2Schemes are the columns of Table 2.
 var table2Schemes = []core.Scheme{core.SchemeR2, core.SchemeR3, core.SchemeR4, core.SchemeHalf}
 
-// table2Row is one scheme's column of Table 2: relative metrics under
-// geometrically biased remote-cluster selection.
-type table2Row struct {
-	Scheme     core.Scheme
-	AvgStretch float64
-	CVStretch  float64
-}
-
-// table2Variants builds the non-uniform redundant request matrix
-// (N=10; remote clusters picked with probability halving per index).
-func table2Variants(opts Options) []variant {
+// table2Groups builds the non-uniform redundant request matrix (N=10;
+// remote clusters picked with probability halving per index).
+func table2Groups(opts Options) []compared {
 	const n = 10
-	vs := []variant{{Name: "NONE", Config: opts.base(n)}}
+	g := compared{base: variant{Name: "NONE", Config: opts.base(n)}}
 	for _, s := range table2Schemes {
 		cfg := opts.base(n)
 		cfg.Scheme = s
 		cfg.Routing = core.RouteBiased
-		vs = append(vs, variant{Name: s.String(), Config: cfg})
+		g.cells = append(g.cells, variant{Name: s.String(), Config: cfg})
 	}
-	return vs
-}
-
-// table2Rows reduces the matrix built by table2Variants.
-func table2Rows(res [][]runSummary) ([]table2Row, error) {
-	base := samples(res[0], allJobs)
-	rows := make([]table2Row, 0, len(table2Schemes))
-	for i, s := range table2Schemes {
-		rel, err := metrics.Relativize(samples(res[i+1], allJobs), base)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, table2Row{Scheme: s, AvgStretch: rel.AvgStretch, CVStretch: rel.CVStretch})
-	}
-	return rows, nil
-}
-
-// table2 runs the non-uniform redundant request distribution
-// experiment.
-func table2(opts Options) ([]table2Row, error) {
-	res, err := runMatrix(opts, table2Variants(opts))
-	if err != nil {
-		return nil, err
-	}
-	return table2Rows(res)
+	return []compared{g}
 }
 
 var table2Spec = &Spec{
@@ -305,22 +176,22 @@ var table2Spec = &Spec{
 	Title:    "Table 2: non-uniformly distributed redundant requests (N=10)",
 	Desc:     "geometrically biased remote-cluster selection",
 	Params:   "N=10, schemes=R2,R3,R4,HALF",
-	Variants: func(opts Options) []variant { return table2Variants(opts) },
+	Variants: func(opts Options) []variant { return groupVariants(table2Groups(opts)) },
 	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
-		rows, err := table2Rows(res)
+		gs, err := relativize(table2Groups(opts), res)
 		if err != nil {
 			return nil, err
 		}
 		header := []string{"metric"}
-		for _, r := range rows {
-			header = append(header, r.Scheme.String())
+		for _, s := range table2Schemes {
+			header = append(header, s.String())
 		}
 		t := report.NewTable("Table 2: biased remote selection, relative to no redundancy", header...)
 		avg := []any{"rel avg stretch"}
 		cv := []any{"rel CV of stretches"}
-		for _, r := range rows {
-			avg = append(avg, report.F(r.AvgStretch, 2))
-			cv = append(cv, report.F(r.CVStretch, 2))
+		for _, rel := range gs[0].rel {
+			avg = append(avg, report.F(rel.AvgStretch, 2))
+			cv = append(cv, report.F(rel.CVStretch, 2))
 		}
 		t.AddRow(avg...)
 		t.AddRow(cv...)
@@ -333,66 +204,18 @@ var table2Spec = &Spec{
 // beta=0.49 (Section 3.3).
 var DefaultIATs = []float64{4 * 0.49, 7 * 0.49, 10.23 * 0.49, 13 * 0.49, 16 * 0.49, 20 * 0.49}
 
-// iatPoint is one x-position of Figure 3.
-type iatPoint struct {
-	MeanIAT            float64
-	BaselineAvgStretch float64
-	Schemes            []schemeRelative
-}
-
-// figure3Variants builds the interarrival-time sweep on a 10-cluster
-// platform: a baseline plus every scheme per interarrival time.
-func figure3Variants(opts Options, iats []float64) []variant {
-	const n = 10
-	mk := func(s core.Scheme, iat float64) core.Config {
-		cfg := opts.base(n)
-		cfg.Scheme = s
+// fig3Groups builds the interarrival-time sweep on a 10-cluster
+// platform: every scheme against the baseline per interarrival time.
+func fig3Groups(opts Options) []compared {
+	var gs []compared
+	for _, iat := range sweepOr(opts, DefaultIATs) {
+		cfg := opts.base(10)
 		for i := range cfg.Clusters {
 			cfg.Clusters[i].MeanIAT = iat
 		}
-		return cfg
+		gs = append(gs, against(fmt.Sprintf("iat=%.2f", iat), cfg, core.Schemes...))
 	}
-	var vs []variant
-	for _, iat := range iats {
-		vs = append(vs, variant{Name: fmt.Sprintf("NONE/iat=%.2f", iat), Config: mk(core.SchemeNone, iat)})
-		for _, s := range core.Schemes {
-			vs = append(vs, variant{Name: fmt.Sprintf("%s/iat=%.2f", s, iat), Config: mk(s, iat)})
-		}
-	}
-	return vs
-}
-
-// figure3Points reduces the matrix built by figure3Variants.
-func figure3Points(iats []float64, res [][]runSummary) ([]iatPoint, error) {
-	per := 1 + len(core.Schemes)
-	points := make([]iatPoint, 0, len(iats))
-	for gi, iat := range iats {
-		grp := res[gi*per : (gi+1)*per]
-		base := samples(grp[0], allJobs)
-		pt := iatPoint{MeanIAT: iat}
-		pt.BaselineAvgStretch = meanSample(base, func(s metrics.Sample) float64 { return s.AvgStretch })
-		for i, s := range core.Schemes {
-			rel, err := metrics.Relativize(samples(grp[i+1], allJobs), base)
-			if err != nil {
-				return nil, err
-			}
-			pt.Schemes = append(pt.Schemes, schemeRelative{Scheme: s, Rel: rel})
-		}
-		points = append(points, pt)
-	}
-	return points, nil
-}
-
-// figure3 runs the job-interarrival-time sweep.
-func figure3(opts Options, iats []float64) ([]iatPoint, error) {
-	if len(iats) == 0 {
-		iats = DefaultIATs
-	}
-	res, err := runMatrix(opts, figure3Variants(opts, iats))
-	if err != nil {
-		return nil, err
-	}
-	return figure3Points(iats, res)
+	return gs
 }
 
 var fig3Spec = &Spec{
@@ -401,36 +224,20 @@ var fig3Spec = &Spec{
 	Desc:          "arrival-rate sweep across the stability range",
 	Params:        "iat=1.96..9.80s (Sweep overrides)",
 	PositiveSweep: true,
-	Variants: func(opts Options) []variant {
-		return figure3Variants(opts, sweepOr(opts, DefaultIATs))
-	},
+	Variants:      func(opts Options) []variant { return groupVariants(fig3Groups(opts)) },
 	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
-		iats := sweepOr(opts, DefaultIATs)
-		points, err := figure3Points(iats, res)
+		gs, err := relativize(fig3Groups(opts), res)
 		if err != nil {
 			return nil, err
 		}
-		header := []string{"iat"}
-		for _, s := range core.Schemes {
-			header = append(header, s.String())
+		iats := sweepOr(opts, DefaultIATs)
+		xs := make([]any, len(iats))
+		for i, iat := range iats {
+			xs[i] = report.F(iat, 2)
 		}
-		t := report.NewTable("Figure 3: relative average stretch vs mean interarrival time (s)", header...)
-		for _, pt := range points {
-			row := []any{report.F(pt.MeanIAT, 2)}
-			for _, sr := range pt.Schemes {
-				row = append(row, report.F(sr.Rel.AvgStretch, 3))
-			}
-			t.AddRow(row...)
-		}
-		return []*report.Table{t}, nil
+		return []*report.Table{schemeCurveTable("Figure 3: relative average stretch vs mean interarrival time (s)", "iat",
+			xs, gs, func(r metrics.Relative) float64 { return r.AvgStretch })}, nil
 	},
-}
-
-// table3Row is one scheme's row of Table 3 (heterogeneous platforms).
-type table3Row struct {
-	Scheme     core.Scheme
-	AvgStretch float64
-	CVStretch  float64
 }
 
 // heterogeneousMutate randomizes a 10-cluster platform per
@@ -451,40 +258,17 @@ func heterogeneousMutate(rep int, cfg *core.Config) {
 	cfg.Clusters = clusters
 }
 
-// table3Variants builds the heterogeneous-platform matrix: all schemes
-// relative to no redundancy on randomized heterogeneous platforms.
-func table3Variants(opts Options) []variant {
+// table3Groups builds the heterogeneous-platform matrix: all schemes
+// against no redundancy on randomized heterogeneous platforms.
+func table3Groups(opts Options) []compared {
 	const n = 10
-	vs := []variant{{Name: "NONE", Config: opts.base(n), Mutate: heterogeneousMutate}}
+	g := compared{base: variant{Name: "NONE", Config: opts.base(n), Mutate: heterogeneousMutate}}
 	for _, s := range core.Schemes {
 		cfg := opts.base(n)
 		cfg.Scheme = s
-		vs = append(vs, variant{Name: s.String(), Config: cfg, Mutate: heterogeneousMutate})
+		g.cells = append(g.cells, variant{Name: s.String(), Config: cfg, Mutate: heterogeneousMutate})
 	}
-	return vs
-}
-
-// table3Rows reduces the matrix built by table3Variants.
-func table3Rows(res [][]runSummary) ([]table3Row, error) {
-	base := samples(res[0], allJobs)
-	rows := make([]table3Row, 0, len(core.Schemes))
-	for i, s := range core.Schemes {
-		rel, err := metrics.Relativize(samples(res[i+1], allJobs), base)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, table3Row{Scheme: s, AvgStretch: rel.AvgStretch, CVStretch: rel.CVStretch})
-	}
-	return rows, nil
-}
-
-// table3 runs the heterogeneous-platform experiment.
-func table3(opts Options) ([]table3Row, error) {
-	res, err := runMatrix(opts, table3Variants(opts))
-	if err != nil {
-		return nil, err
-	}
-	return table3Rows(res)
+	return []compared{g}
 }
 
 var table3Spec = &Spec{
@@ -492,16 +276,16 @@ var table3Spec = &Spec{
 	Title:    "Table 3: heterogeneous platforms (N=10)",
 	Desc:     "randomized node counts and arrival rates per replication",
 	Params:   "N=10, nodes in {16..256}, iat in [2s,20s]",
-	Variants: func(opts Options) []variant { return table3Variants(opts) },
+	Variants: func(opts Options) []variant { return groupVariants(table3Groups(opts)) },
 	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
-		rows, err := table3Rows(res)
+		gs, err := relativize(table3Groups(opts), res)
 		if err != nil {
 			return nil, err
 		}
 		t := report.NewTable("Table 3: heterogeneous platforms, relative to no redundancy",
 			"scheme", "rel avg stretch", "rel CV of stretches")
-		for _, r := range rows {
-			t.AddRow(r.Scheme.String(), report.F(r.AvgStretch, 2), report.F(r.CVStretch, 2))
+		for si, rel := range gs[0].rel {
+			t.AddRow(core.Schemes[si].String(), report.F(rel.AvgStretch, 2), report.F(rel.CVStretch, 2))
 		}
 		return []*report.Table{t}, nil
 	},
@@ -551,30 +335,18 @@ func figure4Points(fractions []float64, res [][]runSummary) []fig4Point {
 	for _, s := range core.Schemes {
 		for _, p := range fractions {
 			pt := fig4Point{Scheme: s, Fraction: p}
-			pt.AllStretch = meanSample(samples(res[idx], allJobs), func(x metrics.Sample) float64 { return x.AvgStretch })
+			pt.AllStretch = meanOver(res[idx], avgStretch(allJobs))
 			if p > 0 {
-				pt.RStretch = meanSample(samples(res[idx], redundantJobs), func(x metrics.Sample) float64 { return x.AvgStretch })
+				pt.RStretch = meanOver(res[idx], avgStretch(redundantJobs))
 			}
 			if p < 1 {
-				pt.NRStretch = meanSample(samples(res[idx], nonRedundantJobs), func(x metrics.Sample) float64 { return x.AvgStretch })
+				pt.NRStretch = meanOver(res[idx], avgStretch(nonRedundantJobs))
 			}
 			points = append(points, pt)
 			idx++
 		}
 	}
 	return points
-}
-
-// figure4 runs the mixed-population experiment.
-func figure4(opts Options, fractions []float64) ([]fig4Point, error) {
-	if len(fractions) == 0 {
-		fractions = DefaultFractions
-	}
-	res, err := runMatrix(opts, figure4Variants(opts, fractions))
-	if err != nil {
-		return nil, err
-	}
-	return figure4Points(fractions, res), nil
 }
 
 var fig4Spec = &Spec{
@@ -613,9 +385,12 @@ type queueGrowthResult struct {
 	Ratio        float64
 }
 
-// queueGrowthVariants builds the NONE-vs-ALL pair; the caller chooses
-// the window via opts.Horizon (the paper uses 24h, which the qgrowth
-// spec applies).
+// queueGrowthVariants builds the NONE-vs-ALL pair that measures
+// steady-state queue inflation due to redundant requests (the paper
+// finds under 2% for ALL on 10 clusters over 24 hours, because
+// redundant copies are canceled when execution starts); the caller
+// chooses the window via opts.Horizon (the paper uses 24h, which the
+// qgrowth spec applies).
 func queueGrowthVariants(opts Options) []variant {
 	const n = 10
 	allCfg := opts.base(n)
@@ -635,17 +410,6 @@ func queueGrowthReduce(res [][]runSummary) queueGrowthResult {
 	}
 	out.Ratio = out.MaxQueueAll / out.MaxQueueNone
 	return out
-}
-
-// queueGrowth measures steady-state queue inflation due to redundant
-// requests (the paper finds under 2% for ALL on 10 clusters over 24
-// hours, because redundant copies are canceled when execution starts).
-func queueGrowth(opts Options) (queueGrowthResult, error) {
-	res, err := runMatrix(opts, queueGrowthVariants(opts))
-	if err != nil {
-		return queueGrowthResult{}, err
-	}
-	return queueGrowthReduce(res), nil
 }
 
 var qgrowthSpec = &Spec{
@@ -672,50 +436,21 @@ var qgrowthSpec = &Spec{
 // factors applied to remote redundant copies.
 var inflationLevels = []float64{0, 0.10, 0.50}
 
-// inflationRow is one inflation level of the late-binding ablation.
-type inflationRow struct {
-	Inflate    float64
-	AvgStretch float64 // relative to no redundancy
-	CVStretch  float64
-}
-
-// inflationVariants builds the late-binding ablation matrix: a
-// baseline plus HALF at each requested-time inflation level.
-func inflationVariants(opts Options) []variant {
+// inflationGroups builds the late-binding ablation matrix: HALF at
+// each requested-time inflation level against one baseline. It
+// reproduces the Section 3.1.2 observation: raising the requested
+// compute time of remote redundant copies by 10% or 50% (to cover late
+// input-data binding) does not change the findings.
+func inflationGroups(opts Options) []compared {
 	const n = 10
-	vs := []variant{{Name: "NONE", Config: opts.base(n)}}
+	g := compared{base: variant{Name: "NONE", Config: opts.base(n)}}
 	for _, f := range inflationLevels {
 		cfg := opts.base(n)
 		cfg.Scheme = core.SchemeHalf
 		cfg.InflateRemote = f
-		vs = append(vs, variant{Name: fmt.Sprintf("HALF/inflate=%.0f%%", f*100), Config: cfg})
+		g.cells = append(g.cells, variant{Name: fmt.Sprintf("HALF/inflate=%.0f%%", f*100), Config: cfg})
 	}
-	return vs
-}
-
-// inflationRows reduces the matrix built by inflationVariants.
-func inflationRows(res [][]runSummary) ([]inflationRow, error) {
-	base := samples(res[0], allJobs)
-	rows := make([]inflationRow, 0, len(inflationLevels))
-	for i, f := range inflationLevels {
-		rel, err := metrics.Relativize(samples(res[i+1], allJobs), base)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, inflationRow{Inflate: f, AvgStretch: rel.AvgStretch, CVStretch: rel.CVStretch})
-	}
-	return rows, nil
-}
-
-// inflationAblation reproduces the Section 3.1.2 observation: raising
-// the requested compute time of remote redundant copies by 10% or 50%
-// (to cover late input-data binding) does not change the findings.
-func inflationAblation(opts Options) ([]inflationRow, error) {
-	res, err := runMatrix(opts, inflationVariants(opts))
-	if err != nil {
-		return nil, err
-	}
-	return inflationRows(res)
+	return []compared{g}
 }
 
 var inflateSpec = &Spec{
@@ -723,16 +458,16 @@ var inflateSpec = &Spec{
 	Title:    "Section 3.1.2: requested-time inflation of redundant copies",
 	Desc:     "late-binding ablation: remote copies request 0/10/50% more time",
 	Params:   "N=10, scheme=HALF, inflation=0,10,50%",
-	Variants: func(opts Options) []variant { return inflationVariants(opts) },
+	Variants: func(opts Options) []variant { return groupVariants(inflationGroups(opts)) },
 	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
-		rows, err := inflationRows(res)
+		gs, err := relativize(inflationGroups(opts), res)
 		if err != nil {
 			return nil, err
 		}
 		t := report.NewTable("Requested-time inflation of remote copies (HALF vs no redundancy)",
 			"inflation", "rel avg stretch", "rel CV of stretches")
-		for _, r := range rows {
-			t.AddRow(fmt.Sprintf("%.0f%%", r.Inflate*100), report.F(r.AvgStretch, 2), report.F(r.CVStretch, 2))
+		for i, rel := range gs[0].rel {
+			t.AddRow(fmt.Sprintf("%.0f%%", inflationLevels[i]*100), report.F(rel.AvgStretch, 2), report.F(rel.CVStretch, 2))
 		}
 		return []*report.Table{t}, nil
 	},
@@ -741,60 +476,18 @@ var inflateSpec = &Spec{
 // defaultLoads are the offered-load sweep positions.
 var defaultLoads = []float64{0.85, 0.90, 0.95, 1.00, 1.05}
 
-// loadPoint is one offered-load level of the load-sweep ablation.
-type loadPoint struct {
-	TargetLoad         float64
-	BaselineAvgStretch float64
-	RelAvgStretch      float64 // ALL vs NONE
-}
-
-// loadSweepVariants builds the load-sweep matrix: a (NONE, ALL) pair
-// per offered load.
-func loadSweepVariants(opts Options, loads []float64) []variant {
-	const n = 10
-	var vs []variant
-	for _, load := range loads {
+// loadSweepGroups builds the load-sweep matrix, an ablation beyond the
+// paper: ALL against no redundancy per offered load, across the
+// saturation point, to expose where redundant requests stop helping
+// (the regime the paper's N<=5 "harmful" cases live in).
+func loadSweepGroups(opts Options) []compared {
+	var gs []compared
+	for _, load := range sweepOr(opts, defaultLoads) {
 		o := opts
 		o.TargetLoad = load
-		allCfg := o.base(n)
-		allCfg.Scheme = core.SchemeAll
-		vs = append(vs,
-			variant{Name: fmt.Sprintf("NONE/load=%.2f", load), Config: o.base(n)},
-			variant{Name: fmt.Sprintf("ALL/load=%.2f", load), Config: allCfg})
+		gs = append(gs, against(fmt.Sprintf("load=%.2f", load), o.base(10), core.SchemeAll))
 	}
-	return vs
-}
-
-// loadSweepPoints reduces the matrix built by loadSweepVariants.
-func loadSweepPoints(loads []float64, res [][]runSummary) ([]loadPoint, error) {
-	points := make([]loadPoint, 0, len(loads))
-	for i, load := range loads {
-		base := samples(res[2*i], allJobs)
-		rel, err := metrics.Relativize(samples(res[2*i+1], allJobs), base)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, loadPoint{
-			TargetLoad:         load,
-			BaselineAvgStretch: meanSample(base, func(s metrics.Sample) float64 { return s.AvgStretch }),
-			RelAvgStretch:      rel.AvgStretch,
-		})
-	}
-	return points, nil
-}
-
-// loadSweep is an ablation beyond the paper: it sweeps offered load
-// across the saturation point to expose where redundant requests stop
-// helping (the regime the paper's N<=5 "harmful" cases live in).
-func loadSweep(opts Options, loads []float64) ([]loadPoint, error) {
-	if len(loads) == 0 {
-		loads = defaultLoads
-	}
-	res, err := runMatrix(opts, loadSweepVariants(opts, loads))
-	if err != nil {
-		return nil, err
-	}
-	return loadSweepPoints(loads, res)
+	return gs
 }
 
 var loadsweepSpec = &Spec{
@@ -803,17 +496,17 @@ var loadsweepSpec = &Spec{
 	Desc:          "where redundancy stops helping as load crosses saturation",
 	Params:        "N=10, load=0.85..1.05 (Sweep overrides)",
 	PositiveSweep: true,
-	Variants: func(opts Options) []variant {
-		return loadSweepVariants(opts, sweepOr(opts, defaultLoads))
-	},
+	Variants:      func(opts Options) []variant { return groupVariants(loadSweepGroups(opts)) },
 	Reduce: func(opts Options, res [][]runSummary) ([]*report.Table, error) {
-		points, err := loadSweepPoints(sweepOr(opts, defaultLoads), res)
+		gs, err := relativize(loadSweepGroups(opts), res)
 		if err != nil {
 			return nil, err
 		}
+		loads := sweepOr(opts, defaultLoads)
 		t := report.NewTable("Offered-load sweep: ALL vs NONE", "load", "baseline stretch", "rel avg stretch")
-		for _, pt := range points {
-			t.AddRow(report.F(pt.TargetLoad, 2), report.F(pt.BaselineAvgStretch, 3), report.F(pt.RelAvgStretch, 3))
+		for i, g := range gs {
+			t.AddRow(report.F(loads[i], 2),
+				report.F(meanOver(g.base, avgStretch(allJobs)), 3), report.F(g.rel[0].AvgStretch, 3))
 		}
 		return []*report.Table{t}, nil
 	},

@@ -87,15 +87,6 @@ func table4Reduce(res [][]runSummary) table4Result {
 	return out
 }
 
-// table4 runs the predictability experiment.
-func table4(opts Options) (table4Result, error) {
-	res, err := runMatrix(opts, table4Variants(opts))
-	if err != nil {
-		return table4Result{}, err
-	}
-	return table4Reduce(res), nil
-}
-
 var table4Spec = &Spec{
 	Name:     "table4",
 	Title:    "Table 4: queue waiting time over-prediction (N=10, CBF)",

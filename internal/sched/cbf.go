@@ -250,5 +250,6 @@ func (c *Cluster) compressCBF(now float64) (next float64, ticket uint64) {
 }
 
 // Reservation returns the request's current CBF reservation time, or
-// NaN when none exists. Exposed for the predictability experiments.
+// NaN when none exists. Exposed for tests outside the package that
+// check reservations against a reference (core's tie-floor tests).
 func (r *Request) Reservation() float64 { return r.resStart }

@@ -251,28 +251,15 @@ func (m *Model) OfferedLoad(src *rng.Source, totalNodes, samples int) float64 {
 	return work / (m.MeanInterarrival() * float64(totalNodes))
 }
 
-// Calibrate sets RuntimeScale so the offered load on a cluster with
-// totalNodes nodes is approximately targetLoad. It uses a deterministic
-// Monte-Carlo estimate with the given source and returns the chosen
-// scale. Calibration makes absolute stretch levels comparable to the
-// paper's regime while leaving all relative metrics unaffected.
-func (m *Model) Calibrate(src *rng.Source, totalNodes int, targetLoad float64, samples int) float64 {
-	m.RuntimeScale = 1
-	rho := m.OfferedLoad(src, totalNodes, samples)
-	if rho <= 0 {
-		panic("workload: calibration measured zero load")
-	}
-	m.RuntimeScale = targetLoad / rho
-	return m.RuntimeScale
-}
-
 // CalibrateClamped sets RuntimeScale so the offered load (measured
 // with the Min/MaxRuntime clamps applied) is approximately targetLoad.
 // Because clamping makes load a nonlinear function of scale, it
 // iterates a few fixed-point steps; it returns the chosen scale. Note
 // that MinRuntime bounds the achievable load from below (with every
 // runtime at the floor the load cannot drop further), so targets below
-// that bound converge to the bound instead.
+// that bound converge to the bound instead. Calibration makes absolute
+// stretch levels comparable to the paper's regime while leaving all
+// relative metrics unaffected.
 func (m *Model) CalibrateClamped(src *rng.Source, totalNodes int, targetLoad float64, samples int) float64 {
 	m.RuntimeScale = 1
 	for iter := 0; iter < 12; iter++ {

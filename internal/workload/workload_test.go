@@ -226,19 +226,6 @@ func TestCalibrateClamped(t *testing.T) {
 	}
 }
 
-func TestCalibratePlain(t *testing.T) {
-	m := NewModel(128)
-	// Without clamps the plain (single-step) calibration is exact up
-	// to sampling error.
-	m.MinRuntime = 0
-	m.MaxRuntime = math.Inf(1)
-	m.Calibrate(rng.New(13), 128, 1.0, 200000)
-	got := m.OfferedLoad(rng.New(13), 128, 200000)
-	if math.Abs(got-1.0) > 0.05 {
-		t.Errorf("calibrated load = %v, want ~1", got)
-	}
-}
-
 func TestValidateCatchesBadModels(t *testing.T) {
 	mods := []func(*Model){
 		func(m *Model) { m.MaxNodes = 0 },
