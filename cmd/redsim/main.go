@@ -43,6 +43,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"redreq/internal/core"
@@ -119,6 +120,16 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"horizon", *horizon}, {"load", *load}, {"minrt", *minRt}, {"maxrt", *maxRt}, {"staleness", *stale}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			fmt.Fprintf(stderr, "redsim: -%s %v: want a finite number\n", f.name, f.v)
+			return 2
+		}
+	}
+
 	specs, err := resolve(*runNames)
 	if err != nil {
 		fmt.Fprintf(stderr, "redsim: %v\n", err)
@@ -185,7 +196,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		opts.Trace = obs.New()
 	}
 	if !*quiet {
+		// Workers report concurrently and may arrive out of order: the
+		// line only moves forward, so it ends at total/total.
+		var mu sync.Mutex
+		shown := 0
 		opts.Progress = func(done, total int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if done <= shown {
+				return
+			}
+			shown = done
 			fmt.Fprintf(stderr, "\r%d/%d simulations", done, total)
 			if done == total {
 				fmt.Fprintln(stderr)

@@ -6,6 +6,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -310,6 +312,54 @@ func TestBadRoutingExitsUsage(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "unknown routing policy") {
 		t.Errorf("stderr missing diagnosis:\n%s", errb.String())
+	}
+}
+
+// TestNonFiniteFlagExitsUsage rejects NaN and infinite float flags
+// before any simulation starts: -load NaN used to hang calibration and
+// -horizon +Inf to run without end.
+func TestNonFiniteFlagExitsUsage(t *testing.T) {
+	for _, args := range [][]string{
+		{"-load", "NaN"},
+		{"-horizon", "+Inf"},
+		{"-horizon", "NaN"},
+		{"-staleness", "NaN"},
+		{"-minrt", "-Inf"},
+		{"-maxrt", "Inf"},
+	} {
+		var out, errb bytes.Buffer
+		argv := append([]string{"-run", "routing", "-reps", "1", "-nodes", "16", "-q"}, args...)
+		if code := run(argv, &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
+		}
+		if !strings.Contains(errb.String(), "want a finite number") {
+			t.Errorf("%v: stderr missing diagnosis:\n%s", args, errb.String())
+		}
+	}
+}
+
+// TestExtensionProgress checks that the multiq and moldable
+// comparisons, which run outside the matrix harness, report each of
+// their Reps x 2 simulations: the progress line counts up to 12/12.
+func TestExtensionProgress(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-run", "multiq,moldable", "-reps", "3"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
+	}
+	ticks := regexp.MustCompile(`(\d+)/(\d+) simulations`).FindAllStringSubmatch(errb.String(), -1)
+	if len(ticks) == 0 {
+		t.Fatalf("no progress line; stderr:\n%s", errb.String())
+	}
+	last := 0
+	for _, m := range ticks {
+		done, _ := strconv.Atoi(m[1])
+		if done <= last || m[2] != "12" {
+			t.Fatalf("progress update %q after %d/12; stderr:\n%s", m[0], last, errb.String())
+		}
+		last = done
+	}
+	if !strings.Contains(errb.String(), "\r12/12 simulations\n") {
+		t.Errorf("progress line does not end at 12/12; stderr:\n%s", errb.String())
 	}
 }
 

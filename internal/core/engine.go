@@ -155,15 +155,35 @@ func (cfg *Config) Validate() error {
 		if cs.Nodes < 1 {
 			return fmt.Errorf("core: cluster %d has %d nodes", i, cs.Nodes)
 		}
-		if cs.MeanIAT < 0 {
-			return fmt.Errorf("core: cluster %d has negative interarrival time", i)
+		if !(cs.MeanIAT >= 0) {
+			return fmt.Errorf("core: cluster %d has interarrival time %v", i, cs.MeanIAT)
+		}
+	}
+	// NaN passes every comparison-based check below, so it is refused
+	// up front wherever it can appear.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"redundant fraction", cfg.RedundantFraction},
+		{"staleness", cfg.Staleness},
+		{"horizon", cfg.Horizon},
+		{"remote inflation", cfg.InflateRemote},
+		{"target load", cfg.TargetLoad},
+		{"minimum runtime", cfg.MinRuntime},
+		{"runtime scale", cfg.RuntimeScale},
+		{"maximum runtime", cfg.MaxRuntime},
+		{"control latency", cfg.ControlLatency},
+	} {
+		if math.IsNaN(f.v) {
+			return fmt.Errorf("core: %s is NaN", f.name)
 		}
 	}
 	if cfg.RedundantFraction < 0 || cfg.RedundantFraction > 1 {
 		return fmt.Errorf("core: redundant fraction %v outside [0,1]", cfg.RedundantFraction)
 	}
-	if cfg.Horizon <= 0 {
-		return fmt.Errorf("core: non-positive horizon %v", cfg.Horizon)
+	if cfg.Horizon <= 0 || math.IsInf(cfg.Horizon, 1) {
+		return fmt.Errorf("core: horizon %v not positive and finite", cfg.Horizon)
 	}
 	if cfg.InflateRemote < 0 {
 		return fmt.Errorf("core: negative remote inflation %v", cfg.InflateRemote)
@@ -171,8 +191,8 @@ func (cfg *Config) Validate() error {
 	if cfg.TargetLoad < 0 {
 		return fmt.Errorf("core: negative target load %v", cfg.TargetLoad)
 	}
-	if cfg.ControlLatency < 0 {
-		return fmt.Errorf("core: negative control latency %v", cfg.ControlLatency)
+	if cfg.ControlLatency < 0 || math.IsInf(cfg.ControlLatency, 1) {
+		return fmt.Errorf("core: control latency %v not finite and non-negative", cfg.ControlLatency)
 	}
 	if o, err := sched.ParseOrdering(cfg.Ordering.String()); err != nil || o != cfg.Ordering {
 		return fmt.Errorf("core: unknown queue ordering %v", cfg.Ordering)
@@ -867,7 +887,7 @@ func publishAction(a any) {
 		FreeNodes:  c.Free(),
 	})
 	if next := now + p.interval; next <= e.cfg.Horizon {
-		e.sim.ScheduleFn(next, prioPublish, publishAction, p)
+		e.sim.ScheduleAfter(p.interval, prioPublish, publishAction, p)
 	}
 }
 
@@ -1042,7 +1062,7 @@ func (e *engine) arrive(gj *gridJob) {
 				continue
 			}
 			if lat > 0 {
-				e.sim.ScheduleFn(e.sim.Now()+lat, prioDeliver, latentSubmitAction, e.newMsg(gj, t))
+				e.sim.ScheduleAfter(lat, prioDeliver, latentSubmitAction, e.newMsg(gj, t))
 				continue
 			}
 		}
@@ -1179,7 +1199,7 @@ func (e *engine) onStartLatent(gj *gridJob, r *sched.Request) {
 			e.sim.ScheduleFn(e.sim.Now()+lat+delay, prioCancel, cancelMsgAction, e.newMsg(gj, t))
 			continue
 		}
-		e.sim.ScheduleFn(e.sim.Now()+lat, prioCancel, cancelMsgAction, e.newMsg(gj, t))
+		e.sim.ScheduleAfter(lat, prioCancel, cancelMsgAction, e.newMsg(gj, t))
 	}
 }
 

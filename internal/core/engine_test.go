@@ -274,6 +274,7 @@ func TestInflateRemoteEstimates(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
+	nan := math.NaN()
 	bad := []Config{
 		{},
 		{Clusters: []ClusterSpec{{Nodes: 0}}, Horizon: 1},
@@ -282,6 +283,19 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, InflateRemote: -1},
 		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, Ordering: sched.Ordering(7)},
 		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, Ordering: sched.OrderClass},
+		// NaN slips past every comparison, +Inf past the sign checks.
+		{Clusters: []ClusterSpec{{Nodes: 4, MeanIAT: nan}}, Horizon: 1},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, RedundantFraction: nan},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, Staleness: nan},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: nan},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: math.Inf(1)},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, InflateRemote: nan},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, TargetLoad: nan},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, MinRuntime: nan},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, RuntimeScale: nan},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, MaxRuntime: nan},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, ControlLatency: nan},
+		{Clusters: []ClusterSpec{{Nodes: 4}}, Horizon: 1, ControlLatency: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

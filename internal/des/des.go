@@ -5,6 +5,15 @@
 // (Section 3.1.2), event-driven process scheduling is the only facility
 // required.
 //
+// The queue is a heap plus a few FIFO lanes. An event filed at a fixed
+// delay from Now() — 0 for ScheduleFn at Now(), the delay itself for
+// ScheduleAfter — joins the lane of its (delay, priority) pair, where
+// events arrive already in firing order, instead of sifting through the
+// heap; every other event, and one that would sort before its lane's
+// tail, goes to the heap. Each step fires the least of the heap head
+// and the lane heads, so events fire in the one (time, priority,
+// insertion) order whichever part of the queue holds them.
+//
 // Event structs are pooled: once an event has fired or a canceled
 // event has been reaped from the queue, its struct is recycled by a
 // later Schedule call. Callers must therefore drop their references to
@@ -16,6 +25,8 @@
 package des
 
 import (
+	"math"
+
 	"redreq/internal/obs"
 )
 
@@ -28,6 +39,10 @@ type Event struct {
 	fn       func(any)
 	arg      any
 	canceled bool
+	// key is the event's packed ordering word (see entry) and next
+	// links it to the event behind it while it waits in a lane.
+	key  uint64
+	next *Event
 }
 
 // Canceled reports whether the event has been canceled. It is only
@@ -138,6 +153,21 @@ func (q *eventQueue) pop() entry {
 	return top
 }
 
+// lane is a FIFO of queued events linked through Event.next, filed at
+// one (delay, priority) pair. Events join it only in (time, key) order,
+// so its head is its minimum.
+type lane struct {
+	head, tail *Event
+	delay      float64
+	priority   int
+}
+
+// laneSlots bounds the lanes a Simulation keeps. The simulator needs
+// seven at most: one per priority it files at Now() (arrivals,
+// completions, passes and CBF timers, GIS publishes) and, under a
+// control latency, one each for deliveries, cancels and publishes.
+const laneSlots = 8
+
 // Simulation is a discrete-event simulation instance. It is not safe
 // for concurrent use; run one Simulation per goroutine.
 type Simulation struct {
@@ -151,46 +181,39 @@ type Simulation struct {
 	// allocation per eventBatch events instead of one per event.
 	batch []Event
 
-	// lane is the now-lane: an event scheduled at the current instant —
-	// under redundancy most of them, one scheduler kick per submit and
-	// per loser cancel — waits here rather than sift through the large
-	// queue and straight back out. It is the same heap type and every
-	// pop takes the smaller of the two heads by entryLess, so events
-	// fire in the (time, priority, seq) order of a single heap. laneBuf
-	// backs it inline so it never allocates: its depth is bounded by the
-	// actors that react within one instant (here the cluster count), and
-	// a deeper lane grows onto the Go heap like any slice.
-	lane    eventQueue
-	laneBuf [16]entry
+	// lanes[:nlanes] are the lanes claimed so far, inline so that no
+	// lane ever allocates; laned counts the events waiting in them.
+	lanes  [laneSlots]lane
+	nlanes int
+	laned  int
 
 	// Trace instruments, resolved once by SetTrace; all nil (free
 	// no-ops) when tracing is off, keeping the hot loop unchanged.
-	cScheduled *obs.Counter
-	cSchedNow  *obs.Counter
-	cFired     *obs.Counter
-	cCanceled  *obs.Counter
-	gQueue     *obs.Gauge
+	cScheduled  *obs.Counter
+	cSchedNow   *obs.Counter
+	cSchedAfter *obs.Counter
+	cFired      *obs.Counter
+	cCanceled   *obs.Counter
+	gQueue      *obs.Gauge
 }
 
 // New returns a Simulation with the clock at 0.
-func New() *Simulation {
-	s := &Simulation{}
-	s.lane = s.laneBuf[:0]
-	return s
-}
+func New() *Simulation { return &Simulation{} }
 
 // SetTrace attaches trace instruments to the simulation: counters
-// des.scheduled, des.scheduled_now (the share of des.scheduled filed at
-// the current instant, in the now-lane), des.fired, des.canceled and
-// the des.queue gauge (whose Max is the event-queue high-water mark,
-// both lanes summed). A nil trace detaches them.
+// des.scheduled, des.scheduled_now (the share of des.scheduled filed
+// for the current instant), des.scheduled_after (the share filed by
+// ScheduleAfter for a later instant), des.fired, des.canceled and the
+// des.queue gauge (whose Max is the event-queue high-water mark, heap
+// and lanes summed). A nil trace detaches them.
 func (s *Simulation) SetTrace(t *obs.Trace) {
 	if t == nil {
-		s.cScheduled, s.cSchedNow, s.cFired, s.cCanceled, s.gQueue = nil, nil, nil, nil, nil
+		s.cScheduled, s.cSchedNow, s.cSchedAfter, s.cFired, s.cCanceled, s.gQueue = nil, nil, nil, nil, nil, nil
 		return
 	}
 	s.cScheduled = t.Counter("des.scheduled")
 	s.cSchedNow = t.Counter("des.scheduled_now")
+	s.cSchedAfter = t.Counter("des.scheduled_after")
 	s.cFired = t.Counter("des.fired")
 	s.cCanceled = t.Counter("des.canceled")
 	s.gQueue = t.Gauge("des.queue")
@@ -204,7 +227,7 @@ func (s *Simulation) Processed() uint64 { return s.processed }
 
 // Pending returns the number of events currently queued (including
 // canceled events not yet reaped).
-func (s *Simulation) Pending() int { return len(s.queue) + len(s.lane) }
+func (s *Simulation) Pending() int { return len(s.queue) + s.laned }
 
 // runClosure is the fn of events scheduled with Schedule/ScheduleP:
 // the closure itself rides in the event's arg slot.
@@ -231,7 +254,20 @@ func (s *Simulation) ScheduleP(at float64, priority int, action func()) *Event {
 // simulator hot path where every start schedules a completion and
 // every state change schedules a pass.
 func (s *Simulation) ScheduleFn(at float64, priority int, fn func(any), arg any) *Event {
-	return s.schedule(at, priority, s.Ticket(), fn, arg)
+	return s.schedule(at, 0, priority, s.Ticket(), fn, arg)
+}
+
+// ScheduleAfter queues fn(arg) to run delay seconds from now, at
+// Now()+delay, like ScheduleFn. A caller that files a stream of events
+// at one fixed delay and priority — a control-message latency, a
+// publish interval — should use it: such a stream arrives in firing
+// order and waits in a lane of its own instead of the heap. A negative
+// or non-finite delay panics.
+func (s *Simulation) ScheduleAfter(delay float64, priority int, fn func(any), arg any) *Event {
+	if !(delay >= 0 && delay <= math.MaxFloat64) {
+		panic("des: delay not finite and non-negative")
+	}
+	return s.schedule(s.now+delay, delay, priority, s.Ticket(), fn, arg)
 }
 
 // Ticket takes the next place in the insertion order without scheduling
@@ -255,7 +291,7 @@ func (s *Simulation) ScheduleTicket(at float64, priority int, ticket uint64, fn 
 	if ticket == 0 || ticket > s.seq {
 		panic("des: ticket was not drawn from this simulation")
 	}
-	return s.schedule(at, priority, ticket, fn, arg)
+	return s.schedule(at, 0, priority, ticket, fn, arg)
 }
 
 // eventBatch is the number of Event structs allocated together once
@@ -263,7 +299,10 @@ func (s *Simulation) ScheduleTicket(at float64, priority int, ticket uint64, fn 
 const eventBatch = 256
 
 // schedule files an event under seq, its place in the insertion order.
-func (s *Simulation) schedule(at float64, priority int, seq uint64, fn func(any), arg any) *Event {
+// An event for the current instant, or one filed by ScheduleAfter
+// (delay > 0), goes to the lane of its (delay, priority) pair; any
+// other goes to the heap.
+func (s *Simulation) schedule(at, delay float64, priority int, seq uint64, fn func(any), arg any) *Event {
 	// Written so that NaN, for which every comparison is false and which
 	// would silently break entryLess's order, is rejected too.
 	if !(at >= s.now) {
@@ -277,7 +316,6 @@ func (s *Simulation) schedule(at float64, priority int, seq uint64, fn func(any)
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.Time, e.Priority, e.fn, e.arg = at, priority, fn, arg
 		e.canceled = false
 	} else {
 		if len(s.batch) == 0 {
@@ -285,18 +323,73 @@ func (s *Simulation) schedule(at float64, priority int, seq uint64, fn func(any)
 		}
 		e = &s.batch[0]
 		s.batch = s.batch[1:]
-		e.Time, e.Priority, e.fn, e.arg = at, priority, fn, arg
 	}
-	en := entry{time: at, key: packKey(priority, seq), ev: e}
-	if at == s.now {
-		s.lane.push(en)
+	e.Time, e.Priority, e.fn, e.arg = at, priority, fn, arg
+	e.key = packKey(priority, seq)
+	laned := false
+	switch {
+	case at == s.now:
 		s.cSchedNow.Inc()
-	} else {
-		s.queue.push(en)
+		laned = s.file(e, delay)
+	case delay > 0:
+		s.cSchedAfter.Inc()
+		laned = s.file(e, delay)
+	}
+	if !laned {
+		s.queue.push(entry{time: at, key: e.key, ev: e})
 	}
 	s.cScheduled.Inc()
-	s.gQueue.Set(int64(s.Pending()))
+	if s.gQueue != nil {
+		s.gQueue.Set(int64(s.Pending()))
+	}
 	return e
+}
+
+// file appends e to the lane of (delay, e.Priority), claiming a lane
+// for the pair if it has none: a fresh slot while any is left, else one
+// that has emptied. It reports false, leaving e for the heap, when e
+// would sort before its lane's tail (a ticket drawn before the tail's)
+// or every lane is taken.
+func (s *Simulation) file(e *Event, delay float64) bool {
+	var l, spare *lane
+	for i := range s.lanes[:s.nlanes] {
+		c := &s.lanes[i]
+		if c.delay == delay && c.priority == e.Priority {
+			l = c
+			break
+		}
+		if spare == nil && c.head == nil {
+			spare = c
+		}
+	}
+	switch {
+	case l != nil:
+		if t := l.tail; t != nil && before(e.Time, e.key, t.Time, t.key) {
+			return false
+		}
+	case s.nlanes < len(s.lanes):
+		l = &s.lanes[s.nlanes]
+		s.nlanes++
+		l.delay, l.priority = delay, e.Priority
+	case spare != nil:
+		l = spare
+		l.delay, l.priority = delay, e.Priority
+	default:
+		return false
+	}
+	if l.tail == nil {
+		l.head = e
+	} else {
+		l.tail.next = e
+	}
+	l.tail = e
+	s.laned++
+	return true
+}
+
+// before is entryLess on unpacked (time, key) pairs.
+func before(at float64, key uint64, bt float64, bkey uint64) bool {
+	return at < bt || at == bt && key < bkey
 }
 
 // recycle returns a popped event to the free list. The action and its
@@ -320,38 +413,73 @@ func (s *Simulation) Cancel(e *Event) {
 	s.cCanceled.Inc()
 }
 
-// next returns whichever of the two lanes holds the earliest entry, or
-// nil when both are empty.
-func (s *Simulation) next() *eventQueue {
-	if len(s.lane) > 0 && (len(s.queue) == 0 || entryLess(&s.lane[0], &s.queue[0])) {
-		return &s.lane
-	}
+// next returns the earliest queued event and the lane that holds it
+// (nil for the heap), or a nil event when nothing is queued. The heap
+// head is its minimum and each lane's head is the lane's, so the least
+// of them is the minimum of the whole queue.
+func (s *Simulation) next() (*lane, *Event) {
+	var l *lane
+	var e *Event
 	if len(s.queue) > 0 {
-		return &s.queue
+		e = s.queue[0].ev
 	}
-	return nil
+	for i := range s.lanes[:s.nlanes] {
+		if h := s.lanes[i].head; h != nil && (e == nil || before(h.Time, h.key, e.Time, e.key)) {
+			l, e = &s.lanes[i], h
+		}
+	}
+	return l, e
+}
+
+// take removes the head of lane l, or of the heap when l is nil.
+func (s *Simulation) take(l *lane) *Event {
+	if l == nil {
+		return s.queue.pop().ev
+	}
+	e := l.head
+	l.head, e.next = e.next, nil
+	if l.head == nil {
+		l.tail = nil
+	}
+	s.laned--
+	return e
+}
+
+// peek returns the earliest live event and where it waits, reaping and
+// recycling the canceled events ahead of it; a nil event means nothing
+// live is queued.
+func (s *Simulation) peek() (*lane, *Event) {
+	for {
+		l, e := s.next()
+		if e == nil || !e.canceled {
+			return l, e
+		}
+		s.recycle(s.take(l))
+	}
+}
+
+// fire takes e, the live head of l (of the heap when l is nil), and
+// runs it.
+func (s *Simulation) fire(l *lane, e *Event) {
+	s.take(l)
+	s.now = e.Time
+	s.processed++
+	s.cFired.Inc()
+	e.fn(e.arg)
+	// Recycle after the action: events scheduled from within it can
+	// never alias the struct that is still firing.
+	s.recycle(e)
 }
 
 // Step executes the next event, if any, and reports whether one ran.
 // Canceled events encountered at the head are reaped and recycled.
 func (s *Simulation) Step() bool {
-	for q := s.next(); q != nil; q = s.next() {
-		h := q.pop()
-		e := h.ev
-		if e.canceled {
-			s.recycle(e)
-			continue
-		}
-		s.now = h.time
-		s.processed++
-		s.cFired.Inc()
-		e.fn(e.arg)
-		// Recycle after the action: events scheduled from within it can
-		// never alias the struct that is still firing.
-		s.recycle(e)
-		return true
+	l, e := s.peek()
+	if e == nil {
+		return false
 	}
-	return false
+	s.fire(l, e)
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -361,16 +489,16 @@ func (s *Simulation) Run() {
 }
 
 // RunUntil executes events with Time <= t, then advances the clock to
-// t. Events scheduled beyond t remain queued. Peek (rather than the
-// raw queue head) decides whether to step, so canceled events sitting
-// at the head with Time <= t cannot push execution past the deadline.
+// t. Events scheduled beyond t remain queued. The live head (not the
+// raw one) decides whether to step, so canceled events sitting at the
+// head with Time <= t cannot push execution past the deadline.
 func (s *Simulation) RunUntil(t float64) {
 	for {
-		at, ok := s.Peek()
-		if !ok || at > t {
+		l, e := s.peek()
+		if e == nil || e.Time > t {
 			break
 		}
-		s.Step()
+		s.fire(l, e)
 	}
 	if s.now < t {
 		s.now = t
@@ -381,11 +509,8 @@ func (s *Simulation) RunUntil(t float64) {
 // and false when the queue is empty. Canceled events at the head are
 // reaped and recycled.
 func (s *Simulation) Peek() (float64, bool) {
-	for q := s.next(); q != nil; q = s.next() {
-		if h := &(*q)[0]; !h.ev.canceled {
-			return h.time, true
-		}
-		s.recycle(q.pop().ev)
+	if _, e := s.peek(); e != nil {
+		return e.Time, true
 	}
 	return 0, false
 }

@@ -10,6 +10,8 @@ import (
 	"redreq/internal/obs"
 )
 
+func nop(any) {}
+
 func TestTraceCounters(t *testing.T) {
 	tr := obs.New()
 	s := New()
@@ -17,27 +19,57 @@ func TestTraceCounters(t *testing.T) {
 	e := s.Schedule(1, func() {})
 	s.Schedule(2, func() {})
 	s.Schedule(3, func() {})
+	// One event in the lane of delay 0 and two in that of delay 4: the
+	// des.queue gauge sums them with the heap's three.
+	s.Schedule(0, func() {})
+	s.ScheduleAfter(4, 0, nop, nil)
+	s.ScheduleAfter(4, 0, nop, nil)
 	s.Cancel(e)
 	s.Run()
 	snap := tr.Snapshot()
-	if got := snap.Counter("des.scheduled"); got != 3 {
-		t.Fatalf("des.scheduled = %d, want 3", got)
+	for name, want := range map[string]int64{
+		"des.scheduled":       6,
+		"des.scheduled_now":   1,
+		"des.scheduled_after": 2,
+		"des.fired":           5,
+		"des.canceled":        1,
+	} {
+		if got := snap.Counter(name); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
 	}
-	if got := snap.Counter("des.fired"); got != 2 {
-		t.Fatalf("des.fired = %d, want 2", got)
-	}
-	if got := snap.Counter("des.canceled"); got != 1 {
-		t.Fatalf("des.canceled = %d, want 1", got)
-	}
-	if got := tr.Gauge("des.queue").Max(); got != 3 {
-		t.Fatalf("des.queue high-water = %d, want 3", got)
+	if got := tr.Gauge("des.queue").Max(); got != 6 {
+		t.Fatalf("des.queue high-water = %d, want 6", got)
 	}
 	// Detaching stops counting.
 	s.SetTrace(nil)
-	s.Schedule(4, func() {})
+	s.Schedule(5, func() {})
+	s.ScheduleAfter(1, 0, nop, nil)
 	s.Run()
-	if got := tr.Snapshot().Counter("des.scheduled"); got != 3 {
+	if got := tr.Snapshot().Counter("des.scheduled"); got != 6 {
 		t.Fatalf("detached trace still counted: %d", got)
+	}
+	if got := tr.Snapshot().Counter("des.scheduled_after"); got != 2 {
+		t.Fatalf("detached trace still counted des.scheduled_after: %d", got)
+	}
+}
+
+// ScheduleAfter files at Now()+delay, so the delay must be a
+// non-negative finite number; anything else panics and queues nothing.
+func TestScheduleAfterBadDelayPanics(t *testing.T) {
+	for _, delay := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := New()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ScheduleAfter(%v) did not panic", delay)
+				}
+			}()
+			s.ScheduleAfter(delay, 0, nop, nil)
+		}()
+		if s.Pending() != 0 {
+			t.Errorf("ScheduleAfter(%v) queued an event", delay)
+		}
 	}
 }
 
@@ -143,7 +175,7 @@ func TestScheduleNaNPanics(t *testing.T) {
 	s.Schedule(math.NaN(), func() {})
 }
 
-// Events scheduled at the current instant wait in the now-lane; Pending,
+// Events scheduled at the current instant wait in lanes; Pending,
 // the des.queue gauge and des.scheduled count them with the rest, and
 // des.scheduled_now counts them alone.
 func TestSameInstantEventsAreCounted(t *testing.T) {

@@ -11,13 +11,17 @@ import (
 // fires is the first by (time, priority, insertion sequence) — the
 // sequence a stable sort of the live events by (time, priority) gives,
 // an event scheduled under a ticket counting as inserted when the ticket
-// was drawn. The script schedules in the future and at Now(), from the
-// top level and from inside firing actions, at priorities -1..2, draws
-// tickets and schedules under them later, cancels live events, and
-// interleaves Step, RunUntil and Peek. Times are
-// small integers so ties are the common case. Firing actions read their
-// follow-on operations from the same script, and two script bytes
-// schedule at most 23 events, so every script terminates.
+// was drawn. The script schedules in the future and at Now(), by time
+// and by delay (ScheduleAfter), from the top level and from inside
+// firing actions, at priorities -1..2, draws tickets and schedules under
+// them later, cancels live events, and interleaves Step, RunUntil and
+// Peek. Times are small integers so ties are the common case, and the
+// script files at more (delay, priority) pairs than the kernel has
+// lanes, so both ways an event meant for a lane can end up in the heap
+// run: behind its lane's tail, and with every lane taken. Firing
+// actions read their follow-on operations from the same script, and
+// two script bytes schedule at most 23 events, so every script
+// terminates.
 type orderScript struct {
 	t    *testing.T
 	sim  *Simulation
@@ -30,6 +34,11 @@ type orderScript struct {
 	fired int
 	// tickets drawn and not yet scheduled under, oldest first.
 	tickets []orderTicket
+
+	// firedLaned counts events fired from a lane; behindTail and
+	// lanesFull count events filed for a lane that went to the heap,
+	// because they sort before the lane's tail or every lane was taken.
+	firedLaned, behindTail, lanesFull int
 }
 
 // orderTicket is a drawn ticket and the model record that holds its
@@ -43,6 +52,7 @@ type orderEvent struct {
 	time     float64
 	priority int
 	ev       *Event // nil once fired or canceled
+	laned    bool   // filed in a lane
 }
 
 func (o *orderScript) next() (byte, bool) {
@@ -87,6 +97,9 @@ func orderFire(a any) {
 	o.model[id].ev = nil
 	o.live--
 	o.fired++
+	if o.model[id].laned {
+		o.firedLaned++
+	}
 	// The action reacts: up to two follow-on operations.
 	b, _ := o.next()
 	for k := 0; k < int(b%3); k++ {
@@ -96,7 +109,12 @@ func orderFire(a any) {
 		}
 		switch x % 4 {
 		case 0:
-			o.schedule(o.sim.Now()+float64(1+x/4%5), int(x/20%4)-1)
+			// The top bit picks the delay form; the event is the same.
+			if delay, priority := float64(1+x/4%5), int(x/20%4)-1; x >= 128 {
+				o.after(delay, priority)
+			} else {
+				o.schedule(o.sim.Now()+delay, priority)
+			}
 		case 1, 2:
 			o.schedule(o.sim.Now(), int(x/4%4)-1)
 		case 3:
@@ -115,6 +133,40 @@ func (o *orderScript) schedule(at float64, priority int) {
 	ev := o.sim.ScheduleFn(at, priority, orderFire, &orderRef{o, id})
 	o.model = append(o.model, orderEvent{time: at, priority: priority, ev: ev})
 	o.live++
+	if at == o.sim.Now() {
+		o.route(id, 0)
+	}
+}
+
+// after schedules an event delay from now, by ScheduleAfter.
+func (o *orderScript) after(delay float64, priority int) {
+	id := len(o.model)
+	ev := o.sim.ScheduleAfter(delay, priority, orderFire, &orderRef{o, id})
+	o.model = append(o.model, orderEvent{time: o.sim.Now() + delay, priority: priority, ev: ev})
+	o.live++
+	o.route(id, delay)
+}
+
+// route records where the kernel filed event id, which was meant for
+// the lane of (delay, its priority): in a lane, or in the heap behind
+// that lane's tail or for want of a free lane.
+func (o *orderScript) route(id int, delay float64) {
+	rec := &o.model[id]
+	s := o.sim
+	for i := range s.lanes[:s.nlanes] {
+		l := &s.lanes[i]
+		for e := l.head; e != nil; e = e.next {
+			if e == rec.ev {
+				rec.laned = true
+				return
+			}
+		}
+		if l.delay == delay && l.priority == rec.priority {
+			o.behindTail++
+			return
+		}
+	}
+	o.lanesFull++
 }
 
 // cancel withdraws the k-th live event (modulo their number).
@@ -156,8 +208,8 @@ func (o *orderScript) run() {
 		}
 		x, _ := o.next()
 		now := o.sim.Now()
-		// Opcode 5 is unused: the other opcodes keep their values so
-		// existing inputs decode to the same scripts.
+		// Opcode 5 came last: the other opcodes keep their values so
+		// inputs from before it decode to the same scripts.
 		switch b % 10 {
 		case 0:
 			o.schedule(now+float64(1+x%5), int(x/5%4)-1)
@@ -165,6 +217,9 @@ func (o *orderScript) run() {
 			o.schedule(now, int(x%4)-1)
 		case 2:
 			o.cancel(int(x))
+		case 5:
+			// Delays 0..4 at four priorities: 20 pairs for 8 lanes.
+			o.after(float64(x%5), int(x/5%4)-1)
 		case 3:
 			want := o.live > 0
 			if got := o.sim.Step(); got != want {
@@ -183,7 +238,7 @@ func (o *orderScript) run() {
 				o.t.Fatalf("Peek = (%v, %v) with first live event %d", at, ok, i)
 			}
 		case 7:
-			// A burst at Now() deeper than the lane's inline array.
+			// A burst at Now(), across the four priorities' lanes.
 			for k := 0; k < int(x%24); k++ {
 				o.schedule(now, k%4-1)
 			}
@@ -201,6 +256,9 @@ func (o *orderScript) run() {
 				ev := o.sim.ScheduleTicket(at, priority, tk.ticket, orderFire, &orderRef{o, tk.id})
 				o.model[tk.id] = orderEvent{time: at, priority: priority, ev: ev}
 				o.live++
+				if at == now {
+					o.route(tk.id, 0)
+				}
 			}
 		}
 	}
@@ -244,12 +302,23 @@ var orderSeeds = [][]byte{
 	// with events firing in between.
 	{0, 1, 0, 1, 1, 0, 4, 2, 0, 4, 3, 0, 0, 6, 0},
 	// Two queued ties; the first one's action schedules two more at Now(),
-	// a burst of 23 at Now() overflows the inline lane, then Peek and
+	// a burst of 23 at Now() fills four lanes, then Peek and
 	// RunUntil(Now()) drain the instant.
 	append([]byte{0, 5, 0, 5, 3, 0, 2, 5, 9, 7, 23, 6, 0, 4, 0}, make([]byte, 26)...),
 	// TestTicketKeepsItsPlace: a ticket, two events at +2, then a third
 	// under the ticket at +2, which fires first.
 	{8, 0, 0, 6, 0, 6, 9, 7},
+	// A ticket, an event at Now(), then one under the ticket at Now():
+	// it sorts before the lane's tail, so it waits in the heap and fires
+	// first.
+	{8, 0, 1, 1, 9, 5},
+	// ScheduleAfter(1) twice around ScheduleFn(Now()+1), then
+	// ScheduleAfter(2), all at priority 0: one lane, then a second.
+	{5, 6, 0, 5, 5, 6, 5, 7},
+	// ScheduleAfter at all twenty (delay, priority) pairs: eight take
+	// the lanes and the rest wait in the heap.
+	{5, 0, 5, 1, 5, 2, 5, 3, 5, 4, 5, 5, 5, 6, 5, 7, 5, 8, 5, 9,
+		5, 10, 5, 11, 5, 12, 5, 13, 5, 14, 5, 15, 5, 16, 5, 17, 5, 18, 5, 19},
 }
 
 // TestEventOrderProperty drives random scripts, and the seed scripts,
@@ -258,7 +327,7 @@ func TestEventOrderProperty(t *testing.T) {
 	for _, seed := range orderSeeds {
 		runOrderScript(t, seed)
 	}
-	fired := 0
+	var fired, firedLaned, behindTail, lanesFull int
 	for trial := 0; trial < 5000; trial++ {
 		r := rand.New(rand.NewPCG(uint64(trial), 20))
 		data := make([]byte, 20+r.IntN(orderScriptMax-20))
@@ -268,9 +337,15 @@ func TestEventOrderProperty(t *testing.T) {
 		o := &orderScript{t: t, sim: New(), data: data}
 		o.run()
 		fired += o.fired
+		firedLaned += o.firedLaned
+		behindTail += o.behindTail
+		lanesFull += o.lanesFull
 	}
-	if fired < 100000 {
-		t.Fatalf("only %d events fired: the scripts no longer exercise the kernel", fired)
+	t.Logf("%d events fired, %d from lanes; %d filed behind a lane's tail, %d with every lane taken",
+		fired, firedLaned, behindTail, lanesFull)
+	if fired < 100000 || firedLaned < 100000 || behindTail < 300 || lanesFull < 5000 {
+		t.Fatalf("the scripts no longer exercise the kernel: %d events fired, %d from lanes; %d filed behind a lane's tail, %d with every lane taken",
+			fired, firedLaned, behindTail, lanesFull)
 	}
 }
 

@@ -136,9 +136,13 @@ type policyResult struct {
 	Share      [2]float64
 }
 
+// policySims is the number of simulations comparePolicies runs: both
+// policies on every rep.
+func policySims(opts Options) int { return 2 * opts.Reps }
+
 // comparePolicies runs both request policies on every rep's stream,
-// opts.Workers simulations at a time, and reduces in (rep, policy)
-// order.
+// opts.Workers simulations at a time, reporting each to opts.Progress,
+// and reduces in (rep, policy) order.
 func comparePolicies(opts Options, cfg sched.Config, policy copyPolicy, mark func(*extJob) bool) (policyResult, error) {
 	var avg, share [2][]float64
 	for p := range avg {
@@ -146,10 +150,12 @@ func comparePolicies(opts Options, cfg sched.Config, policy copyPolicy, mark fun
 		share[p] = make([]float64, opts.Reps)
 	}
 	errs := make([][2]error, opts.Reps)
+	tick := ticker(opts.Progress, policySims(opts))
 	pool := NewPool(opts.Workers)
 	for rep := 0; rep < opts.Reps; rep++ {
 		for p, redundant := range []bool{false, true} {
 			pool.Do(func() {
+				defer tick()
 				jobs, err := runExtension(opts, rep, cfg, policy(redundant))
 				if err != nil {
 					errs[rep][p] = err
@@ -207,10 +213,11 @@ func queueCopies(redundant bool) copyFunc {
 // multiqSpec compares best-single-queue submission against redundant
 // submission to all eligible queues of one resource (option iii).
 var multiqSpec = &Spec{
-	Name:   "multiq",
-	Title:  "Extension (option iii): redundant requests across queues of one resource",
-	Desc:   "best-queue vs submit-to-all-queues on a multi-queue resource",
-	Params: "queues=short,long (multiq defaults)",
+	Name:      "multiq",
+	Title:     "Extension (option iii): redundant requests across queues of one resource",
+	Desc:      "best-queue vs submit-to-all-queues on a multi-queue resource",
+	Params:    "queues=short,long (multiq defaults)",
+	tableSims: policySims,
 	Tables: func(opts Options) ([]*report.Table, error) {
 		r, err := comparePolicies(opts, multiQueueCluster, queueCopies, func(j *extJob) bool { return j.winner.Class == shortQueue })
 		if err != nil {
@@ -255,10 +262,11 @@ func shapeCopies(maxNodes int) copyPolicy {
 // moldableSpec compares fixed-shape submission against redundant shape
 // variants (option iv).
 var moldableSpec = &Spec{
-	Name:   "moldable",
-	Title:  "Extension (option iv): redundant shape variants for moldable jobs",
-	Desc:   "fixed-shape vs redundant shape variants under EASY",
-	Params: "shapes per job from moldable defaults",
+	Name:      "moldable",
+	Title:     "Extension (option iv): redundant shape variants for moldable jobs",
+	Desc:      "fixed-shape vs redundant shape variants under EASY",
+	Params:    "shapes per job from moldable defaults",
+	tableSims: policySims,
 	Tables: func(opts Options) ([]*report.Table, error) {
 		r, err := comparePolicies(opts, sched.Config{Alg: sched.EASY}, shapeCopies(opts.Nodes), func(j *extJob) bool { return j.winner.Nodes != j.Nodes })
 		if err != nil {

@@ -226,17 +226,9 @@ func runMatrix(opts Options, variants []variant) ([][]runSummary, error) {
 		mu       sync.Mutex
 		firstErr error
 		failed   atomic.Bool
-		done     atomic.Int64
 	)
 	total := len(variants) * opts.Reps
-	// tick reports one more (variant, rep) pair accounted for: run,
-	// failed, or skipped. Progress fires exactly total times however
-	// many workers there are, or progress UIs hang short of total.
-	tick := func() {
-		if opts.Progress != nil {
-			opts.Progress(int(done.Add(1)), total)
-		}
-	}
+	tick := ticker(opts.Progress, total)
 	// Stop feeding work as soon as a simulation fails: the remaining
 	// (variant, rep) pairs would be discarded along with the error
 	// anyway, and a failed run should not burn the full budget.
@@ -297,6 +289,19 @@ enqueue:
 		return nil, firstErr
 	}
 	return results, nil
+}
+
+// ticker returns a func that reports one more of total simulations
+// accounted for — run, failed, or skipped — to progress, which may be
+// nil. Call it exactly total times however many workers there are, or
+// progress UIs hang short of total.
+func ticker(progress func(done, total int), total int) func() {
+	var done atomic.Int64
+	return func() {
+		if progress != nil {
+			progress(int(done.Add(1)), total)
+		}
+	}
 }
 
 // compared is one group of a relative-to-baseline table: a baseline

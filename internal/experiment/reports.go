@@ -24,15 +24,19 @@ import (
 // emitted. An error returned by emit stops the run the same way.
 //
 // opts.Progress, when set, is rewired to aggregate across the run:
-// done counts completed matrix simulations registry-wide and total
-// their overall count (bespoke Tables specs run simulations outside
-// the matrix harness and are not counted).
+// done counts completed simulations registry-wide and total their
+// overall count — every matrix spec's, and those a Tables spec states
+// (the multiq and moldable comparisons; the other Tables specs report
+// no progress and are not counted).
 func Reports(specs []*Spec, opts Options, emit func(i int, rep *report.Report, elapsed time.Duration) error) error {
 	if opts.Progress != nil {
 		total := 0
 		for _, s := range specs {
-			if s.Variants != nil {
+			switch {
+			case s.Variants != nil:
 				total += len(s.Variants(opts)) * opts.Reps
+			case s.tableSims != nil:
+				total += s.tableSims(opts)
 			}
 		}
 		var done atomic.Int64

@@ -52,6 +52,9 @@ type Spec struct {
 	// experiments only). Exactly one of Tables or Variants+Reduce
 	// must be set.
 	Tables func(opts Options) ([]*report.Table, error)
+	// tableSims, set on a Tables spec that reports its simulations to
+	// Options.Progress, gives their number under opts.
+	tableSims func(opts Options) int
 }
 
 // Run executes the experiment and returns its tables.
