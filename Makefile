@@ -62,11 +62,13 @@ examples:
 # feeds arbitrary bytes to the middleware's envelope and reply decoder
 # and holds whatever it accepts to encoding/xml: the same value, the
 # same Validate verdict, and a re-encoding equal to the input;
-# FuzzProtocol feeds arbitrary command lines to pbsd's line-protocol
-# handler in both cycle modes and holds every reply to the protocol's
-# shapes and the daemon's queue: an accepted QSUB queues one job under
-# a larger ID, an accepted QDEL removes one, and QSTAT reports Stat;
-# FuzzSWF feeds arbitrary bytes to the SWF trace parser and holds
+# FuzzProtocol feeds arbitrary command lines to pbsd's byte-path
+# line-protocol handler and to its reference string handler, each on
+# its own daemon, in both cycle modes, and holds the two to
+# byte-identical replies and equal Stat readings, and every reply to the
+# protocol's shapes and the daemon's queue: an accepted QSUB queues one
+# job under a larger ID, an accepted QDEL removes one, and QSTAT
+# reports Stat; FuzzSWF feeds arbitrary bytes to the SWF trace parser and holds
 # whatever it accepts to a Write and Parse round trip that changes
 # nothing, and to a Jobs conversion that does not panic; FuzzJournal
 # feeds arbitrary logs, and prefixes of them cut anywhere, to pbsd's

@@ -293,6 +293,51 @@ func TestDeterministicAcrossWorkersAndCache(t *testing.T) {
 	}
 }
 
+// TestTraceDeterministicAcrossWorkers pins -trace output to the
+// (variant, rep) order of the runs: the routing study's queue-depth
+// series and gauges must read the same at one worker and at two, and
+// in two runs at two workers, however the workers' runs interleave.
+func TestTraceDeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the routing study three times")
+	}
+	dir := t.TempDir()
+	trace := func(workers string) string {
+		t.Helper()
+		var out, errb bytes.Buffer
+		path := filepath.Join(dir, "trace.txt")
+		args := []string{"-run", "routing", "-reps", "2", "-horizon", "900", "-q", "-workers", workers, "-trace", path}
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("-workers %s: exit %d, stderr:\n%s", workers, code, errb.String())
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	want := trace("1")
+	if !strings.Contains(want, "queue_depth") {
+		t.Fatal("-trace printed no queue-depth series")
+	}
+	for i := 0; i < 2; i++ {
+		if got := trace("2"); got != want {
+			t.Fatalf("-workers 2 run %d: trace differs from -workers 1:\n%s", i+1, firstDiff(want, got))
+		}
+	}
+}
+
+// firstDiff returns the first line where two outputs differ.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			return "want " + w[i] + "\ngot  " + g[i]
+		}
+	}
+	return "outputs differ in length"
+}
+
 // TestCacheFlagValidation rejects cache modes other than on/off.
 func TestCacheFlagValidation(t *testing.T) {
 	var out, errb bytes.Buffer

@@ -210,7 +210,8 @@ func summarize(res *core.Result) runSummary {
 // task summarizes its own run, so no Result outlives its task. Variant
 // Configs are treated as immutable inputs: tasks copy the struct but
 // share the Clusters slice, so Mutate hooks must replace cfg.Clusters
-// rather than write through it (see variant).
+// rather than write through it (see variant). With opts.Trace set, the
+// runs' traces merge into it in (variant, rep) order (see traceFold).
 func runMatrix(opts Options, variants []variant) ([][]runSummary, error) {
 	if opts.Reps < 1 {
 		return nil, fmt.Errorf("experiment: Reps must be >= 1")
@@ -229,6 +230,10 @@ func runMatrix(opts Options, variants []variant) ([][]runSummary, error) {
 	)
 	total := len(variants) * opts.Reps
 	tick := ticker(opts.Progress, total)
+	var fold *traceFold
+	if opts.Trace != nil {
+		fold = newTraceFold(opts.Trace, pool.Workers())
+	}
 	// Stop feeding work as soon as a simulation fails: the remaining
 	// (variant, rep) pairs would be discarded along with the error
 	// anyway, and a failed run should not burn the full budget.
@@ -239,7 +244,10 @@ enqueue:
 			if failed.Load() {
 				break enqueue
 			}
-			v, r := v, r
+			v, r, k := v, r, enqueued
+			if fold != nil {
+				fold.acquire()
+			}
 			enqueued++
 			pending.Add(1)
 			pool.Do(func() {
@@ -266,6 +274,13 @@ enqueue:
 					}
 				}
 				sum, err := core.RunCached(memo, cfg, reduce)
+				if fold != nil {
+					tr := cfg.Trace
+					if err != nil {
+						tr = nil // a failed run's trace is not merged
+					}
+					fold.put(k, tr)
+				}
 				if err != nil {
 					err = fmt.Errorf("experiment: variant %q rep %d: %w", variants[v].Name, r, err)
 					mu.Lock()
@@ -276,7 +291,6 @@ enqueue:
 					failed.Store(true)
 				} else {
 					results[v][r] = sum
-					opts.Trace.Merge(cfg.Trace)
 				}
 			})
 		}
@@ -289,6 +303,53 @@ enqueue:
 		return nil, firstErr
 	}
 	return results, nil
+}
+
+// traceFold merges per-run traces into one aggregate in task order.
+// Trace.Merge depends on the order of its calls (series decimation, the
+// gauge level it sets, float sums in histograms), so merging as runs
+// complete would make the aggregate depend on which worker finished
+// first. Runs hand in their traces in any order; the fold holds at most
+// window of them and merges each once every earlier task's trace has
+// been merged.
+type traceFold struct {
+	into *obs.Trace
+	// slots holds one token per task started and not yet merged, so
+	// task k starts only once task k-window has been merged and the
+	// ring slot k%window is free.
+	slots chan struct{}
+
+	mu    sync.Mutex
+	next  int          // the next task to merge
+	ready []*obs.Trace // ring by task index mod window
+	done  []bool
+}
+
+func newTraceFold(into *obs.Trace, window int) *traceFold {
+	return &traceFold{
+		into:  into,
+		slots: make(chan struct{}, window),
+		ready: make([]*obs.Trace, window),
+		done:  make([]bool, window),
+	}
+}
+
+// acquire blocks until the next task in order may start.
+func (f *traceFold) acquire() { f.slots <- struct{}{} }
+
+// put hands in task k's trace, nil for a failed run, and merges every
+// trace whose predecessors all have been.
+func (f *traceFold) put(k int, tr *obs.Trace) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	i := k % len(f.ready)
+	f.ready[i], f.done[i] = tr, true
+	for i = f.next % len(f.ready); f.done[i]; i = f.next % len(f.ready) {
+		f.into.Merge(f.ready[i])
+		f.ready[i], f.done[i] = nil, false
+		f.next++
+		<-f.slots
+	}
 }
 
 // ticker returns a func that reports one more of total simulations

@@ -11,8 +11,9 @@ import (
 
 // Pool runs submitted tasks on a fixed set of worker goroutines.
 type Pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
+	tasks   chan func()
+	wg      sync.WaitGroup
+	workers int
 }
 
 // NewPool starts a pool with the given number of workers (< 1 means
@@ -23,7 +24,7 @@ func NewPool(workers int) *Pool {
 	}
 	// Buffered to workers so producers do not serialize on per-task
 	// handoff with an idle worker.
-	p := &Pool{tasks: make(chan func(), workers)}
+	p := &Pool{tasks: make(chan func(), workers), workers: workers}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
 		go func() {
@@ -35,6 +36,9 @@ func NewPool(workers int) *Pool {
 	}
 	return p
 }
+
+// Workers returns the number of worker goroutines.
+func (p *Pool) Workers() int { return p.workers }
 
 // Do submits one task, blocking while all workers are busy and the
 // buffer is full. Must not be called after Close, nor from within a

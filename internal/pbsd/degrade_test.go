@@ -333,7 +333,7 @@ func TestCloseReleasesIdleConn(t *testing.T) {
 	}
 	// The next round trip fails — but with a clean connection close,
 	// not an "ERR read:" diagnostic provoked by the drain deadline.
-	if _, err := c.roundTrip("PING"); err == nil {
+	if err := c.Ping(); err == nil {
 		t.Fatal("round trip succeeded after Close")
 	} else if s := err.Error(); len(s) >= 8 && s[:8] == "pbsd: re" {
 		t.Fatalf("drain surfaced as a protocol diagnostic: %v", err)

@@ -317,6 +317,10 @@ func NewCluster(sim *des.Simulation, name string, index int, cfg Config) *Cluste
 		relStart: math.Inf(1),
 		relEnd:   math.Inf(-1),
 		timerAt:  math.Inf(1),
+		// Every running request holds at least one node, so the set
+		// never outgrows Nodes: with this capacity (up to 1024 nodes)
+		// insertRunning never regrows it.
+		running: make([]*Request, 0, min(cfg.Nodes, 1024)),
 	}
 	if cfg.Alg == CBF {
 		c.profile = NewProfile(sim.Now(), cfg.Nodes)

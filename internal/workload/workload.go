@@ -251,6 +251,10 @@ func (m *Model) OfferedLoad(src *rng.Source, totalNodes, samples int) float64 {
 	return work / (m.MeanInterarrival() * float64(totalNodes))
 }
 
+// calibrateIters caps CalibrateClamped's fixed-point steps, each of
+// which measures the offered load on a fresh batch of samples.
+const calibrateIters = 12
+
 // CalibrateClamped sets RuntimeScale so the offered load (measured
 // with the Min/MaxRuntime clamps applied) is approximately targetLoad.
 // Because clamping makes load a nonlinear function of scale, it
@@ -262,7 +266,7 @@ func (m *Model) OfferedLoad(src *rng.Source, totalNodes, samples int) float64 {
 // relative metrics unaffected.
 func (m *Model) CalibrateClamped(src *rng.Source, totalNodes int, targetLoad float64, samples int) float64 {
 	m.RuntimeScale = 1
-	for iter := 0; iter < 12; iter++ {
+	for iter := 0; iter < calibrateIters; iter++ {
 		rho := m.OfferedLoad(src, totalNodes, samples)
 		if rho <= 0 {
 			panic("workload: calibration measured zero load")
