@@ -47,8 +47,8 @@ examples:
 	$(GO) run ./examples/gridservice
 
 # fuzz-smoke runs the tree's native fuzz targets for ten seconds each:
-# FuzzEventOrder drives random scripts of schedules (future,
-# same-instant and under tickets drawn earlier), cancels and partial runs
+# FuzzEventOrder drives random scripts of schedules (future and
+# same-instant), cancels and partial runs
 # against the DES kernel's (time, priority, seq) firing order;
 # FuzzProfileProbe drives random allocate/release/probe scripts against
 # sched.Profile and holds FindEarlierAnchor, CBF compression's

@@ -265,7 +265,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	opts.Cache.Publish(opts.Trace)
 
 	if *traceTo != "" {
-		if err := writeTrace(*traceTo, opts.Trace); err != nil {
+		if err := writeTrace(*traceTo, opts.Trace, stdout); err != nil {
 			fmt.Fprintf(stderr, "redsim: trace: %v\n", err)
 			return 1
 		}
@@ -354,12 +354,10 @@ func writeReportFile(dir, format string, rep *report.Report) error {
 // writeTrace emits the aggregate trace report; the format follows the
 // destination's extension (JSON for .json, CSV sections for .csv,
 // aligned tables otherwise), with "-" meaning stdout.
-func writeTrace(dest string, tr *obs.Trace) error {
+func writeTrace(dest string, tr *obs.Trace, stdout io.Writer) error {
 	snap := tr.Snapshot()
-	var w *os.File
-	if dest == "-" {
-		w = os.Stdout
-	} else {
+	w := stdout
+	if dest != "-" {
 		f, err := os.Create(dest)
 		if err != nil {
 			return err

@@ -301,20 +301,15 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the routing study three times")
 	}
-	dir := t.TempDir()
+	// The report and, behind it, the trace tables, both on run's stdout.
 	trace := func(workers string) string {
 		t.Helper()
 		var out, errb bytes.Buffer
-		path := filepath.Join(dir, "trace.txt")
-		args := []string{"-run", "routing", "-reps", "2", "-horizon", "900", "-q", "-workers", workers, "-trace", path}
+		args := []string{"-run", "routing", "-reps", "2", "-horizon", "900", "-q", "-workers", workers, "-trace", "-"}
 		if code := run(args, &out, &errb); code != 0 {
 			t.Fatalf("-workers %s: exit %d, stderr:\n%s", workers, code, errb.String())
 		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+		return out.String()
 	}
 	want := trace("1")
 	if !strings.Contains(want, "queue_depth") {

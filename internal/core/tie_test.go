@@ -19,10 +19,10 @@ import (
 	"redreq/internal/workload"
 )
 
-// The expectation file of TestTiedReservationOrder is pinned from the
-// commit before CBF's per-request reservation timers became one timer
-// per cluster; regenerate it only on a commit whose firing order is the
-// reference:
+// The expectation file of TestTiedReservationOrder pins the outcomes
+// under CBF's tie rule: reservation timers due at one instant fire in the
+// order they were armed. Regenerate it only on a commit that changes that
+// rule on purpose:
 //
 //	go test ./internal/core -run TestTiedReservationOrder -update
 var update = flag.Bool("update", false, "rewrite the expectation files in testdata/")
@@ -127,10 +127,10 @@ func tieOutcome(res *core.Result) string {
 
 // TestTiedReservationOrder is the firing-order differential: whole
 // core.Run simulations in which reservations on different clusters keep
-// falling due at the same instant must come out exactly as they did when
-// every request owned its reservation timer. Which of two clusters'
-// timers fires first at a tied instant decides which copy of a job wins,
-// so a changed order shows up as a changed timeline.
+// falling due at the same instant must come out exactly as pinned. Which
+// of two clusters' timers fires first at a tied instant decides which
+// copy of a job wins, so a changed order shows up as a changed timeline
+// of a redundant scheme; NONE runs one copy per job and does not move.
 func TestTiedReservationOrder(t *testing.T) {
 	cases := tieCases()
 	if len(cases) < 300 {
@@ -169,7 +169,7 @@ func TestTiedReservationOrder(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			if differ++; differ <= 10 {
-				t.Errorf("outcome differs from the per-request-timer reference:\n got %s\nwant %s", got[i], want[i])
+				t.Errorf("outcome differs from the pinned tie rule:\n got %s\nwant %s", got[i], want[i])
 			}
 		}
 	}

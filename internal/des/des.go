@@ -9,8 +9,8 @@
 // delay from Now() — 0 for ScheduleFn at Now(), the delay itself for
 // ScheduleAfter — joins the lane of its (delay, priority) pair, where
 // events arrive already in firing order, instead of sifting through the
-// heap; every other event, and one that would sort before its lane's
-// tail, goes to the heap. Each step fires the least of the heap head
+// heap; every other event goes to the heap, and so does a lane-bound one
+// when every lane is taken. Each step fires the least of the heap head
 // and the lane heads, so events fire in the one (time, priority,
 // insertion) order whichever part of the queue holds them.
 //
@@ -56,8 +56,7 @@ func (e *Event) Canceled() bool { return e.canceled }
 // sequence) into one word — priority in the top 16 bits (biased to
 // order negatives correctly), sequence in the low 48 — so ties resolve
 // with a single integer compare. The events popped are identical to a
-// binary heap's because (time, key) is a total order (seq is unique
-// among a simulation's live events; see ScheduleTicket).
+// binary heap's because (time, key) is a total order (seq is unique).
 type entry struct {
 	time float64
 	key  uint64
@@ -154,8 +153,8 @@ func (q *eventQueue) pop() entry {
 }
 
 // lane is a FIFO of queued events linked through Event.next, filed at
-// one (delay, priority) pair. Events join it only in (time, key) order,
-// so its head is its minimum.
+// one (delay, priority) pair. Events join it in (time, key) order, so
+// its head is its minimum.
 type lane struct {
 	head, tail *Event
 	delay      float64
@@ -254,7 +253,7 @@ func (s *Simulation) ScheduleP(at float64, priority int, action func()) *Event {
 // simulator hot path where every start schedules a completion and
 // every state change schedules a pass.
 func (s *Simulation) ScheduleFn(at float64, priority int, fn func(any), arg any) *Event {
-	return s.schedule(at, 0, priority, s.Ticket(), fn, arg)
+	return s.schedule(at, 0, priority, fn, arg)
 }
 
 // ScheduleAfter queues fn(arg) to run delay seconds from now, at
@@ -267,42 +266,18 @@ func (s *Simulation) ScheduleAfter(delay float64, priority int, fn func(any), ar
 	if !(delay >= 0 && delay <= math.MaxFloat64) {
 		panic("des: delay not finite and non-negative")
 	}
-	return s.schedule(s.now+delay, delay, priority, s.Ticket(), fn, arg)
-}
-
-// Ticket takes the next place in the insertion order without scheduling
-// anything: ScheduleTicket can file an event in that place later. It is
-// for a caller that knows now where an event belongs among its ties but
-// not yet whether it will be needed — sched's one reservation timer per
-// cluster stands for whichever request's reservation is due first, and
-// fires in the place that request's own timer would have held.
-func (s *Simulation) Ticket() uint64 {
-	s.seq++
-	return s.seq
-}
-
-// ScheduleTicket is ScheduleFn for an event that takes the place in the
-// insertion order of a ticket drawn earlier: among events of equal time
-// and priority it fires as if it had been scheduled when the ticket was
-// drawn. At most one live event may hold a ticket at a time (two would
-// tie in every key); a ticket whose event fired or was canceled may be
-// scheduled under again.
-func (s *Simulation) ScheduleTicket(at float64, priority int, ticket uint64, fn func(any), arg any) *Event {
-	if ticket == 0 || ticket > s.seq {
-		panic("des: ticket was not drawn from this simulation")
-	}
-	return s.schedule(at, 0, priority, ticket, fn, arg)
+	return s.schedule(s.now+delay, delay, priority, fn, arg)
 }
 
 // eventBatch is the number of Event structs allocated together once
 // the free list runs dry.
 const eventBatch = 256
 
-// schedule files an event under seq, its place in the insertion order.
+// schedule files an event under the next place in the insertion order.
 // An event for the current instant, or one filed by ScheduleAfter
 // (delay > 0), goes to the lane of its (delay, priority) pair; any
 // other goes to the heap.
-func (s *Simulation) schedule(at, delay float64, priority int, seq uint64, fn func(any), arg any) *Event {
+func (s *Simulation) schedule(at, delay float64, priority int, fn func(any), arg any) *Event {
 	// Written so that NaN, for which every comparison is false and which
 	// would silently break entryLess's order, is rejected too.
 	if !(at >= s.now) {
@@ -325,7 +300,8 @@ func (s *Simulation) schedule(at, delay float64, priority int, seq uint64, fn fu
 		s.batch = s.batch[1:]
 	}
 	e.Time, e.Priority, e.fn, e.arg = at, priority, fn, arg
-	e.key = packKey(priority, seq)
+	s.seq++
+	e.key = packKey(priority, s.seq)
 	laned := false
 	switch {
 	case at == s.now:
@@ -347,9 +323,9 @@ func (s *Simulation) schedule(at, delay float64, priority int, seq uint64, fn fu
 
 // file appends e to the lane of (delay, e.Priority), claiming a lane
 // for the pair if it has none: a fresh slot while any is left, else one
-// that has emptied. It reports false, leaving e for the heap, when e
-// would sort before its lane's tail (a ticket drawn before the tail's)
-// or every lane is taken.
+// that has emptied. It reports false, leaving e for the heap, when every
+// lane is taken. The clock never runs back and seq only grows, so e
+// never sorts before its lane's tail.
 func (s *Simulation) file(e *Event, delay float64) bool {
 	var l, spare *lane
 	for i := range s.lanes[:s.nlanes] {
@@ -363,10 +339,7 @@ func (s *Simulation) file(e *Event, delay float64) bool {
 		}
 	}
 	switch {
-	case l != nil:
-		if t := l.tail; t != nil && before(e.Time, e.key, t.Time, t.key) {
-			return false
-		}
+	case l != nil: // the pair's own lane
 	case s.nlanes < len(s.lanes):
 		l = &s.lanes[s.nlanes]
 		s.nlanes++

@@ -424,35 +424,3 @@ func TestRandomizedOrdering(t *testing.T) {
 		}
 	}
 }
-
-// An event scheduled under a ticket fires, among its ties, where an event
-// scheduled when the ticket was drawn would have.
-func TestTicketKeepsItsPlace(t *testing.T) {
-	s := New()
-	var order []string
-	note := func(a any) { order = append(order, a.(string)) }
-	s.ScheduleFn(5, 1, note, "before")
-	ticket := s.Ticket()
-	s.ScheduleFn(5, 1, note, "after")
-	s.ScheduleFn(5, 0, note, "lower priority number")
-	s.ScheduleTicket(5, 1, ticket, note, "ticketed")
-	s.Run()
-	if want := []string{"lower priority number", "before", "ticketed", "after"}; !slices.Equal(order, want) {
-		t.Fatalf("fired %q, want %q", order, want)
-	}
-}
-
-func TestScheduleForeignTicketPanics(t *testing.T) {
-	for _, ticket := range []uint64{0, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("ScheduleTicket accepted ticket %d after one draw", ticket)
-				}
-			}()
-			s := New()
-			s.Ticket()
-			s.ScheduleTicket(1, 0, ticket, func(any) {}, nil)
-		}()
-	}
-}

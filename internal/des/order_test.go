@@ -9,43 +9,30 @@ import (
 // Simulation and checks the kernel's one contract on every event it
 // fires: among the events that are live at that moment, the one that
 // fires is the first by (time, priority, insertion sequence) — the
-// sequence a stable sort of the live events by (time, priority) gives,
-// an event scheduled under a ticket counting as inserted when the ticket
-// was drawn. The script schedules in the future and at Now(), by time
-// and by delay (ScheduleAfter), from the top level and from inside
-// firing actions, at priorities -1..2, draws tickets and schedules under
-// them later, cancels live events, and interleaves Step, RunUntil and
-// Peek. Times are small integers so ties are the common case, and the
-// script files at more (delay, priority) pairs than the kernel has
-// lanes, so both ways an event meant for a lane can end up in the heap
-// run: behind its lane's tail, and with every lane taken. Firing
-// actions read their follow-on operations from the same script, and
-// two script bytes schedule at most 23 events, so every script
-// terminates.
+// sequence a stable sort of the live events by (time, priority) gives.
+// The script schedules in the future and at Now(), by time and by delay
+// (ScheduleAfter), from the top level and from inside firing actions, at
+// priorities -1..2, cancels live events, and interleaves Step, RunUntil
+// and Peek. Times are small integers so ties are the common case, and
+// the script files at more (delay, priority) pairs than the kernel has
+// lanes, so events meant for a lane also go to the heap with every lane
+// taken — the one way route lets them get there. Firing actions read
+// their follow-on operations from the same script, and two script bytes
+// schedule at most 23 events, so every script terminates.
 type orderScript struct {
 	t    *testing.T
 	sim  *Simulation
 	data []byte
 
-	// model is one record per event ever scheduled or ticket ever drawn,
-	// in insertion order.
+	// model is one record per event ever scheduled, in insertion order.
 	model []orderEvent
 	live  int
 	fired int
-	// tickets drawn and not yet scheduled under, oldest first.
-	tickets []orderTicket
 
-	// firedLaned counts events fired from a lane; behindTail and
-	// lanesFull count events filed for a lane that went to the heap,
-	// because they sort before the lane's tail or every lane was taken.
-	firedLaned, behindTail, lanesFull int
-}
-
-// orderTicket is a drawn ticket and the model record that holds its
-// place.
-type orderTicket struct {
-	id     int
-	ticket uint64
+	// firedLaned counts events fired from a lane; lanesFull counts
+	// events filed for a lane that went to the heap because every lane
+	// was taken.
+	firedLaned, lanesFull int
 }
 
 type orderEvent struct {
@@ -148,8 +135,9 @@ func (o *orderScript) after(delay float64, priority int) {
 }
 
 // route records where the kernel filed event id, which was meant for
-// the lane of (delay, its priority): in a lane, or in the heap behind
-// that lane's tail or for want of a free lane.
+// the lane of (delay, its priority): in a lane, or in the heap, which it
+// may only be for want of a lane — the pair has none, and every slot is
+// claimed by a lane that holds events.
 func (o *orderScript) route(id int, delay float64) {
 	rec := &o.model[id]
 	s := o.sim
@@ -161,10 +149,16 @@ func (o *orderScript) route(id int, delay float64) {
 				return
 			}
 		}
-		if l.delay == delay && l.priority == rec.priority {
-			o.behindTail++
-			return
+	}
+	for i := range s.lanes[:s.nlanes] {
+		if l := &s.lanes[i]; l.head == nil || l.delay == delay && l.priority == rec.priority {
+			o.t.Fatalf("event %d (delay %v, priority %d) went to the heap beside lane %d (delay %v, priority %d, empty %v)",
+				id, delay, rec.priority, i, l.delay, l.priority, l.head == nil)
 		}
+	}
+	if s.nlanes < len(s.lanes) {
+		o.t.Fatalf("event %d (delay %v, priority %d) went to the heap with %d of %d lanes claimed",
+			id, delay, rec.priority, s.nlanes, len(s.lanes))
 	}
 	o.lanesFull++
 }
@@ -208,9 +202,7 @@ func (o *orderScript) run() {
 		}
 		x, _ := o.next()
 		now := o.sim.Now()
-		// Opcode 5 came last: the other opcodes keep their values so
-		// inputs from before it decode to the same scripts.
-		switch b % 10 {
+		switch b % 8 {
 		case 0:
 			o.schedule(now+float64(1+x%5), int(x/5%4)-1)
 		case 1:
@@ -241,24 +233,6 @@ func (o *orderScript) run() {
 			// A burst at Now(), across the four priorities' lanes.
 			for k := 0; k < int(x%24); k++ {
 				o.schedule(now, k%4-1)
-			}
-		case 8:
-			// A place in the insertion order, held by a record that is
-			// not live until an event is scheduled under the ticket.
-			o.tickets = append(o.tickets, orderTicket{len(o.model), o.sim.Ticket()})
-			o.model = append(o.model, orderEvent{})
-		case 9:
-			// An event under the oldest unused ticket, at Now() or ahead.
-			if len(o.tickets) > 0 {
-				tk := o.tickets[0]
-				o.tickets = o.tickets[1:]
-				at, priority := now+float64(x%5), int(x/5%4)-1
-				ev := o.sim.ScheduleTicket(at, priority, tk.ticket, orderFire, &orderRef{o, tk.id})
-				o.model[tk.id] = orderEvent{time: at, priority: priority, ev: ev}
-				o.live++
-				if at == now {
-					o.route(tk.id, 0)
-				}
 			}
 		}
 	}
@@ -305,13 +279,13 @@ var orderSeeds = [][]byte{
 	// a burst of 23 at Now() fills four lanes, then Peek and
 	// RunUntil(Now()) drain the instant.
 	append([]byte{0, 5, 0, 5, 3, 0, 2, 5, 9, 7, 23, 6, 0, 4, 0}, make([]byte, 26)...),
-	// TestTicketKeepsItsPlace: a ticket, two events at +2, then a third
-	// under the ticket at +2, which fires first.
-	{8, 0, 0, 6, 0, 6, 9, 7},
-	// A ticket, an event at Now(), then one under the ticket at Now():
-	// it sorts before the lane's tail, so it waits in the heap and fires
-	// first.
-	{8, 0, 1, 1, 9, 5},
+	// ScheduleFn at Now() twice, then ScheduleAfter(0), all at priority
+	// 0: one lane, fired in insertion order.
+	{1, 1, 1, 1, 5, 5},
+	// ScheduleAfter at eight pairs claims every lane; Step fires the
+	// event at Now(), emptying its lane, and a ninth pair takes that lane
+	// over instead of going to the heap.
+	{5, 0, 5, 1, 5, 2, 5, 3, 5, 4, 5, 5, 5, 6, 5, 7, 3, 0, 0, 5, 8},
 	// ScheduleAfter(1) twice around ScheduleFn(Now()+1), then
 	// ScheduleAfter(2), all at priority 0: one lane, then a second.
 	{5, 6, 0, 5, 5, 6, 5, 7},
@@ -327,7 +301,7 @@ func TestEventOrderProperty(t *testing.T) {
 	for _, seed := range orderSeeds {
 		runOrderScript(t, seed)
 	}
-	var fired, firedLaned, behindTail, lanesFull int
+	var fired, firedLaned, lanesFull int
 	for trial := 0; trial < 5000; trial++ {
 		r := rand.New(rand.NewPCG(uint64(trial), 20))
 		data := make([]byte, 20+r.IntN(orderScriptMax-20))
@@ -338,14 +312,12 @@ func TestEventOrderProperty(t *testing.T) {
 		o.run()
 		fired += o.fired
 		firedLaned += o.firedLaned
-		behindTail += o.behindTail
 		lanesFull += o.lanesFull
 	}
-	t.Logf("%d events fired, %d from lanes; %d filed behind a lane's tail, %d with every lane taken",
-		fired, firedLaned, behindTail, lanesFull)
-	if fired < 100000 || firedLaned < 100000 || behindTail < 300 || lanesFull < 5000 {
-		t.Fatalf("the scripts no longer exercise the kernel: %d events fired, %d from lanes; %d filed behind a lane's tail, %d with every lane taken",
-			fired, firedLaned, behindTail, lanesFull)
+	t.Logf("%d events fired, %d from lanes; %d filed for a lane with every lane taken", fired, firedLaned, lanesFull)
+	if fired < 100000 || firedLaned < 100000 || lanesFull < 5000 {
+		t.Fatalf("the scripts no longer exercise the kernel: %d events fired, %d from lanes; %d filed for a lane with every lane taken",
+			fired, firedLaned, lanesFull)
 	}
 }
 

@@ -27,9 +27,9 @@ import (
 // a walk in two cases. A compression has just visited each of them in
 // queue order, started the due ones and found the earliest of the rest.
 // Otherwise, while nothing is due yet (now < timerAt), each holds the
-// reservation and ticket the last walk left it — only compression moves
-// one — and the timer still stands for the earliest of them: Cancel
-// re-arms it when it withdraws the request it stood for. A full walk
+// reservation the last walk left it — only compression moves one — and
+// the timer still stands for the earliest of them: Cancel re-arms it
+// when it withdraws a request reserved for that instant. A full walk
 // would pass over them all without a start and fold in exactly that
 // minimum. So the admit walks only the slots from the cursor on, which
 // it reaches in the same order against the same profile as the full
@@ -39,26 +39,26 @@ import (
 func (c *Cluster) passCBF() {
 	now := c.sim.Now()
 	c.profile.TrimBefore(now)
-	from, next, ticket := c.cbfCursor, c.timerAt, c.timerTicket
+	from, next := c.cbfCursor, c.timerAt
 	if c.needCompress {
 		c.needCompress = false
-		next, ticket = c.compressCBF(now)
+		next = c.compressCBF(now)
 	} else if now >= c.timerAt {
-		from, next, ticket = 0, math.Inf(1), 0
+		from, next = 0, math.Inf(1)
 	}
 	if from > 0 {
 		c.cPassesClean.Inc()
 	}
-	c.admitCBF(now, from, next, ticket)
+	c.admitCBF(now, from, next)
 }
 
 // admitCBF is the pass proper: in queue order from slot from on it
 // grants a reservation to every request that has none and starts every
 // request whose reservation is due, then points the reservation timer at
 // the earliest reservation still pending — the walk's own minimum folded
-// into (next, ticket), the one before slot from — and moves the cursor
-// to the end of the queue.
-func (c *Cluster) admitCBF(now float64, from int, next float64, ticket uint64) {
+// into next, the one before slot from — and moves the cursor to the end
+// of the queue.
+func (c *Cluster) admitCBF(now float64, from int, next float64) {
 	c.cAdmitSlots.Add(int64(len(c.queue) - from))
 	for i := from; i < len(c.queue); i++ {
 		r := c.queue[i]
@@ -74,18 +74,16 @@ func (c *Cluster) admitCBF(now float64, from int, next float64, ticket uint64) {
 			c.startReserved(r, now)
 			continue
 		}
-		if dueBefore(r, next, ticket) {
-			next, ticket = r.resStart, r.resTicket
-		}
+		next = min(next, r.resStart)
 	}
 	c.cbfCursor = len(c.queue)
 	if c.timerStale {
 		// A start callback withdrew a request of this cluster, perhaps
 		// one the walk had already counted.
 		c.timerStale = false
-		next, ticket = c.nextDue()
+		next = c.nextDue()
 	}
-	c.armTimer(next, ticket)
+	c.armTimer(next)
 }
 
 // reserveCBF anchors a new request into the persistent profile and
@@ -103,8 +101,6 @@ func (c *Cluster) reserveCBF(r *Request, now float64) {
 	}
 	if anchor <= now {
 		c.startReserved(r, now)
-	} else {
-		r.resTicket = c.sim.Ticket()
 	}
 }
 
@@ -119,45 +115,38 @@ func (c *Cluster) startReserved(r *Request, now float64) {
 	c.start(r)
 }
 
-// dueBefore reports whether r's reservation falls due before the one at
-// (at, ticket): earlier, or at the same instant under an earlier ticket.
-// A request without a reservation (NaN) is never due before anything.
-func dueBefore(r *Request, at float64, ticket uint64) bool {
-	return r.resStart < at || r.resStart == at && r.resTicket < ticket
-}
-
 // nextDue returns the reservation that falls due first among the pending
-// requests and its ticket, +Inf when none holds one.
-func (c *Cluster) nextDue() (at float64, ticket uint64) {
-	at = math.Inf(1)
+// requests, +Inf when none holds one.
+func (c *Cluster) nextDue() float64 {
+	at := math.Inf(1)
 	for _, r := range c.queue {
-		if r != nil && r.State == Pending && dueBefore(r, at, ticket) {
-			at, ticket = r.resStart, r.resTicket
+		// A request without a reservation (NaN) compares false.
+		if r != nil && r.State == Pending && r.resStart < at {
+			at = r.resStart
 		}
 	}
-	return at, ticket
+	return at
 }
 
 // armTimer points the cluster's reservation timer at the reservation
-// that falls due first (+Inf: none, no timer), under that request's
-// ticket: the event is the one timer that would fire first if every
-// request kept its own, in the place among its ties — other clusters'
-// timers due at the same instant — that the request's timer would hold.
-// Which cluster's pass runs first at such an instant decides which copy
-// of a redundant job starts. The event it replaces is canceled lazily,
-// but being the earliest reservation it is reaped from the event queue
-// soon.
-func (c *Cluster) armTimer(at float64, ticket uint64) {
-	if at == c.timerAt && ticket == c.timerTicket {
+// that falls due first (+Inf: none, no timer). It keeps the event while
+// that instant stays the same, so the timers of clusters due at one
+// instant fire in the order they were armed, by the (time, priority,
+// insertion) rule of every event; which cluster's pass runs first at
+// such an instant decides which copy of a redundant job starts. The
+// event it replaces is canceled lazily, but being the earliest
+// reservation it is reaped from the event queue soon.
+func (c *Cluster) armTimer(at float64) {
+	if at == c.timerAt {
 		return
 	}
 	if c.timerEv != nil {
 		c.sim.Cancel(c.timerEv)
 		c.timerEv = nil
 	}
-	c.timerAt, c.timerTicket = at, ticket
+	c.timerAt = at
 	if !math.IsInf(at, 1) {
-		c.timerEv = c.sim.ScheduleTicket(at, 1, ticket, timerAction, c)
+		c.timerEv = c.sim.ScheduleFn(at, 1, timerAction, c)
 		c.cTimerArms.Inc()
 	}
 }
@@ -167,7 +156,7 @@ func (c *Cluster) armTimer(at float64, ticket uint64) {
 // and re-arms the timer for the earliest one left.
 func timerAction(a any) {
 	c := a.(*Cluster)
-	c.timerEv, c.timerAt, c.timerTicket = nil, math.Inf(1), 0
+	c.timerEv, c.timerAt = nil, math.Inf(1)
 	c.cbfCursor = 0
 	c.cTimerFires.Inc()
 	c.pass()
@@ -175,7 +164,7 @@ func timerAction(a any) {
 
 // compressCBF re-anchors every pending reservation in queue order after
 // capacity was released, starts every one that is due, and returns the
-// earliest reservation it left pending and its ticket (+Inf: none). For
+// earliest reservation it left pending (+Inf: none). For
 // each request it asks the profile where the reservation could move to
 // if its own allocation were given back (FindEarlierAnchor, which edits
 // nothing) and edits the profile only when the answer is earlier than
@@ -197,9 +186,9 @@ func timerAction(a any) {
 // cancellations fired from start callbacks — widens the live window,
 // and is carried into c.relStart/c.relEnd for the next pass because
 // requests earlier in the queue were examined before the release.
-func (c *Cluster) compressCBF(now float64) (next float64, ticket uint64) {
+func (c *Cluster) compressCBF(now float64) float64 {
 	c.cCompressions.Inc()
-	next = math.Inf(1)
+	next := math.Inf(1)
 	relStart, relEnd := c.relStart, c.relEnd
 	c.relStart, c.relEnd = math.Inf(1), math.Inf(-1)
 	for i := 0; i < len(c.queue); i++ {
@@ -227,8 +216,8 @@ func (c *Cluster) compressCBF(now float64) (next float64, ticket uint64) {
 			// that is due still starts.
 			if old <= now {
 				c.startReserved(r, now)
-			} else if dueBefore(r, next, ticket) {
-				next, ticket = old, r.resTicket
+			} else {
+				next = min(next, old)
 			}
 			continue
 		}
@@ -241,12 +230,9 @@ func (c *Cluster) compressCBF(now float64) (next float64, ticket uint64) {
 			c.startReserved(r, now)
 			continue
 		}
-		r.resTicket = c.sim.Ticket()
-		if dueBefore(r, next, ticket) {
-			next, ticket = anchor, r.resTicket
-		}
+		next = min(next, anchor)
 	}
-	return next, ticket
+	return next
 }
 
 // Reservation returns the request's current CBF reservation time, or

@@ -106,13 +106,8 @@ type Request struct {
 
 	cluster  *Cluster
 	resStart float64 // current CBF reservation
-	// resTicket is the place in the simulation's insertion order taken
-	// when the reservation was granted or last moved (des.Ticket): among
-	// reservations due at one instant, on this cluster or another, the
-	// earliest ticket goes first.
-	resTicket uint64
-	finishEv  *des.Event
-	queued    bool
+	finishEv *des.Event
+	queued   bool
 	// Class is the request's queue on a cluster that serves several
 	// (OrderClass and Config.ClassLimit); other clusters ignore it. It
 	// sits here, in the padding after queued, to keep Request's size.
@@ -250,19 +245,16 @@ type Cluster struct {
 	// capacity was released.
 	relStart, relEnd float64
 
-	// The CBF reservation timer: one event per cluster, standing for the
-	// pending request whose reservation is due first — timerAt is the
-	// earliest resStart in the queue and timerTicket the earliest
-	// resTicket among the requests reserved for it (+Inf, and no event,
-	// when no request holds a reservation). A pass re-arms it on its way
-	// out (admitCBF); a Cancel between passes re-arms it at once when it
-	// withdrew the request the timer stood for, and one inside a pass
+	// The CBF reservation timer: one event per cluster, due at timerAt,
+	// the earliest resStart in the queue (+Inf, and no event, when no
+	// request holds a reservation). A pass re-arms it on its way out
+	// (admitCBF); a Cancel between passes re-arms it at once when it
+	// withdrew a request reserved for timerAt, and one inside a pass
 	// sets timerStale for the pass to rescan, since its walk may already
 	// have counted the request.
-	timerEv     *des.Event
-	timerAt     float64
-	timerTicket uint64
-	timerStale  bool
+	timerEv    *des.Event
+	timerAt    float64
+	timerStale bool
 
 	// scratch is predictNew's reusable availability profile
 	// (buildRunningProfile); reusing it keeps predicting passes
@@ -458,12 +450,11 @@ func (c *Cluster) Cancel(r *Request) bool {
 			r.resStart = math.NaN()
 			if c.inPass {
 				c.timerStale = true
-			} else if res == c.timerAt && r.resTicket == c.timerTicket {
-				// The timer stood for r. Not left to the kick below:
-				// when another cluster's pass at this very instant
-				// withdrew r, the timer is queued ahead of that kick and
-				// would fire with nothing due, or in r's place among the
-				// instant's ties when the next request's is later.
+			} else if res == c.timerAt {
+				// The timer may have stood for r alone. Not left to the
+				// kick below: when another cluster's pass at this very
+				// instant withdrew r, the timer is queued ahead of that
+				// kick and would fire with nothing due.
 				c.armTimer(c.nextDue())
 			}
 		}

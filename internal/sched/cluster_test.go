@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"redreq/internal/des"
+	"redreq/internal/obs"
 )
 
 // testReq builds a request with the given shape.
@@ -231,8 +233,8 @@ func TestCBFNoCompressionAblation(t *testing.T) {
 // due, before the reservation timer fires: a pass resumes its admit walk
 // at the cursor only while nothing is due, so this one starts the
 // request whatever fired it. The engine's own events never do this — a
-// kick scheduled at that instant orders after the timer, whose ticket is
-// older — so the test calls the pass directly.
+// kick scheduled at that instant orders after the timer, which was armed
+// earlier — so the test calls the pass directly.
 func TestCBFPassAtDueInstant(t *testing.T) {
 	sim := des.New()
 	c := NewCluster(sim, "test", 0, Config{Nodes: 4, Alg: CBF, DisableCompression: true})
@@ -250,6 +252,43 @@ func TestCBFPassAtDueInstant(t *testing.T) {
 		t.Fatalf("b is %v from %v after a pass at its reservation, want running from 100", b.State, b.Start)
 	}
 	runChecked(t, sim, c)
+}
+
+// TestCBFTiedTimersFireInArmingOrder gives two clusters a reservation
+// due at the same instant and requires their timers to fire in the order
+// they were armed, whichever cluster comes first by index: the timer is
+// an ordinary event, so ties go by (time, priority, insertion).
+func TestCBFTiedTimersFireInArmingOrder(t *testing.T) {
+	for _, first := range []int{0, 1} {
+		sim := des.New()
+		var started []int64
+		cs := make([]*Cluster, 2)
+		for i := range cs {
+			cs[i] = NewCluster(sim, fmt.Sprint("c", i), i, Config{Nodes: 4, Alg: CBF})
+			cs[i].SetTrace(obs.New()) // to count its timer fires
+			cs[i].OnStart = func(r *Request) { started = append(started, r.JobID) }
+			submitAt(sim, cs[i], 0, testReq(int64(10+i), 4, 100, 100)) // [0, 100)
+		}
+		// Job i is reserved at 100 on cluster i, which arms its timer
+		// then: cluster first at t=1, the other at t=2.
+		submitAt(sim, cs[first], 1, testReq(int64(first), 4, 50, 50))
+		submitAt(sim, cs[1-first], 2, testReq(int64(1-first), 4, 50, 50))
+		for sim.Step() {
+			for _, c := range cs {
+				if err := c.checkInvariants(); err != nil {
+					t.Fatalf("t=%v: %v", sim.Now(), err)
+				}
+			}
+		}
+		fires := 0
+		for _, c := range cs {
+			fires += int(c.cTimerFires.Value())
+		}
+		if want := []int64{10, 11, int64(first), int64(1 - first)}; !slices.Equal(started, want) || fires != 2 {
+			t.Errorf("armed cluster %d first: jobs started in the order %v after %d timer fires, want %v after 2",
+				first, started, fires, want)
+		}
+	}
 }
 
 func TestCBFHoleUsableAfterCancelWithoutCompression(t *testing.T) {

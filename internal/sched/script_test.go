@@ -297,8 +297,7 @@ func refEASY(jobs []refJob, free int, fcfs bool) []float64 {
 // referenceCompress is compressCBF as it was before it probed: every
 // pending reservation with a non-empty search range is taken out of the
 // profile, searched for with FindAnchorLimit, clamped to where it was
-// and put back, moved or not. A reservation that moved takes a new
-// ticket, where it used to re-arm its own timer.
+// and put back, moved or not.
 func referenceCompress(c *Cluster, now float64, n *counts) {
 	n[nCompressing]++
 	relStart, relEnd := c.relStart, c.relEnd
@@ -340,8 +339,6 @@ func referenceCompress(c *Cluster, now float64, n *counts) {
 		}
 		if anchor <= now {
 			c.startReserved(r, now)
-		} else if anchor != old {
-			r.resTicket = c.sim.Ticket()
 		}
 	}
 }
@@ -356,7 +353,7 @@ func referencePassCBF(c *Cluster, n *counts) {
 		c.needCompress = false
 		referenceCompress(c, now, n)
 	}
-	c.admitCBF(now, 0, math.Inf(1), 0)
+	c.admitCBF(now, 0, math.Inf(1))
 	c.inPass = false
 	if c.needCompact {
 		c.needCompact = false
@@ -365,8 +362,8 @@ func referencePassCBF(c *Cluster, n *counts) {
 }
 
 // cbfTwin is a detached copy of a CBF cluster — profile, queue,
-// reservations in ticket order, timer, released window — on a simulation
-// of its own, for the reference pass to run on.
+// reservations, timer, released window — on a simulation of its own, for
+// the reference pass to run on.
 type cbfTwin struct {
 	c       *Cluster
 	real    []*Request // the cluster's queued requests when the copy was taken
@@ -394,11 +391,6 @@ func cloneCBF(c *Cluster, withdraw bool) *cbfTwin {
 			tw.copy = append(tw.copy, cp)
 		}
 	}
-	// The copy's simulation has handed out no tickets: the reservations
-	// take its first ones, in the order they hold the cluster's.
-	for _, i := range ticketOrder(tw.copy) {
-		tw.copy[i].resTicket = sim.Ticket()
-	}
 	t.armTimer(t.nextDue())
 	t.OnStart = func(r *Request) {
 		tw.started = append(tw.started, r)
@@ -409,27 +401,16 @@ func cloneCBF(c *Cluster, withdraw bool) *cbfTwin {
 	return tw
 }
 
-// ticketOrder returns the indices of the pending reservations in rs,
-// earliest ticket first.
-func ticketOrder(rs []*Request) []int {
-	var order []int
-	for i, r := range rs {
-		if r.State == Pending && !math.IsNaN(r.resStart) {
-			order = append(order, i)
-		}
-	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(rs[a].resTicket, rs[b].resTicket) })
-	return order
-}
-
-// timerHolder returns the index in rs of the request the cluster's
+// timerHolder returns the index in rs of the first request the cluster's
 // reservation timer stands for, -1 when the timer is not armed.
 func timerHolder(c *Cluster, rs []*Request) int {
 	return slices.IndexFunc(rs, func(r *Request) bool { return holdsTimer(c, r) })
 }
 
+// holdsTimer reports whether r is pending with its reservation at the
+// timer's instant; several requests may be.
 func holdsTimer(c *Cluster, r *Request) bool {
-	return r.State == Pending && r.resStart == c.timerAt && r.resTicket == c.timerTicket
+	return r.State == Pending && r.resStart == c.timerAt
 }
 
 // sameTime reports whether two times are equal, NaN equal to NaN.
@@ -541,18 +522,18 @@ func boolInt(b bool) int {
 }
 
 // checkTimer holds a CBF cluster outside a pass to the timer's
-// invariant: armed for the earliest pending reservation, under the
-// earliest ticket reserved for that instant, and only when there is one.
+// invariant: armed for the earliest pending reservation, and only when
+// there is one.
 func (h *harness) checkTimer(c *Cluster) {
-	at, ticket := math.Inf(1), uint64(0)
+	at := math.Inf(1)
 	for _, r := range c.queue {
-		if r != nil && r.State == Pending && (r.resStart < at || r.resStart == at && r.resTicket < ticket) {
-			at, ticket = r.resStart, r.resTicket
+		if r != nil && r.State == Pending && r.resStart < at {
+			at = r.resStart
 		}
 	}
-	if c.timerAt != at || c.timerTicket != ticket {
-		h.t.Fatalf("t=%v %s: timer stands for the reservation at %v under ticket %d, the earliest pending one is at %v under ticket %d",
-			h.sim.Now(), c.Name, c.timerAt, c.timerTicket, at, ticket)
+	if c.timerAt != at {
+		h.t.Fatalf("t=%v %s: timer stands for the reservation at %v, the earliest pending one is at %v",
+			h.sim.Now(), c.Name, c.timerAt, at)
 	}
 	if ev := c.timerEv; (ev != nil) == math.IsInf(at, 1) || ev != nil && (ev.Canceled() || ev.Time != at) {
 		h.t.Fatalf("t=%v %s: timer event %+v with the earliest pending reservation at %v", h.sim.Now(), c.Name, ev, at)
@@ -589,23 +570,16 @@ func (h *harness) step() bool {
 		clean                         bool
 		passes, queued, due, canceled int
 		fires, probes, moves, resumed int64
-		ticket                        uint64
 	}
 	before := make([]snapshot, len(h.cs))
-	// The first of the timers due at this instant to fire is the one
-	// under the earliest ticket.
-	first := uint64(math.MaxUint64)
 	for i, c := range h.cs {
 		h.started[i] = h.started[i][:0]
 		b := &before[i]
-		b.passes, b.queued, b.canceled, b.ticket = c.stats.Passes, len(c.queue), c.stats.Canceled, c.timerTicket
+		b.passes, b.queued, b.canceled = c.stats.Passes, len(c.queue), c.stats.Canceled
 		b.fires, b.probes, b.moves = c.cTimerFires.Value(), c.cCompressProbes.Value(), c.cCompressMoves.Value()
 		b.resumed = c.cPassesClean.Value()
 		kicked := c.kickEv != nil && c.kickEv.Time == at
 		timed := c.timerEv != nil && c.timerEv.Time == at
-		if timed {
-			first = min(first, c.timerTicket)
-		}
 		switch {
 		case c.cfg.Alg != CBF && kicked:
 			want := predictPass(c, h.withdraw)
@@ -651,9 +625,8 @@ func (h *harness) step() bool {
 		}
 		h.checkTimer(c)
 		if c.cTimerFires.Value() != b.fires {
-			if b.due == 0 || b.ticket != first {
-				h.t.Fatalf("t=%v %s: the reservation timer under ticket %d fired with %d reservations due, the earliest ticket due is %d",
-					h.sim.Now(), c.Name, b.ticket, b.due, first)
+			if b.due == 0 {
+				h.t.Fatalf("t=%v %s: the reservation timer fired with no reservation due", h.sim.Now(), c.Name)
 			}
 			fired++
 			h.n[nFires]++
@@ -716,13 +689,10 @@ func (h *harness) compare(c *Cluster, started []*Request, tw *cbfTwin) {
 				at, c.Name, c.stats.Passes, r.JobID, r.State, r.Reservation(), r.Reserved, cp.State, cp.Reservation(), cp.Reserved)
 		}
 	}
-	// The timer stands for the same request at the same time, and the
-	// reservations took their tickets in the same order: the reference
-	// takes one where every request used to re-arm a timer of its own.
-	got, want := ticketOrder(tw.real), ticketOrder(tw.copy)
-	if h, rh := timerHolder(c, tw.real), timerHolder(ref, tw.copy); c.timerAt != ref.timerAt || h != rh || !slices.Equal(got, want) {
-		t.Fatalf("t=%v %s pass %d: timer armed for %v (request %d of the queue), tickets in the order %v; the reference arms %v (request %d), tickets %v",
-			at, c.Name, c.stats.Passes, c.timerAt, h, got, ref.timerAt, rh, want)
+	// The timer stands for the same request at the same time.
+	if h, rh := timerHolder(c, tw.real), timerHolder(ref, tw.copy); c.timerAt != ref.timerAt || h != rh {
+		t.Fatalf("t=%v %s pass %d: timer armed for %v (request %d of the queue); the reference arms %v (request %d)",
+			at, c.Name, c.stats.Passes, c.timerAt, h, ref.timerAt, rh)
 	}
 	// Element for element, which is stricter than the rendered String.
 	if !slices.Equal(c.profile.times, ref.profile.times) || !slices.Equal(c.profile.avail, ref.profile.avail) {
@@ -1059,7 +1029,7 @@ func TestAgainstReferenceOracle(t *testing.T) {
 // every pass to leave the cluster exactly where the remove, search,
 // clamp and re-add reference with a full admit walk leaves it, and the
 // timer to stand for the earliest pending reservation, to fire only when
-// one is due, in ticket order, and to leave none overdue.
+// one is due, and to leave none overdue.
 func TestCompressionMatchesRewriteReference(t *testing.T) {
 	s, m := runRandom(t, 21, 4000, func(trial int) (byte, byte) {
 		return header(CBF, OrderFCFS), flag(trial%2 == 1, scriptWithdraw) | flag(trial%3 == 0, scriptCompressOnCancel) |
