@@ -1,55 +1,32 @@
-// Log-bucketed histogram for latencies: geometric buckets doubling from
-// a 1 µs base cover one nanosecond-ish to thousands of years of either
-// wall-clock or virtual seconds with 64 slots and no allocation per
-// observation.
+// Latency histogram: a stats.Sketch for quantiles and stats.Moments for
+// the exact count, sum and extrema, under one mutex.
 
 package obs
 
 import (
 	"math"
-	"sync/atomic"
+	"sync"
+
+	"redreq/internal/stats"
 )
 
-const (
-	histBuckets = 64
-	histBase    = 1e-6 // seconds; bucket 0 is (-inf, 1µs]
-)
+// histAlpha is every histogram's relative accuracy: a quantile lies
+// within 1 % of an exact order statistic of the observations.
+const histAlpha = 0.01
 
-// Histogram counts float64 observations (seconds) in geometric buckets
-// and tracks count, sum, min, and max exactly.
+// Histogram records float64 observations (seconds). Quantiles come from
+// a mergeable sketch, so pooled histograms answer the same whatever the
+// merge order; count, sum, min and max are exact.
 type Histogram struct {
-	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomicFloat
-	min     atomicFloat
-	max     atomicFloat
+	mu sync.Mutex
+	sk *stats.Sketch
+	m  stats.Moments
 }
 
-func newHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.store(math.Inf(1))
-	h.max.store(math.Inf(-1))
-	return h
-}
-
-// bucketIndex maps an observation to its bucket: i covers
-// (histBase*2^(i-1), histBase*2^i].
-func bucketIndex(v float64) int {
-	if v <= histBase {
-		return 0
-	}
-	_, exp := math.Frexp(v / histBase)
-	// Frexp returns f in [0.5, 1) with v/base = f * 2^exp, so the
-	// bucket upper bound histBase*2^exp is the first one >= v.
-	if exp >= histBuckets {
-		return histBuckets - 1
-	}
-	return exp
-}
-
-// BucketBound returns the upper bound (inclusive, seconds) of bucket i.
-func BucketBound(i int) float64 {
-	return histBase * math.Pow(2, float64(i))
+// NewHistogram returns an empty histogram, for callers that record
+// latencies outside a Trace.
+func NewHistogram() *Histogram {
+	return &Histogram{sk: stats.NewSketch(histAlpha)}
 }
 
 // Observe records one value. No-op on a nil receiver; NaN is dropped.
@@ -57,11 +34,10 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {
 		return
 	}
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.add(v)
-	h.min.storeMin(v)
-	h.max.storeMax(v)
+	h.mu.Lock()
+	h.sk.Add(v)
+	h.m.Add(v)
+	h.mu.Unlock()
 }
 
 // Count returns the number of observations; 0 on a nil receiver.
@@ -69,7 +45,9 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return int64(h.m.N)
 }
 
 // Sum returns the sum of observations; 0 on a nil receiver.
@@ -77,121 +55,84 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum.load()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.m.Sum
 }
 
 // Mean returns the mean observation, or NaN when empty or nil.
 func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return math.NaN()
-	}
-	return h.Sum() / float64(n)
+	return h.read(func() float64 { return h.m.Mean() })
 }
 
 // Min returns the smallest observation, or NaN when empty or nil.
 func (h *Histogram) Min() float64 {
-	if h == nil || h.count.Load() == 0 {
-		return math.NaN()
-	}
-	return h.min.load()
+	return h.read(func() float64 { return h.m.MinVal })
 }
 
 // Max returns the largest observation, or NaN when empty or nil.
 func (h *Histogram) Max() float64 {
-	if h == nil || h.count.Load() == 0 {
-		return math.NaN()
-	}
-	return h.max.load()
+	return h.read(func() float64 { return h.m.MaxVal })
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) from the buckets,
-// returning the upper bound of the bucket holding the q-th observation
-// clamped to the observed min/max. NaN when empty or nil.
+// Quantile estimates the q-quantile (q in [0,1]): the sketch's value,
+// within 1 % of the order statistic at rank round(q*(n-1)), clamped to
+// the exact min and max. NaN when empty, nil or q is NaN.
 func (h *Histogram) Quantile(q float64) float64 {
-	n := h.Count()
-	if n == 0 || math.IsNaN(q) {
+	if math.IsNaN(q) {
 		return math.NaN()
 	}
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
-			est := BucketBound(i)
-			if mx := h.Max(); est > mx {
-				est = mx
-			}
-			if mn := h.Min(); est < mn {
-				est = mn
-			}
-			return est
-		}
-	}
-	return h.Max()
+	return h.read(func() float64 { return h.quantile(q) })
 }
 
-// merge pools src's observations into h.
+// read returns f() under the lock, or NaN when h is nil or empty.
+func (h *Histogram) read(f func() float64) float64 {
+	if h == nil {
+		return math.NaN()
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.m.N == 0 {
+		return math.NaN()
+	}
+	return f()
+}
+
+// quantile is Quantile on a non-empty histogram whose lock is held.
+func (h *Histogram) quantile(q float64) float64 {
+	return min(max(h.sk.Quantile(q*100), h.m.MinVal), h.m.MaxVal)
+}
+
+// snap exports the histogram under one lock, so its summary and buckets
+// describe the same observations.
+func (h *Histogram) snap(name string) HistSnap {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	hs := HistSnap{Name: name, Count: int64(h.m.N), Sum: h.m.Sum}
+	// JSON cannot carry NaN; an empty histogram's summary stays zero.
+	if h.m.N > 0 {
+		hs.Min, hs.Max, hs.Mean = h.m.MinVal, h.m.MaxVal, h.m.Mean()
+		hs.P50, hs.P95, hs.P99 = h.quantile(0.50), h.quantile(0.95), h.quantile(0.99)
+	}
+	h.sk.EachBucket(func(le float64, n uint64) {
+		hs.Buckets = append(hs.Buckets, BucketSnap{Le: le, Count: int64(n)})
+	})
+	return hs
+}
+
+// merge pools src's observations into h. It copies src under src's
+// lock and folds the copy in under h's, never holding both.
 func (h *Histogram) merge(src *Histogram) {
 	if h == nil || src == nil {
 		return
 	}
-	for i := 0; i < histBuckets; i++ {
-		if n := src.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	n := src.count.Load()
-	if n == 0 {
-		return
-	}
-	h.count.Add(n)
-	h.sum.add(src.sum.load())
-	h.min.storeMin(src.min.load())
-	h.max.storeMax(src.max.load())
-}
-
-// atomicFloat is a float64 stored as bits for lock-free updates.
-type atomicFloat struct {
-	bits atomic.Uint64
-}
-
-func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
-func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
-
-func (f *atomicFloat) add(delta float64) {
-	for {
-		old := f.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if f.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) storeMin(v float64) {
-	for {
-		old := f.bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if f.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) storeMax(v float64) {
-	for {
-		old := f.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if f.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
+	sk := stats.NewSketch(histAlpha)
+	src.mu.Lock()
+	sk.Merge(src.sk)
+	m := src.m
+	src.mu.Unlock()
+	h.mu.Lock()
+	h.sk.Merge(sk)
+	h.m.Merge(&m)
+	h.mu.Unlock()
 }

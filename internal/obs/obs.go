@@ -1,7 +1,9 @@
-// Package obs is a zero-dependency observability layer for the
-// simulator and the real daemon paths: monotonic counters, gauges with
-// high-water marks, log-bucketed latency histograms, and virtual-time
-// series samplers, collected under a per-run Trace.
+// Package obs is the observability layer of the simulator and the real
+// daemon paths: monotonic counters, gauges with high-water marks,
+// latency histograms, and virtual-time series samplers, collected under
+// a per-run Trace. A histogram's quantiles come from stats.Sketch, the
+// mergeable 1 %-accurate sketch the metrics use, so a merged trace's
+// percentiles do not depend on the order its runs were folded in.
 //
 // Every type is safe for concurrent use, and every method is a no-op on
 // a nil receiver, so instrumented code pays only a nil check when
@@ -166,7 +168,7 @@ func (t *Trace) Histogram(name string) *Histogram {
 	defer t.mu.Unlock()
 	h := t.hists[name]
 	if h == nil {
-		h = newHistogram()
+		h = NewHistogram()
 		t.hists[name] = h
 	}
 	return h
@@ -189,7 +191,7 @@ func (t *Trace) Series(name string) *Series {
 }
 
 // Merge folds src into t: counters add, gauge high-water marks take the
-// maximum, histograms pool their buckets, and series pool their points
+// maximum, histograms pool their observations, and series pool their points
 // (time-sorted). It is safe to merge concurrently from several
 // goroutines, the aggregation pattern of parallel replications. Merging
 // from or into nil is a no-op.

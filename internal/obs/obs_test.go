@@ -2,8 +2,12 @@ package obs
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
+
+	"redreq/internal/stats"
 )
 
 func TestNilTraceIsNoOp(t *testing.T) {
@@ -76,33 +80,99 @@ func TestHistogram(t *testing.T) {
 	if h.Min() != 0.001 || h.Max() != 2.0 {
 		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
 	}
-	// The median observation is 0.004; its bucket bound is within 2x.
-	if q := h.Quantile(0.5); q < 0.004 || q > 0.008 {
-		t.Fatalf("p50 = %v, want in [0.004, 0.008]", q)
+	// The median observation is 0.004; the sketch answers within α of it.
+	if q := h.Quantile(0.5); math.Abs(q-0.004) > histAlpha*0.004 {
+		t.Fatalf("p50 = %v, want 0.004 ± %v", q, histAlpha*0.004)
 	}
-	if q := h.Quantile(1.0); q != 2.0 {
-		t.Fatalf("p100 = %v, want 2.0 (clamped to max)", q)
+	// The extremes are answered within α too, and never outside them.
+	if q := h.Quantile(1.0); q > 2.0 || q < (1-histAlpha)*2.0 {
+		t.Fatalf("p100 = %v, want in [%v, 2.0]", q, (1-histAlpha)*2.0)
 	}
-	if q := h.Quantile(0); q < 0.001 || q > 0.002 {
-		t.Fatalf("p0 = %v, want within the smallest observation's bucket", q)
+	if q := h.Quantile(0); q < 0.001 || q > (1+histAlpha)*0.001 {
+		t.Fatalf("p0 = %v, want in [0.001, %v]", q, (1+histAlpha)*0.001)
+	}
+	var n int64
+	for _, b := range tr.Snapshot().Hists[0].Buckets {
+		n += b.Count
+	}
+	if n != 5 {
+		t.Fatalf("buckets hold %d observations, want 5", n)
 	}
 }
 
-func TestHistogramBucketIndexMonotone(t *testing.T) {
-	prev := -1
-	for v := 1e-9; v < 1e12; v *= 3 {
-		idx := bucketIndex(v)
-		if idx < prev {
-			t.Fatalf("bucketIndex not monotone at %v: %d < %d", v, idx, prev)
-		}
-		if idx < 0 || idx >= histBuckets {
-			t.Fatalf("bucketIndex(%v) = %d out of range", v, idx)
-		}
-		if b := BucketBound(idx); v > b && idx != histBuckets-1 {
-			t.Fatalf("value %v above its bucket bound %v", v, b)
-		}
-		prev = idx
+// TestHistogramMatchesPercentile holds quantiles of random samples to
+// the exact stats.Percentile: within α of it, at ranks where Percentile
+// interpolates nothing, and inside [min, max].
+func TestHistogramMatchesPercentile(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	draws := map[string]func() float64{
+		"uniform":     func() float64 { return r.Float64() },
+		"exponential": func() float64 { return r.ExpFloat64() * 0.05 },
+		"decades":     func() float64 { return math.Pow(10, -6+9*r.Float64()) },
 	}
+	for name, draw := range draws {
+		for _, n := range []int{1, 2, 3, 101, 1001, 4001} {
+			h := NewHistogram()
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = draw()
+				h.Observe(xs[i])
+			}
+			lo, hi := stats.Min(xs), stats.Max(xs)
+			for _, rank := range []int{0, 1, n / 100, n / 4, n / 2, 3 * n / 4, 19 * n / 20, 99 * n / 100, n - 2, n - 1} {
+				rank = min(max(rank, 0), n-1)
+				q := 0.0
+				if n > 1 {
+					q = float64(rank) / float64(n-1)
+				}
+				got, want := h.Quantile(q), stats.Percentile(xs, 100*q)
+				if math.Abs(got-want) > histAlpha*want*(1+1e-9) || got < lo || got > hi {
+					t.Fatalf("%s, n=%d: q=%v = %v, exact %v (±%v), sample in [%v, %v]",
+						name, n, q, got, want, histAlpha*want, lo, hi)
+				}
+			}
+		}
+	}
+}
+
+// TestHistogramMergeOrder merges shards in every order and requires the
+// same quantiles and buckets, bit for bit.
+func TestHistogramMergeOrder(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	shards := make([]*Trace, 4)
+	for i := range shards {
+		shards[i] = New()
+		for j := 0; j < 500; j++ {
+			shards[i].Histogram("lat").Observe(r.ExpFloat64() * float64(i+1) * 0.01)
+		}
+	}
+	summary := func(order []int) (qs []float64, bs []BucketSnap) {
+		agg := New()
+		for _, i := range order {
+			agg.Merge(shards[i])
+		}
+		h := agg.Histogram("lat")
+		for q := 0.0; q <= 1; q += 0.05 {
+			qs = append(qs, h.Quantile(q))
+		}
+		return qs, agg.Snapshot().Hists[0].Buckets
+	}
+	wantQ, wantB := summary([]int{0, 1, 2, 3})
+	var permute func(order []int, k int)
+	permute = func(order []int, k int) {
+		if k == len(order) {
+			if q, b := summary(order); !slices.Equal(q, wantQ) || !slices.Equal(b, wantB) {
+				t.Fatalf("merge order %v: quantiles %v buckets %v, order 0..3 gave %v and %v", order, q, b, wantQ, wantB)
+			}
+			return
+		}
+		for i := k; i < len(order); i++ {
+			order[k], order[i] = order[i], order[k]
+			permute(order, k+1)
+			order[k], order[i] = order[i], order[k]
+		}
+	}
+	permute([]int{0, 1, 2, 3}, 0)
 }
 
 func TestSeriesDecimation(t *testing.T) {
@@ -166,11 +236,35 @@ func TestMerge(t *testing.T) {
 
 // TestConcurrentAggregation models runMatrix: many replication traces
 // merged into one aggregate from concurrent workers, while the
-// aggregate is also being written directly. Run under -race.
+// aggregate is also being written directly and snapshotted. Run under
+// -race.
 func TestConcurrentAggregation(t *testing.T) {
 	agg := New()
 	const workers, perWorker = 8, 25
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	snapped := make(chan struct{})
+	go func() {
+		defer close(snapped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Each histogram's summary and buckets describe one state.
+			for _, hs := range agg.Snapshot().Hists {
+				var n int64
+				for _, b := range hs.Buckets {
+					n += b.Count
+				}
+				if n != hs.Count {
+					t.Errorf("snapshot of %s: buckets hold %d, count %d", hs.Name, n, hs.Count)
+					return
+				}
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -185,10 +279,13 @@ func TestConcurrentAggregation(t *testing.T) {
 				}
 				agg.Merge(rep)
 				agg.Counter("direct").Inc()
+				agg.Histogram("direct").Observe(float64(w + 1))
 			}
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-snapped
 	snap := agg.Snapshot()
 	if got := snap.Counter("jobs"); got != workers*perWorker*10 {
 		t.Fatalf("aggregate jobs = %d, want %d", got, workers*perWorker*10)
@@ -198,6 +295,9 @@ func TestConcurrentAggregation(t *testing.T) {
 	}
 	if h := agg.Histogram("lat"); h.Count() != workers*perWorker {
 		t.Fatalf("aggregate hist count = %d", h.Count())
+	}
+	if h := agg.Histogram("direct"); h.Count() != workers*perWorker || h.Min() != 1 || h.Max() != workers {
+		t.Fatalf("direct hist count %d, min %v, max %v", h.Count(), h.Min(), h.Max())
 	}
 	if g := agg.Gauge("queue"); g.Max() != (workers-1)*100+perWorker-1 {
 		t.Fatalf("aggregate gauge max = %d", g.Max())

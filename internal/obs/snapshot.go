@@ -18,7 +18,7 @@ type GaugeSnap struct {
 }
 
 // BucketSnap is one non-empty histogram bucket: Count observations at
-// most Le seconds.
+// most Le seconds and above the next lower bucket's Le.
 type BucketSnap struct {
 	Le    float64 `json:"le"`
 	Count int64   `json:"count"`
@@ -105,35 +105,11 @@ func (t *Trace) Snapshot() Snapshot {
 		snap.Gauges = append(snap.Gauges, GaugeSnap{Name: name, Value: g.Value(), Max: g.Max()})
 	}
 	for _, name := range sortedKeys(hists) {
-		snap.Hists = append(snap.Hists, snapHist(name, hists[name]))
+		snap.Hists = append(snap.Hists, hists[name].snap(name))
 	}
 	for _, name := range sortedKeys(series) {
 		s := series[name]
 		snap.Series = append(snap.Series, SeriesSnap{Name: name, Total: s.Total(), Points: s.Points()})
 	}
 	return snap
-}
-
-func snapHist(name string, h *Histogram) HistSnap {
-	hs := HistSnap{
-		Name:  name,
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
-	for i := 0; i < histBuckets; i++ {
-		if n := h.buckets[i].Load(); n != 0 {
-			hs.Buckets = append(hs.Buckets, BucketSnap{Le: BucketBound(i), Count: n})
-		}
-	}
-	// JSON cannot carry NaN; make empty-histogram summaries zero.
-	if hs.Count == 0 {
-		hs.Min, hs.Max, hs.Mean, hs.P50, hs.P95, hs.P99 = 0, 0, 0, 0, 0, 0
-	}
-	return hs
 }

@@ -460,14 +460,21 @@ type harness struct {
 	// The last timer fire, and the last instant two clusters' fired.
 	firedAt, tiedAt float64
 	firedOn         int
-	n               counts
+	// Per cluster, the instant its timer stands for and when it was
+	// armed for it, by a count of the arms the harness has seen: timers
+	// due at one instant fire in that order.
+	armAt   []float64
+	armedAs []int
+	arms    int
+	n       counts
 }
 
 func newHarness(t *testing.T, k int, cfg Config, withdraw bool) *harness {
 	h := &harness{t: t, sim: des.New(), withdraw: withdraw, started: make([][]*Request, k), subs: make([][]refJob, k),
-		firedAt: math.NaN(), tiedAt: math.NaN()}
+		firedAt: math.NaN(), tiedAt: math.NaN(), armAt: make([]float64, k), armedAs: make([]int, k)}
 	for i := 0; i < k; i++ {
 		c := NewCluster(h.sim, fmt.Sprint("c", i), i, cfg)
+		h.armAt[i] = c.timerAt
 		// A trace of its own, to read the pass's counts and timer fires off.
 		c.SetTrace(obs.New())
 		c.OnStart = func(r *Request) {
@@ -523,7 +530,8 @@ func boolInt(b bool) int {
 
 // checkTimer holds a CBF cluster outside a pass to the timer's
 // invariant: armed for the earliest pending reservation, and only when
-// there is one.
+// there is one. A timer that stands for a new instant counts as armed
+// now; one whose instant is unchanged keeps its place.
 func (h *harness) checkTimer(c *Cluster) {
 	at := math.Inf(1)
 	for _, r := range c.queue {
@@ -537,6 +545,10 @@ func (h *harness) checkTimer(c *Cluster) {
 	}
 	if ev := c.timerEv; (ev != nil) == math.IsInf(at, 1) || ev != nil && (ev.Canceled() || ev.Time != at) {
 		h.t.Fatalf("t=%v %s: timer event %+v with the earliest pending reservation at %v", h.sim.Now(), c.Name, ev, at)
+	}
+	if i := c.Index; !sameTime(h.armAt[i], at) {
+		h.arms++
+		h.armAt[i], h.armedAs[i] = at, h.arms
 	}
 }
 
@@ -570,6 +582,8 @@ func (h *harness) step() bool {
 		clean                         bool
 		passes, queued, due, canceled int
 		fires, probes, moves, resumed int64
+		armAt                         float64
+		armedAs                       int
 	}
 	before := make([]snapshot, len(h.cs))
 	for i, c := range h.cs {
@@ -578,6 +592,7 @@ func (h *harness) step() bool {
 		b.passes, b.queued, b.canceled = c.stats.Passes, len(c.queue), c.stats.Canceled
 		b.fires, b.probes, b.moves = c.cTimerFires.Value(), c.cCompressProbes.Value(), c.cCompressMoves.Value()
 		b.resumed = c.cPassesClean.Value()
+		b.armAt, b.armedAs = h.armAt[i], h.armedAs[i]
 		kicked := c.kickEv != nil && c.kickEv.Time == at
 		timed := c.timerEv != nil && c.timerEv.Time == at
 		switch {
@@ -623,10 +638,22 @@ func (h *harness) step() bool {
 		if err := c.profile.Validate(c.cfg.Nodes); err != nil {
 			h.t.Fatalf("t=%v: %s: %v", h.sim.Now(), c.Name, err)
 		}
+		fire := c.cTimerFires.Value() != b.fires
+		if fire {
+			// The fire spent the timer; whatever it stands for now was
+			// armed after it.
+			h.armAt[i] = math.NaN()
+		}
 		h.checkTimer(c)
-		if c.cTimerFires.Value() != b.fires {
+		if fire {
 			if b.due == 0 {
 				h.t.Fatalf("t=%v %s: the reservation timer fired with no reservation due", h.sim.Now(), c.Name)
+			}
+			for j, o := range before {
+				if o.armAt == at && o.armedAs < b.armedAs {
+					h.t.Fatalf("t=%v: %s's timer fired ahead of %s's, armed for the same instant before it",
+						h.sim.Now(), c.Name, h.cs[j].Name)
+				}
 			}
 			fired++
 			h.n[nFires]++

@@ -86,15 +86,17 @@ func (s *Sketch) Merge(o *Sketch) {
 
 // Quantile returns an approximation of the p-th percentile (0-100):
 // a value v with |v - x| <= alpha*x for x the order statistic at rank
-// round(p/100*(n-1)). Empty sketches return 0; a sketch that absorbed
-// a NaN returns NaN.
+// round(p/100*(n-1)). A p outside [0, 100] is clamped into it. Empty
+// sketches return 0; a NaN p, or a sketch that absorbed a NaN, returns
+// NaN.
 func (s *Sketch) Quantile(p float64) float64 {
-	if s.nan {
+	if s.nan || math.IsNaN(p) {
 		return math.NaN()
 	}
 	if s.n == 0 {
 		return 0
 	}
+	p = min(max(p, 0), 100)
 	rank := uint64(math.Round(p / 100 * float64(s.n-1)))
 	if rank >= s.n {
 		rank = s.n - 1
@@ -102,11 +104,7 @@ func (s *Sketch) Quantile(p float64) float64 {
 	if rank < s.zero {
 		return 0
 	}
-	keys := make([]int, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
+	keys := s.keys()
 	cum := s.zero
 	for _, k := range keys {
 		cum += s.counts[k]
@@ -115,6 +113,29 @@ func (s *Sketch) Quantile(p float64) float64 {
 		}
 	}
 	return s.bucketValue(keys[len(keys)-1])
+}
+
+// EachBucket calls fn for every non-empty bucket in ascending order
+// with the bucket's upper bound and its count: first the zero bucket,
+// bounded by the smallest resolved magnitude, then bucket k with bound
+// gamma^k.
+func (s *Sketch) EachBucket(fn func(le float64, count uint64)) {
+	if s.zero > 0 {
+		fn(sketchMin, s.zero)
+	}
+	for _, k := range s.keys() {
+		fn(math.Exp(float64(k)*s.lgamma), s.counts[k])
+	}
+}
+
+// keys returns the indices of the non-empty log buckets, ascending.
+func (s *Sketch) keys() []int {
+	keys := make([]int, 0, len(s.counts))
+	for k := range s.counts {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
 }
 
 // bucketValue is the representative of bucket k, covering

@@ -97,6 +97,67 @@ func TestSketchNaNPoisons(t *testing.T) {
 	}
 }
 
+// TestSketchQuantileOutOfRange clamps p into [0, 100] and answers NaN
+// for a NaN p; an unchecked float-to-uint64 rank once sent p = -50 and
+// NaN to the maximum.
+func TestSketchQuantileOutOfRange(t *testing.T) {
+	s := NewSketch(0.01)
+	for _, x := range []float64{1, 2, 3, 4, 1000} {
+		s.Add(x)
+	}
+	for _, c := range []struct{ p, near float64 }{
+		{-50, 1}, {math.Inf(-1), 1}, {-1e300, 1}, {0, 1},
+		{100, 1000}, {150, 1000}, {math.Inf(1), 1000}, {1e300, 1000},
+		{math.NaN(), math.NaN()},
+	} {
+		got := s.Quantile(c.p)
+		if math.IsNaN(c.near) {
+			if !math.IsNaN(got) {
+				t.Errorf("Quantile(%v) = %v, want NaN", c.p, got)
+			}
+			continue
+		}
+		if math.Abs(got-c.near) > 0.01*c.near {
+			t.Errorf("Quantile(%v) = %v, want %v ± 1 %%", c.p, got, c.near)
+		}
+	}
+	if got := NewSketch(0.01).Quantile(math.NaN()); !math.IsNaN(got) {
+		t.Errorf("empty sketch: Quantile(NaN) = %v, want NaN", got)
+	}
+}
+
+// TestSketchEachBucket requires the buckets in ascending order, each
+// bounding its values from above, with counts summing to Count.
+func TestSketchEachBucket(t *testing.T) {
+	s := NewSketch(0.02)
+	xs := []float64{0, 0, 1e-3, 1e-3, 0.5, 1, 1, 7, 7, 7, 1e6}
+	for _, x := range xs {
+		s.Add(x)
+	}
+	var les []float64
+	var n uint64
+	s.EachBucket(func(le float64, c uint64) {
+		les = append(les, le)
+		n += c
+	})
+	if n != s.Count() {
+		t.Fatalf("buckets hold %d values, Count %d", n, s.Count())
+	}
+	if !sort.Float64sAreSorted(les) || len(les) != 6 {
+		t.Fatalf("bucket bounds %v, want 6 ascending", les)
+	}
+	if les[0] != sketchMin {
+		t.Fatalf("zero bucket bounded by %v, want %v", les[0], sketchMin)
+	}
+	// Each value lies at most its bucket's bound and above the bound
+	// one bucket down.
+	for i, x := range []float64{1e-3, 0.5, 1, 7, 1e6} {
+		if le := les[i+1]; x > le*(1+1e-12) || x <= le/s.gamma*(1-1e-12) {
+			t.Fatalf("value %v in the bucket (%v, %v]", x, le/s.gamma, le)
+		}
+	}
+}
+
 func TestSketchMergeOrderInvariance(t *testing.T) {
 	src := rng.New(99)
 	parts := make([]*Sketch, 8)

@@ -100,6 +100,8 @@ func Min(xs []float64) float64 {
 // slice and NaN when the sample contains a NaN: sort.Float64s gives
 // NaNs no total order, so sorting a NaN-laced sample would otherwise
 // yield permutation-dependent — nondeterministic — percentiles.
+// Production code summarizes on Sketch, which keeps no sample;
+// Percentile is the exact reference its tests compare against.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
