@@ -48,13 +48,11 @@ type extJob struct {
 	winner *sched.Request
 }
 
-// runExtension runs replication rep of the options' calibrated workload
-// on one cluster under cfg. copies gives each job's requests, shape and
-// class; it may draw from src, after the stream is generated. A job's
-// requests are submitted together at its arrival, the first to start
-// wins and the rest are canceled. Every job comes back with a winner
-// that finished.
-func runExtension(opts Options, rep int, cfg sched.Config, copies copyFunc) ([]extJob, error) {
+// extensionModel returns the options' workload model, calibrated to
+// opts.TargetLoad when that is set. Calibration replays a tape of
+// reference draws, a few milliseconds a call, so comparePolicies builds
+// the model once for all its simulations.
+func extensionModel(opts Options) (*workload.Model, error) {
 	if opts.Nodes < 1 || opts.Horizon <= 0 {
 		return nil, fmt.Errorf("experiment: bad extension platform: %d nodes, horizon %v", opts.Nodes, opts.Horizon)
 	}
@@ -71,6 +69,16 @@ func runExtension(opts Options, rep int, cfg sched.Config, copies copyFunc) ([]e
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
+	return model, nil
+}
+
+// runExtension runs replication rep of model's workload on one cluster
+// of opts.Nodes nodes under cfg. copies gives each job's requests, shape
+// and class; it may draw from src, after the stream is generated. A
+// job's requests are submitted together at its arrival, the first to
+// start wins and the rest are canceled. Every job comes back with a
+// winner that finished.
+func runExtension(model *workload.Model, opts Options, rep int, cfg sched.Config, copies copyFunc) ([]extJob, error) {
 	src := rng.New(opts.BaseSeed + uint64(rep)*seedStride)
 	stream := model.GenerateWindow(src, opts.Horizon)
 	jobs := make([]extJob, len(stream))
@@ -144,6 +152,10 @@ func policySims(opts Options) int { return 2 * opts.Reps }
 // opts.Workers simulations at a time, reporting each to opts.Progress,
 // and reduces in (rep, policy) order.
 func comparePolicies(opts Options, cfg sched.Config, policy copyPolicy, mark func(*extJob) bool) (policyResult, error) {
+	model, err := extensionModel(opts)
+	if err != nil {
+		return policyResult{}, err
+	}
 	var avg, share [2][]float64
 	for p := range avg {
 		avg[p] = make([]float64, opts.Reps)
@@ -156,7 +168,7 @@ func comparePolicies(opts Options, cfg sched.Config, policy copyPolicy, mark fun
 		for p, redundant := range []bool{false, true} {
 			pool.Do(func() {
 				defer tick()
-				jobs, err := runExtension(opts, rep, cfg, policy(redundant))
+				jobs, err := runExtension(model, opts, rep, cfg, policy(redundant))
 				if err != nil {
 					errs[rep][p] = err
 					return

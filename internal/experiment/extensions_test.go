@@ -22,6 +22,16 @@ func extensionOpts() Options {
 	return opts
 }
 
+// testExtensionModel is extensionModel for options that must be valid.
+func testExtensionModel(t *testing.T, opts Options) *workload.Model {
+	t.Helper()
+	model, err := extensionModel(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
+}
+
 func extensions(opts Options) []extension {
 	return []extension{
 		{"multiq", multiQueueCluster, queueCopies},
@@ -68,10 +78,11 @@ func TestQueueCopies(t *testing.T) {
 // sends more than one copy.
 func TestExtensionRunner(t *testing.T) {
 	opts := extensionOpts()
+	model := testExtensionModel(t, opts)
 	for _, ext := range extensions(opts) {
 		t.Run(ext.name, func(t *testing.T) {
 			for _, redundant := range []bool{false, true} {
-				jobs, err := runExtension(opts, 1, ext.cfg, ext.copies(redundant))
+				jobs, err := runExtension(model, opts, 1, ext.cfg, ext.copies(redundant))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,14 +117,15 @@ func TestExtensionRunner(t *testing.T) {
 // policies to give every job the same winner and timeline.
 func TestExtensionDeterministic(t *testing.T) {
 	opts := extensionOpts()
+	model := testExtensionModel(t, opts)
 	for _, ext := range extensions(opts) {
 		t.Run(ext.name, func(t *testing.T) {
 			for _, redundant := range []bool{false, true} {
-				a, err := runExtension(opts, 1, ext.cfg, ext.copies(redundant))
+				a, err := runExtension(model, opts, 1, ext.cfg, ext.copies(redundant))
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := runExtension(opts, 1, ext.cfg, ext.copies(redundant))
+				b, err := runExtension(model, opts, 1, ext.cfg, ext.copies(redundant))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,13 +139,13 @@ func TestExtensionDeterministic(t *testing.T) {
 	}
 }
 
-// TestExtensionRefusesBadPlatform requires the runner to refuse a
-// platform without nodes or without time under either extension.
+// TestExtensionRefusesBadPlatform requires either extension's policy
+// comparison to refuse a platform without nodes or without time.
 func TestExtensionRefusesBadPlatform(t *testing.T) {
 	for _, ext := range extensions(extensionOpts()) {
 		t.Run(ext.name, func(t *testing.T) {
-			for _, bad := range []Options{{Nodes: 0, Horizon: 1}, {Nodes: 4, Horizon: 0}} {
-				if _, err := runExtension(bad, 0, ext.cfg, ext.copies(true)); err == nil {
+			for _, bad := range []Options{{Nodes: 0, Horizon: 1, Reps: 1}, {Nodes: 4, Horizon: 0, Reps: 1}} {
+				if _, err := comparePolicies(bad, ext.cfg, ext.copies, func(*extJob) bool { return false }); err == nil {
 					t.Errorf("%d nodes, horizon %v accepted", bad.Nodes, bad.Horizon)
 				}
 			}

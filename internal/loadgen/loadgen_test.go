@@ -349,33 +349,41 @@ func TestClosedLoopBoundsConcurrencyAndDropsNothing(t *testing.T) {
 }
 
 // The defining closed-loop property (and the reason it cannot overload
-// a system): the offered rate follows the service time. Doubling Do's
-// latency roughly halves it.
+// a system): the offered rate follows the service time. Each caller
+// issues its next request the moment the previous one returns, so the
+// offered rate times the mean service time is the number of callers,
+// less only the harness's own time between requests. The service time
+// is what each Do took, measured inside Do, so a sleep that overshoots
+// on a loaded machine moves both sides alike.
 func TestClosedLoopOfferedRateFollowsServiceTime(t *testing.T) {
-	offered := func(service time.Duration) float64 {
-		t.Helper()
+	const callers = 2
+	for _, service := range []time.Duration{5 * time.Millisecond, 10 * time.Millisecond} {
+		var mu sync.Mutex
+		var busy time.Duration
 		res, err := Run(context.Background(), Config{
 			Duration:    300 * time.Millisecond,
-			MaxInFlight: 2,
+			MaxInFlight: callers,
 			Do: func(context.Context, Request) error {
+				begin := time.Now()
 				time.Sleep(service)
+				took := time.Since(begin)
+				mu.Lock()
+				busy += took
+				mu.Unlock()
 				return nil
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.OfferedRate
-	}
-	fast, slow := offered(5*time.Millisecond), offered(10*time.Millisecond)
-	// Ideal: 400/s and 200/s. Sleep overshoot on a loaded machine
-	// shrinks both, the short sleep proportionally more, so the ratio
-	// can only sag below 2.
-	if ratio := fast / slow; ratio < 1.5 || ratio > 2.3 {
-		t.Errorf("offered %.1f/s at 5 ms vs %.1f/s at 10 ms: ratio %.2f, want ~2", fast, slow, ratio)
-	}
-	if fast > 2/0.005*1.05 {
-		t.Errorf("offered %.1f/s exceeds what 2 callers at 5 ms can issue", fast)
+		mean := busy.Seconds() / float64(res.Offered)
+		// Every Do runs inside the measured span, so the share cannot
+		// pass 1; a caller idling between requests pulls it down.
+		share := res.OfferedRate * mean / callers
+		t.Logf("%v sleeps: %d requests, measured mean %.2f ms, offered %.1f/s, %.3f of the callers' time in Do", service, res.Offered, mean*1e3, res.OfferedRate, share)
+		if share < 0.8 || share > 1+1e-9 {
+			t.Errorf("%v sleeps: %.3f of the callers' time in Do, want 0.8 to 1", service, share)
+		}
 	}
 }
 

@@ -217,12 +217,13 @@ type Cluster struct {
 	// Config.ClassLimit is.
 	classRunning []int
 
-	// What the last passEASY left behind (see there). easyHead is the
-	// queue head it found blocked, nil when the next pass must be a full
-	// one: finish clears it, and so does Cancel when the head itself is
-	// withdrawn. While it is set the pass resumes the backfill scan at
-	// queue index easyCursor against the head's reservation as the
-	// earlier backfills left it (easyShadow, easyShadowFree).
+	// What the last passQueue in arrival order left behind (see there).
+	// easyHead is the queue head it found blocked, nil when the next pass
+	// must be a full one: finish clears it, and so does Cancel when the
+	// head itself is withdrawn. While it is set an EASY pass resumes the
+	// backfill scan at queue index easyCursor against the head's
+	// reservation as the earlier backfills left it (easyShadow,
+	// easyShadowFree), and an FCFS pass has nothing to do.
 	easyHead       *Request
 	easyShadow     float64
 	easyShadowFree int
@@ -327,9 +328,10 @@ func NewCluster(sim *des.Simulation, name string, index int, cfg Config) *Cluste
 // sched.<name>.queue_depth virtual-time series sampled on every queue
 // transition, counters sched.starts.in_order and sched.starts.backfill
 // splitting start decisions by how they were made, sched.passes.clean
-// (EASY and CBF passes that only scanned the submissions since the pass
-// before), sched.reservations (CBF reservations granted),
-// sched.compressions (CBF compression passes), sched.compress.probes
+// (FCFS and EASY passes in arrival order and CBF passes that only
+// scanned the submissions since the pass before), sched.reservations
+// (CBF reservations granted), sched.compressions (CBF compression
+// passes), sched.compress.probes
 // (reservations those passes searched an earlier anchor for),
 // sched.compress.moves (the probes that found one, each a profile
 // edit), sched.admit.slots (queue slots CBF admit walks visited,
@@ -495,7 +497,7 @@ func (c *Cluster) removeFromQueue(r *Request) {
 }
 
 // compactQueue squeezes the nil holes out of the queue and moves
-// passEASY's scan cursor and admitCBF's along with the slots they
+// passQueue's scan cursor and admitCBF's along with the slots they
 // pointed at.
 func (c *Cluster) compactQueue() {
 	w, easy, cbf := 0, 0, 0
@@ -547,17 +549,10 @@ func finishAction(a any) {
 func (c *Cluster) pass() {
 	c.stats.Passes++
 	c.inPass = true
-	switch {
-	case c.cfg.Alg == FCFS && c.cfg.Order == OrderFCFS:
-		c.passFCFS()
-	case c.cfg.Alg == FCFS:
-		c.passFCFSOrdered()
-	case c.cfg.Alg == EASY && c.cfg.Order == OrderFCFS:
-		c.passEASY()
-	case c.cfg.Alg == EASY:
-		c.passEASYOrdered()
-	default:
+	if c.cfg.Alg == CBF {
 		c.passCBF()
+	} else {
+		c.passQueue()
 	}
 	c.inPass = false
 	if c.needCompact {

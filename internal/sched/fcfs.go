@@ -1,26 +1,11 @@
-// First Come First Serve: the baseline algorithm of the paper's Table 1.
-// Requests start strictly in arrival order; the queue head blocks all
-// later requests until enough nodes free up.
+// Queue-state wait prediction for FCFS and EASY clusters
+// (Config.Predict): the start time a deployed scheduler would promise a
+// request at submission, found by placing the queue in strict arrival
+// order on the running set's requested ends.
 
 package sched
 
 import "math"
-
-func (c *Cluster) passFCFS() {
-	if c.cfg.Predict {
-		c.predictNew()
-	}
-	for i := 0; i < len(c.queue); i++ {
-		r := c.queue[i]
-		if r == nil || r.State != Pending {
-			continue
-		}
-		if r.Nodes > c.free {
-			return
-		}
-		c.start(r)
-	}
-}
 
 // buildRunningProfile returns the free-node profile implied by the
 // running set, assuming every running job holds its nodes until its

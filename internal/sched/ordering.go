@@ -3,9 +3,9 @@
 // FCFS (Section 3.1.1, "no request priorities"); OrderSJF and
 // OrderAged reorder the pending queue each pass so experiments can
 // ask how much of redundancy's effect a smarter local queue would
-// capture. FCFS keeps the original pass implementations untouched —
-// and bit-identical — while the ordered variants run the same start
-// and backfill logic over a policy-sorted view of the queue.
+// capture. An ordering changes only the order in which passQueue
+// reads the pending requests: OrderFCFS reads the queue itself, the
+// others a policy-sorted view of it (orderedPending).
 
 package sched
 
@@ -106,24 +106,6 @@ func (c *Cluster) orderedPending(now float64) []*Request {
 	return v
 }
 
-// passFCFSOrdered is passFCFS over the policy-ordered view: start the
-// view head while it fits, block on the first one that does not.
-func (c *Cluster) passFCFSOrdered() {
-	if c.cfg.Predict {
-		c.predictNew()
-	}
-	view := c.orderedPending(c.sim.Now())
-	for _, r := range view {
-		if r.State != Pending {
-			continue
-		}
-		if r.Nodes > c.free {
-			return
-		}
-		c.start(r)
-	}
-}
-
 // held reports whether r's class is at its Config.ClassLimit cap.
 func (c *Cluster) held(r *Request) bool {
 	if c.classRunning == nil {
@@ -131,56 +113,4 @@ func (c *Cluster) held(r *Request) bool {
 	}
 	limit := c.cfg.ClassLimit[r.Class]
 	return limit > 0 && c.classRunning[r.Class] >= limit
-}
-
-// passEASYOrdered is passEASY over the policy-ordered view: the view
-// head gets the shadow reservation, and later view entries backfill
-// iff they do not delay it (same one-dip argument as passEASY). A held
-// request (see held) is passed over as if it were not queued: it
-// neither starts nor becomes the head.
-func (c *Cluster) passEASYOrdered() {
-	if c.cfg.Predict {
-		c.predictNew()
-	}
-	now := c.sim.Now()
-	view := c.orderedPending(now)
-
-	i := 0
-	for ; i < len(view); i++ {
-		r := view[i]
-		if r.State != Pending || c.held(r) {
-			continue
-		}
-		if r.Nodes > c.free {
-			break
-		}
-		c.start(r)
-	}
-
-	var head *Request
-	for ; i < len(view); i++ {
-		if r := view[i]; r.State == Pending && !c.held(r) {
-			head = r
-			break
-		}
-	}
-	if head == nil || c.free == 0 {
-		return
-	}
-
-	shadow, shadowFree := c.shadow(now, head.Nodes)
-	c.backfilling = true
-	for j := i + 1; j < len(view) && c.free > 0; j++ {
-		r := view[j]
-		if r.State != Pending || r.Nodes > c.free || c.held(r) {
-			continue
-		}
-		if crosses := now+r.Estimate > shadow; !crosses || r.Nodes <= shadowFree {
-			c.start(r)
-			if crosses {
-				shadowFree -= r.Nodes
-			}
-		}
-	}
-	c.backfilling = false
 }

@@ -130,9 +130,9 @@ func TestEASYOrderedBackfillRespectsShadow(t *testing.T) {
 	}
 }
 
-// FCFS ordering through the ordered code path would be a bug; make
-// sure the dispatcher keeps OrderFCFS on the original passes (same
-// start times as the plain FCFS test).
+// Under OrderFCFS the pass reads the queue itself, in arrival order:
+// an FCFS cluster built through the ordering helper starts requests at
+// the plain FCFS test's times.
 func TestOrderFCFSMatchesPlainFCFS(t *testing.T) {
 	sim, c := orderedCluster(4, FCFS, OrderFCFS)
 	a := testReq(1, 4, 100, 100)

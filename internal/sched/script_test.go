@@ -60,7 +60,7 @@ func (s *scriptBytes) next() int {
 // them to reach the cases its reference has to get right.
 const (
 	nPasses            = iota // FCFS and EASY passes held to predictPass
-	nClean                    // of them, clean EASY passes
+	nClean                    // of them, clean passes
 	nCleanStarts              // starts made by clean passes
 	nCleanTies                // clean-pass candidates ending exactly at the shadow time
 	nZeroStarts               // zero-estimate starts
@@ -113,7 +113,7 @@ func oracleRunningProfile(c *Cluster, now float64) *Profile {
 }
 
 // oracleShadow reads the head's shadow time and the nodes left over
-// there off the oracle profile, the way passEASY used to.
+// there off the oracle profile, the way the EASY pass used to.
 func oracleShadow(c *Cluster, now, estimate float64, nodes int) (float64, int) {
 	p := oracleRunningProfile(c, now)
 	shadow := p.FindAnchor(now, estimate, nodes)
@@ -363,7 +363,9 @@ func referencePassCBF(c *Cluster, n *counts) {
 
 // cbfTwin is a detached copy of a CBF cluster — profile, queue,
 // reservations, timer, released window — on a simulation of its own, for
-// the reference pass to run on.
+// the reference pass to run on. Its clock stands at the instant of the
+// event about to fire, not at the cluster's clock: when a reservation
+// timer is the first event of a new instant, the two differ.
 type cbfTwin struct {
 	c       *Cluster
 	real    []*Request // the cluster's queued requests when the copy was taken
@@ -371,9 +373,9 @@ type cbfTwin struct {
 	started []*Request // copies, in the order the reference started them
 }
 
-func cloneCBF(c *Cluster, withdraw bool) *cbfTwin {
+func cloneCBF(c *Cluster, at float64, withdraw bool) *cbfTwin {
 	sim := des.New()
-	sim.RunUntil(c.sim.Now())
+	sim.RunUntil(at)
 	tw := &cbfTwin{c: NewCluster(sim, c.Name, c.Index, c.cfg)}
 	t := tw.c
 	t.free, t.holes, t.queuedWork = c.free, c.holes, c.queuedWork
@@ -601,7 +603,7 @@ func (h *harness) step() bool {
 			b.want, b.clean = &want, c.easyHead != nil
 		case c.cfg.Alg == CBF && (kicked || timed):
 			b.due = due(c, at)
-			b.twin = cloneCBF(c, h.withdraw)
+			b.twin = cloneCBF(c, at, h.withdraw)
 		}
 	}
 	h.sim.Step()
@@ -948,11 +950,13 @@ var easySeeds = [][]byte{
 	{header(EASY, OrderClass), 14, 0, 1, 10, 1, 10, 1, 0, 18, 1, 10, 1, 1, 1, 0, 18, 1, 10, 1, 1, 1, 1},
 }
 
-// cleanPassScripts is TestCleanPassMatchesFullPass's slice: EASY in
-// arrival order, a quarter of it on two or three clusters.
-func cleanPassScripts(trial int) (byte, byte) {
-	return header(EASY, OrderFCFS), flag(trial%2 == 1, scriptWithdraw) | flag(trial%4 == 0, scriptPredict) |
-		flag(trial%10 == 0, scriptDeep) | clusters(1+trial%8/6*(1+trial%2))
+// cleanPassScripts is TestCleanPassMatchesFullPass's slice for alg: the
+// algorithm in arrival order, a quarter of it on two or three clusters.
+func cleanPassScripts(alg Algorithm) func(trial int) (byte, byte) {
+	return func(trial int) (byte, byte) {
+		return header(alg, OrderFCFS), flag(trial%2 == 1, scriptWithdraw) | flag(trial%4 == 0, scriptPredict) |
+			flag(trial%10 == 0, scriptDeep) | clusters(1+trial%8/6*(1+trial%2))
+	}
 }
 
 // TestShadowMatchesProfileOracle builds running sets no script reaches —
@@ -1002,14 +1006,21 @@ func TestShadowMatchesProfileOracleInSimulation(t *testing.T) {
 	assertFloors(t, floor{"blocked-head states compared", single[nBlocked], 1000})
 }
 
-// TestCleanPassMatchesFullPass runs EASY scripts on one cluster and on
-// several, and requires every pass — many of them clean — to start exactly
-// what, in the order, a full pass over the same state starts.
+// TestCleanPassMatchesFullPass runs EASY and FCFS scripts in arrival
+// order on one cluster and on several, and requires every pass — many of
+// them clean — to start exactly what, in the order, a full pass over the
+// same state starts; for a clean FCFS pass that is nothing.
 func TestCleanPassMatchesFullPass(t *testing.T) {
-	single, multi := runRandom(t, 20, 1200, cleanPassScripts)
+	single, multi := runRandom(t, 20, 1200, cleanPassScripts(EASY))
 	total := single
 	total.add(multi)
+	fcfsSingle, fcfsMulti := runRandom(t, 20, 1200, cleanPassScripts(FCFS))
+	fcfs := fcfsSingle
+	fcfs.add(fcfsMulti)
 	assertFloors(t,
+		floor{"FCFS passes compared", fcfs[nPasses], 100000},
+		floor{"FCFS clean passes in single-cluster scripts", fcfsSingle[nClean], 20000},
+		floor{"FCFS clean passes in multi-cluster scripts", fcfsMulti[nClean], 10000},
 		floor{"passes compared", total[nPasses], 100000},
 		floor{"clean passes in single-cluster scripts", single[nClean], 20000},
 		floor{"clean passes in multi-cluster scripts", multi[nClean], 1000},
@@ -1101,7 +1112,7 @@ func TestCompressionMatchesRewriteReference(t *testing.T) {
 // FuzzCluster runs the interpreter under the native fuzzer, seeded with
 // the unit cases in script form and the first deep clean-pass script.
 func FuzzCluster(f *testing.F) {
-	for _, seed := range append(append(slices.Clone(timerSeeds), easySeeds...), randomScript(20, 0, cleanPassScripts)) {
+	for _, seed := range append(append(slices.Clone(timerSeeds), easySeeds...), randomScript(20, 0, cleanPassScripts(EASY))) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runScript(t, data) })

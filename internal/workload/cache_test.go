@@ -121,7 +121,7 @@ func TestCalibrateClampedCached(t *testing.T) {
 		if cached.RuntimeScale != got {
 			t.Errorf("RuntimeScale side effect %v != returned scale %v", cached.RuntimeScale, got)
 		}
-		// Second call must come from the scale cache and agree.
+		// A second call replays the same tape and must agree.
 		again := NewModel(tc.nodes)
 		if tc.minRt > 0 {
 			again.MinRuntime = tc.minRt

@@ -68,20 +68,9 @@ func (t *calTape) ensure(n int) {
 	}
 }
 
-// calScaleKey identifies one finished calibration: the tape plus
-// everything replay reads.
-type calScaleKey struct {
-	tape                   calTapeKey
-	minRuntime, maxRuntime float64
-	aArr, bArr             float64
-	totalNodes, samples    int
-	targetLoad             float64
-}
-
 var (
 	calTapesMu sync.Mutex
 	calTapes   = map[calTapeKey]*calTape{}
-	calScales  sync.Map // calScaleKey -> float64
 )
 
 func (m *Model) calTapeKey(seed uint64) calTapeKey {
@@ -98,29 +87,18 @@ func (m *Model) calTapeKey(seed uint64) calTapeKey {
 //
 //	m.CalibrateClamped(rng.New(seed), totalNodes, targetLoad, samples)
 //
-// that memoizes across calls process-wide: the expensive raw draws
-// are taped once per (model, seed) and shared by every target load,
-// and finished scales are cached outright. The returned scale — and
-// the RuntimeScale side effect on m — is bit-identical to the direct
-// computation. Safe for concurrent use.
+// that memoizes the expensive part process-wide: the raw draws are
+// taped once per (model, seed) and replayed for every target load.
+// Finished scales are not cached here; a caller that asks for the same
+// one repeatedly keeps it (core's calibratedScale does). The returned
+// scale — and the RuntimeScale side effect on m — is bit-identical to
+// the direct computation. Safe for concurrent use.
 func (m *Model) CalibrateClampedCached(seed uint64, totalNodes int, targetLoad float64, samples int) float64 {
 	if m.MaxNodes > 1<<24 {
 		// The tape's float32 node counts are exact only up to 2^24.
 		return m.CalibrateClamped(rng.New(seed), totalNodes, targetLoad, samples)
 	}
 	tkey := m.calTapeKey(seed)
-	skey := calScaleKey{
-		tape:       tkey,
-		minRuntime: m.MinRuntime, maxRuntime: m.MaxRuntime,
-		aArr: m.AArr, bArr: m.BArr,
-		totalNodes: totalNodes, samples: samples,
-		targetLoad: targetLoad,
-	}
-	if v, ok := calScales.Load(skey); ok {
-		m.RuntimeScale = v.(float64)
-		return m.RuntimeScale
-	}
-
 	calTapesMu.Lock()
 	t := calTapes[tkey]
 	if t == nil {
@@ -169,7 +147,6 @@ func (m *Model) CalibrateClampedCached(seed uint64, totalNodes int, targetLoad f
 	}
 	t.mu.Unlock()
 
-	calScales.Store(skey, scale)
 	m.RuntimeScale = scale
 	return scale
 }
