@@ -7,6 +7,8 @@ package pbsd
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -197,4 +199,83 @@ func TestStatDuringChurn(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// FullScanCycle decides nothing of its own: it charges every cycle the
+// whole-queue priority pass on top of the incremental cycle. Random
+// submit/delete/delete-head scripts, run on an incremental daemon and
+// on a FullScanCycle daemon, both executing, leave the two with equal
+// replies, Stat and Pending after every step, while the full-scan
+// daemon's scanned count grows by at least the queue length per cycle.
+// Walltimes are whole minutes of at least an hour, so no job completes
+// within a script and a backfill decision cannot hinge on the few
+// microseconds between the two daemons' clocks. Completions stay
+// uncompared until the daemon's clock can be driven from a test.
+func TestFullScanDecidesLikeIncremental(t *testing.T) {
+	scripts := 1000
+	if testing.Short() {
+		scripts = 100
+	}
+	rng := rand.New(rand.NewSource(1))
+	for script := 0; script < scripts; script++ {
+		var srv [2]*Server
+		for i, full := range []bool{false, true} {
+			s, err := New(Config{Nodes: 16, Execute: true, FullScanCycle: full})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv[i] = s
+		}
+		var ids []int64
+		for step := 0; step < 60; step++ {
+			op := rng.Intn(4)
+			nodes := 1 + rng.Intn(8)
+			wall := time.Duration(60+rng.Intn(180)) * time.Minute
+			var victim int64
+			if len(ids) > 0 {
+				victim = ids[rng.Intn(len(ids))]
+			}
+			var got [2]string
+			q0, _, _ := srv[1].Stat()
+			c0, s0 := srv[1].Counters()
+			for i, s := range srv {
+				var id int64
+				var err error
+				switch op {
+				case 0, 1:
+					id, err = s.Submit(fmt.Sprintf("j%d", step), nodes, wall)
+				case 2:
+					id, err = victim, s.Delete(victim)
+				case 3:
+					id, err = s.DeleteHead()
+				}
+				got[i] = fmt.Sprint(id, err)
+				if op < 2 && err == nil && i == 0 {
+					ids = append(ids, id)
+				}
+			}
+			if got[0] != got[1] {
+				t.Fatalf("script %d step %d op %d: incremental %q, full scan %q", script, step, op, got[0], got[1])
+			}
+			qi, ri, fi := srv[0].Stat()
+			qf, rf, ff := srv[1].Stat()
+			if qi != qf || ri != rf || fi != ff {
+				t.Fatalf("script %d step %d: Stat %d/%d/%d incremental, %d/%d/%d full scan", script, step, qi, ri, fi, qf, rf, ff)
+			}
+			pi, pf := srv[0].Pending(), srv[1].Pending()
+			if !slices.EqualFunc(pi, pf, func(a, b Job) bool { return a.ID == b.ID && a.Name == b.Name }) {
+				t.Fatalf("script %d step %d: pending %v incremental, %v full scan", script, step, pi, pf)
+			}
+			c1, s1 := srv[1].Counters()
+			if ci, _ := srv[0].Counters(); ci != c1 {
+				t.Fatalf("script %d step %d: %d cycles incremental, %d full scan", script, step, ci, c1)
+			}
+			if least := (c1 - c0) * uint64(min(q0, qf)); s1-s0 < least {
+				t.Fatalf("script %d step %d: full scan scanned %d jobs in %d cycles over a queue of %d -> %d", script, step, s1-s0, c1-c0, q0, qf)
+			}
+		}
+		for _, s := range srv {
+			s.Close()
+		}
+	}
 }

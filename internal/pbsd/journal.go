@@ -24,14 +24,18 @@
 // cuts the torn tail off before the next append, so a new record never
 // joins a fragment.
 //
-// Two write disciplines share this format. The legacy discipline
-// appends one line per event (syncing every 256 lines). The
-// group-commit discipline accumulates lines from concurrent events in
-// a batch buffer and lets the first waiter flush the whole batch with
-// one write + one fsync — every acknowledged operation is on disk,
-// but concurrent operations share the flush. Lines are appended to
-// the batch in queue-mutation order (the server enqueues S/D lines
-// under its queue lock), so a batch is just a contiguous slice of the
+// The daemon journals every event the same way: under its queue lock
+// it logs the event's line and gets back a batch number, and once it
+// has released the lock it commits that batch before acknowledging.
+// Batch 0 means there is nothing to wait for. Two write disciplines sit
+// behind that one path and share this format. The per-event discipline
+// writes each line as it is logged (syncing every 256 lines) and
+// returns batch 0. The group-commit discipline appends the line to the
+// open batch's buffer, and the first committer of that batch flushes
+// the whole buffer with one write + one fsync — every acknowledged
+// operation is on disk, but concurrent operations share the flush.
+// Lines join the batch in queue-mutation order (S/D lines are logged
+// under the queue lock), so a batch is just a contiguous slice of the
 // same event stream and replay is unchanged: a crash mid-flush can
 // tear at most the final line of what reached the file, exactly the
 // single-line torn tail replay already tolerates.
@@ -51,23 +55,25 @@ import (
 )
 
 type journal struct {
-	dir   string
 	file  *os.File
-	group bool
+	group bool // group commit; false is the per-event discipline
 
-	// Legacy-discipline state: lines appended since the last periodic
-	// sync.
+	// mu guards the state below. It also serializes per-event writes,
+	// since completions log outside the server's queue lock.
+	mu   sync.Mutex
+	cond *sync.Cond
+
+	// Per-event discipline: lines written since the last periodic sync.
 	n int
 
-	// Group-commit state. batch numbers the currently accumulating
-	// buffer; enqueue returns the batch its line joined, and syncBatch
-	// blocks until flushed passes it. The first waiter of an unflushed
-	// batch becomes the leader: it seals the buffer and performs the
-	// write + fsync outside the lock while later arrivals accumulate
-	// the next batch. err is sticky — after one failed flush every
-	// subsequent wait fails, because the log's tail is now undefined.
-	mu       sync.Mutex
-	cond     *sync.Cond
+	// Group commit. batch numbers the open batch, which buf accumulates;
+	// log returns the batch its line joined, and commit blocks until
+	// flushed passes it. Batches start at 1. The first committer of an
+	// unflushed batch becomes the leader: it seals the buffer and
+	// performs the write + fsync outside the lock while later arrivals
+	// accumulate the next batch. err is sticky — after one failed flush
+	// every subsequent commit fails, because the log's tail is now
+	// undefined.
 	buf      []byte
 	batch    uint64
 	flushed  uint64 // batches below this are durably on disk
@@ -94,7 +100,7 @@ func openJournal(dir string, group bool) (*journal, []*Job, int64, error) {
 		f.Close()
 		return nil, nil, 0, fmt.Errorf("pbsd: journal: %w", err)
 	}
-	j := &journal{dir: dir, file: f, group: group}
+	j := &journal{file: f, group: group, batch: 1, flushed: 1}
 	j.cond = sync.NewCond(&j.mu)
 	return j, pending, maxID, nil
 }
@@ -197,75 +203,67 @@ func parseEvent(line string) (*Job, int64, byte, error) {
 	}
 }
 
-// submitLine renders a job's S event.
-func submitLine(job *Job) string {
-	return fmt.Sprintf("S %d %d %d %d %s\n",
-		job.ID, job.Nodes, int64(job.Walltime), job.Submit.UnixNano(), sanitizeName(job.Name))
-}
-
-// deleteLine renders a D event.
-func deleteLine(id int64) string { return fmt.Sprintf("D %d\n", id) }
-
-func (j *journal) record(job *Job) error { return j.append(submitLine(job)) }
-
-func (j *journal) recordDelete(id int64) error { return j.append(deleteLine(id)) }
-
-// recordStart and recordComplete are fire-and-forget in both
-// disciplines: R/C events matter only relative to their own job's S
-// line (replay requeues R-without-C), so with group commit they join
-// the current batch and a background waiter drives the flush in case
-// no acknowledged operation comes along to share it.
-func (j *journal) recordStart(id int64) error {
-	return j.sideEvent(fmt.Sprintf("R %d\n", id))
-}
-
-func (j *journal) recordComplete(id int64) error {
-	return j.sideEvent(fmt.Sprintf("C %d\n", id))
-}
-
-func (j *journal) sideEvent(line string) error {
-	if j.group {
-		b := j.enqueue(line)
-		go j.syncBatch(b)
-		return nil
+// eventLine renders one event of job — kind is S, D, R or C — as a
+// log line.
+func eventLine(kind byte, job *Job) string {
+	if kind == 'S' {
+		return fmt.Sprintf("S %d %d %d %d %s\n",
+			job.ID, job.Nodes, int64(job.Walltime), job.Submit.UnixNano(), sanitizeName(job.Name))
 	}
-	return j.append(line)
+	return fmt.Sprintf("%c %d\n", kind, job.ID)
 }
 
-// append is the legacy discipline: one write per event, a periodic
-// sync every 256 lines.
-func (j *journal) append(line string) error {
+// log journals one event of job and returns the batch that commit must
+// wait for. The per-event discipline writes the line at once and
+// returns 0, as does a daemon without a journal (a nil j); group
+// commit appends the line to the open batch. The server logs S and D
+// lines while holding its queue lock, which is what keeps log order
+// identical to queue-mutation order.
+func (j *journal) log(kind byte, job *Job) (uint64, error) {
+	if j == nil {
+		return 0, nil
+	}
+	line := eventLine(kind, job)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.group {
+		j.buf = append(j.buf, line...)
+		return j.batch, nil
+	}
 	if _, err := io.WriteString(j.file, line); err != nil {
-		return fmt.Errorf("pbsd: journal write: %w", err)
+		return 0, fmt.Errorf("pbsd: journal write: %w", err)
 	}
 	j.n++
 	if j.n%256 == 0 {
 		if err := j.file.Sync(); err != nil {
-			return fmt.Errorf("pbsd: journal sync: %w", err)
+			return 0, fmt.Errorf("pbsd: journal sync: %w", err)
 		}
 	}
-	return nil
+	return 0, nil
 }
 
-// enqueue appends one event line to the accumulating batch and
-// returns that batch's number for syncBatch. The server calls enqueue
-// for S/D lines while holding its queue lock, which is what keeps log
-// order identical to queue-mutation order.
-func (j *journal) enqueue(line string) uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.buf = append(j.buf, line...)
-	return j.batch
+// logAsync journals an R or C event without waiting for it. Those
+// lines matter only relative to their own job's S line (replay
+// requeues R-without-C), so a failed write is ignored, and a group
+// batch is committed in the background in case no acknowledged
+// operation comes along to share its flush.
+func (j *journal) logAsync(kind byte, job *Job) {
+	if batch, _ := j.log(kind, job); batch != 0 {
+		go j.commit(batch)
+	}
 }
 
-// syncBatch blocks until the given batch is durably on disk (or has
-// failed). The first caller waiting on an unflushed batch becomes the
-// leader: it seals the buffer, advances the batch counter so
-// concurrent enqueues accumulate the next window, and performs one
-// write + one fsync for every line sealed. Followers of the same
-// batch just wait for the leader's broadcast — that sharing is the
-// whole point of group commit.
-func (j *journal) syncBatch(batch uint64) error {
+// commit blocks until the given batch is durably on disk (or has
+// failed); batch 0 returns at once. The first caller waiting on an
+// unflushed batch becomes the leader: it seals the buffer, advances the
+// batch counter so concurrent logs accumulate the next window, and
+// performs one write + one fsync for every line sealed. Followers of
+// the same batch just wait for the leader's broadcast — that sharing is
+// the whole point of group commit.
+func (j *journal) commit(batch uint64) error {
+	if batch == 0 {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for {
@@ -315,17 +313,18 @@ func sanitizeName(name string) string {
 	return strings.ReplaceAll(name, "\r", " ")
 }
 
+// close flushes the open batch (empty under the per-event discipline),
+// syncs the file and closes it.
 func (j *journal) close() error {
-	if j.group {
-		// Flush whatever the current batch holds before closing.
-		if err := j.syncBatch(j.enqueue("")); err != nil {
-			j.file.Close()
-			return err
-		}
+	j.mu.Lock()
+	open := j.batch
+	j.mu.Unlock()
+	err := j.commit(open)
+	if err == nil {
+		err = j.file.Sync()
 	}
-	if err := j.file.Sync(); err != nil {
-		j.file.Close()
-		return err
+	if cerr := j.file.Close(); err == nil {
+		err = cerr
 	}
-	return j.file.Close()
+	return err
 }

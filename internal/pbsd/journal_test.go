@@ -397,7 +397,7 @@ func TestJournalGroupCommitUnflushedWindowLost(t *testing.T) {
 	// An in-flight operation mid-window: its line is in the batch
 	// buffer, but the daemon dies before anyone drives the flush — the
 	// submitter never got its acknowledgement.
-	srv.journal.enqueue("S 4 1 3600000000000 0 unacked\n")
+	srv.journal.log('S', &Job{ID: 4, Name: "unacked", Nodes: 1, Walltime: time.Hour, Submit: time.Unix(0, 0)})
 	killed(srv)
 
 	srv2, err := New(Config{Nodes: 16, JournalDir: dir, GroupCommit: true})
@@ -534,4 +534,119 @@ func FuzzJournal(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A journal write that fails, in either discipline: the submission it
+// carried is refused and leaves no job behind; a per-event delete is
+// refused before it touches the queue; a group delete has already
+// taken its job out when its batch fails to reach disk, and reports
+// the failure. Either way the job's S line is on disk and its D line
+// is not, so recovery brings the job back — the safe direction for a
+// delete that was never acknowledged.
+func TestJournalWriteFailure(t *testing.T) {
+	for _, group := range []bool{false, true} {
+		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Nodes: 16, JournalDir: dir, GroupCommit: group}
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept, err := srv.Submit("kept", 1, time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.journal.file.Close()
+
+			if _, err := srv.Submit("lost", 1, time.Hour); err == nil {
+				t.Fatal("submit over a closed journal file succeeded")
+			}
+			if q, _, _ := srv.Stat(); q != 1 {
+				t.Fatalf("queue = %d after the failed submit, want 1", q)
+			}
+			if got := srv.Pending(); len(got) != 1 || got[0].Name != "kept" {
+				t.Fatalf("pending = %+v after the failed submit, want [kept]", got)
+			}
+
+			if err := srv.Delete(kept); err == nil {
+				t.Fatal("delete over a closed journal file succeeded")
+			}
+			wantQ := 1 // per-event: refused before the queue changed
+			if group {
+				wantQ = 0 // group: removed, then the flush failed
+			}
+			if q, _, _ := srv.Stat(); q != wantQ {
+				t.Fatalf("queue = %d after the failed delete, want %d", q, wantQ)
+			}
+			if got := srv.Pending(); len(got) != wantQ {
+				t.Fatalf("pending = %+v after the failed delete, want %d jobs", got, wantQ)
+			}
+			srv.Close()
+
+			srv2, err := New(cfg)
+			if err != nil {
+				t.Fatalf("restart over journal: %v", err)
+			}
+			defer srv2.Close()
+			if got := srv2.Pending(); len(got) != 1 || got[0].ID != kept {
+				t.Fatalf("recovered %+v, want job %d alone", got, kept)
+			}
+		})
+	}
+}
+
+// Completions journal their C lines from timer goroutines, outside the
+// queue lock, while submitters journal S lines under it. In either
+// discipline the two kinds of writer share the journal safely, and a
+// daemon restarted once every job has completed recovers an empty
+// queue.
+func TestJournalConcurrentCompletions(t *testing.T) {
+	for _, group := range []bool{false, true} {
+		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
+			dir := t.TempDir()
+			srv, err := New(Config{Nodes: 4, Execute: true, JournalDir: dir, GroupCommit: group})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const workers, each = 4, 50
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						if _, err := srv.Submit(fmt.Sprintf("w%d-%d", w, i), 1, time.Millisecond); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			// Every submission counts a cycle, and every completion counts
+			// one after its C line is logged.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if cycles, _ := srv.Counters(); cycles == 2*workers*each {
+					break
+				}
+				if time.Now().After(deadline) {
+					q, r, _ := srv.Stat()
+					t.Fatalf("jobs did not all complete: queued %d, running %d", q, r)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			srv2, err := New(Config{Nodes: 4, JournalDir: dir, GroupCommit: group})
+			if err != nil {
+				t.Fatalf("restart over journal: %v", err)
+			}
+			defer srv2.Close()
+			if got := srv2.Pending(); len(got) != 0 {
+				t.Fatalf("recovered %d jobs after every job completed, want 0", len(got))
+			}
+		})
+	}
 }

@@ -4,24 +4,23 @@
 // nodes and accepts qsub/qdel/qstat operations either through a direct
 // API or over a TCP line protocol.
 //
-// The daemon has two scheduling modes. The paper-faithful mode
-// (Config.FullScanCycle) runs a full Maui-like scheduling cycle on
-// every queue-changing operation: it recomputes the priority of every
-// pending job (priority = queue age), sorts the queue, starts what
-// fits, and backfills around the highest-priority blocked job.
-// Per-operation work therefore grows with queue length, which is what
-// produces the paper's Figure 5 shape (submission/cancellation
-// throughput decaying as the queue grows).
+// The daemon has one scheduler, and it is incremental: each event
+// examines only the jobs it could affect. A submission examines the
+// arriving job alone (start it if the queue was empty and it fits, or
+// backfill it against the head's shadow); a cancel triggers a rescan of
+// the queue only when it exposed a new head and the free-capacity
+// watermark says some pending job could actually start; a completion
+// triggers one only when the released nodes cross the watermark.
+// Per-operation cost is O(1) until work can really start, which is what
+// the fast-path benchmarks measure.
 //
-// The default mode is incremental: each event examines only the jobs
-// it could affect. A submission examines the arriving job alone (start
-// it if the queue was empty and it fits, or backfill it against the
-// head's shadow); a cancel triggers a re-examination only when it
-// exposed a new head and the free-capacity watermark says some pending
-// job could actually start; a completion triggers one only when the
-// released nodes cross the watermark. Per-operation cost is O(1) until
-// work can really start, which is what the fast-path benchmarks
-// measure.
+// The paper-faithful mode (Config.FullScanCycle) decides nothing
+// differently. It charges every cycle the work of a Maui-like
+// scheduling pass before the incremental reaction runs: the priority of
+// every pending job is recomputed (priority = queue age) and the queue
+// is sorted by it. Per-operation work therefore grows with queue
+// length, which is what produces the paper's Figure 5 shape
+// (submission/cancellation throughput decaying as the queue grows).
 package pbsd
 
 import (
@@ -29,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,15 +88,14 @@ type Config struct {
 	// Figure 5 harness disables execution and instead submits a
 	// blocker job that monopolizes the pool, as in the paper.
 	Execute bool
-	// FullScanCycle selects the paper-faithful Maui-like scheduler:
-	// every queue-changing operation refreshes the priority (priority =
-	// queue age) of every pending job and re-sorts the whole queue,
-	// coupling per-operation cost to queue depth (the Figure 5
-	// measurement). When false (the default), cycles are incremental:
-	// an event examines only the jobs it could start, so per-operation
-	// cost stays O(1) at any queue depth. Both modes schedule in queue
-	// order with backfill, since priority = queue age orders the queue
-	// exactly as it was submitted.
+	// FullScanCycle charges every scheduling cycle the paper-faithful
+	// Maui-like pass: the cycle refreshes the priority (priority = queue
+	// age) of every pending job and sorts the whole queue by it, coupling
+	// per-operation cost to queue depth (the Figure 5 measurement). The
+	// decisions are the incremental cycle's either way, since priority =
+	// queue age orders the queue exactly as it was submitted; when false
+	// (the default), an event examines only the jobs it could start, so
+	// per-operation cost stays O(1) at any queue depth.
 	FullScanCycle bool
 	// JournalDir, when set, persists every queue-changing event on
 	// disk (PBS keeps job files under its spool); adds realistic I/O
@@ -107,9 +106,11 @@ type Config struct {
 	// GroupCommit batches journal lines from concurrent requests into
 	// one write + fsync per commit window instead of one write per
 	// event: an operation's acknowledgement still waits for its batch
-	// to reach disk, but concurrent operations share the flush. The
-	// recovery invariants are unchanged (torn tail tolerated,
-	// R-without-C requeued in order). Requires JournalDir.
+	// to reach disk, but concurrent operations share the flush. Only the
+	// journal's write discipline changes; the daemon logs and commits
+	// every event the same way, and the recovery invariants are
+	// unchanged (torn tail tolerated, R-without-C requeued in order).
+	// Requires JournalDir.
 	GroupCommit bool
 	// MaxQueue caps the pending-queue length; submissions past the
 	// cap are shed with ErrBusy (a BUSY response on the wire) instead
@@ -279,21 +280,26 @@ func New(cfg Config) (*Server, error) {
 	if s.recovered > 0 {
 		// Recovered jobs compete for nodes again immediately.
 		s.qmu.Lock()
-		s.cycles.Add(1)
-		s.fullScan()
+		s.beginCycle()
+		if cfg.Execute {
+			s.rescanLocked()
+		}
 		s.qmu.Unlock()
 	}
 	return s, nil
 }
 
+// errClosed refuses queue changes after Close.
+var errClosed = errors.New("pbsd: server closed")
+
 // Submit enqueues a job and runs a scheduling cycle. It returns the
 // assigned job ID.
 //
-// With group commit, the in-memory enqueue and the journal-line
-// enqueue happen together under the queue lock (so log order matches
-// queue order), and the call then waits — outside the lock — for its
-// batch to reach disk before acknowledging. On a flush failure the
-// journal is sticky-failed and the unacknowledged job is withdrawn.
+// The job's journal line is logged under the queue lock, before the
+// job is queued, so log order matches queue order and a failed write
+// leaves nothing behind. The call then commits the line's batch outside
+// the lock before acknowledging; if that flush fails the journal is
+// sticky-failed and the unacknowledged job is withdrawn.
 func (s *Server) Submit(name string, nodes int, walltime time.Duration) (int64, error) {
 	if nodes < 1 || walltime <= 0 {
 		return 0, fmt.Errorf("pbsd: invalid request: %d nodes, %v walltime", nodes, walltime)
@@ -301,7 +307,7 @@ func (s *Server) Submit(name string, nodes int, walltime time.Duration) (int64, 
 	s.qmu.Lock()
 	if s.closed {
 		s.qmu.Unlock()
-		return 0, errors.New("pbsd: server closed")
+		return 0, errClosed
 	}
 	if nodes > s.cfg.Nodes {
 		s.qmu.Unlock()
@@ -329,81 +335,36 @@ func (s *Server) Submit(name string, nodes int, walltime time.Duration) (int64, 
 		Submit:   time.Now(),
 		State:    Queued,
 	}
+	batch, err := s.journal.log('S', j)
+	if err != nil {
+		s.qmu.Unlock()
+		return 0, err
+	}
 	j.elem = s.queue.PushBack(j)
 	s.jobs[j.ID] = j
 	s.qlen.Add(1)
-	var batch uint64
-	group := s.journal != nil && s.journal.group
-	if s.journal != nil {
-		if group {
-			batch = s.journal.enqueue(submitLine(j))
-		} else if err := s.journal.record(j); err != nil {
-			// Roll back the submission on journal failure.
-			s.queue.Remove(j.elem)
-			delete(s.jobs, j.ID)
-			s.qlen.Add(-1)
-			s.qmu.Unlock()
-			return 0, err
-		}
-	}
 	s.cycleSubmit(j)
 	s.qmu.Unlock()
-	if group {
-		if err := s.journal.syncBatch(batch); err != nil {
-			// The batch never reached disk and the journal is now
-			// sticky-failed; withdraw the job if it is still pending so
-			// an unacknowledged submission cannot linger.
-			s.qmu.Lock()
-			if cur, ok := s.jobs[j.ID]; ok && cur == j {
-				s.queue.Remove(j.elem)
-				delete(s.jobs, j.ID)
-				s.qlen.Add(-1)
-			}
-			s.qmu.Unlock()
-			return 0, err
+	if err := s.journal.commit(batch); err != nil {
+		// Withdraw the job if it is still pending so an unacknowledged
+		// submission cannot linger.
+		s.qmu.Lock()
+		if s.jobs[j.ID] == j {
+			s.dequeueLocked(j)
 		}
+		s.qmu.Unlock()
+		return 0, err
 	}
 	return j.ID, nil
 }
 
 // Delete removes a queued job (qdel) and runs a scheduling cycle.
 // Deleting a running or finished job returns ErrUnknownJob, matching
-// the harness's cancel-only-pending protocol.
+// the harness's cancel-only-pending protocol. After Close, Delete and
+// DeleteHead are refused with Submit's error.
 func (s *Server) Delete(id int64) error {
 	s.qmu.Lock()
-	j, ok := s.jobs[id]
-	if !ok || j.State != Queued {
-		s.qmu.Unlock()
-		return ErrUnknownJob
-	}
-	// Journal before mutating: a failed synchronous journal write
-	// leaves the job queued (and the log without a D), keeping log and
-	// queue aligned. With group commit the D line is enqueued in queue
-	// order and the flush awaited after the mutation; a flush failure
-	// means the delete was not acknowledged durably — recovery may
-	// resurrect the job, which is the safe direction.
-	var batch uint64
-	group := s.journal != nil && s.journal.group
-	if s.journal != nil {
-		if group {
-			batch = s.journal.enqueue(deleteLine(id))
-		} else if err := s.journal.recordDelete(id); err != nil {
-			s.qmu.Unlock()
-			return err
-		}
-	}
-	wasHead := s.queue.Front() == j.elem
-	j.State = Deleted
-	s.queue.Remove(j.elem)
-	delete(s.jobs, id)
-	s.qlen.Add(-1)
-	s.noteDrain()
-	s.cycleRemoval(wasHead)
-	s.qmu.Unlock()
-	if group {
-		return s.journal.syncBatch(batch)
-	}
-	return nil
+	return s.deleteAndUnlock(s.jobs[id])
 }
 
 // DeleteHead removes the job at the head of the queue, the
@@ -411,35 +372,55 @@ func (s *Server) Delete(id int64) error {
 // returns its ID. It returns ErrUnknownJob when the queue is empty.
 func (s *Server) DeleteHead() (int64, error) {
 	s.qmu.Lock()
-	front := s.queue.Front()
-	if front == nil {
-		s.qmu.Unlock()
-		return 0, ErrUnknownJob
+	var j *Job
+	if front := s.queue.Front(); front != nil {
+		j = front.Value.(*Job)
 	}
-	j := front.Value.(*Job)
+	if err := s.deleteAndUnlock(j); err != nil {
+		return 0, err
+	}
+	return j.ID, nil
+}
+
+// deleteAndUnlock removes the queued job j (nil when there is none)
+// and runs the scheduling cycle under qmu, which the caller holds and
+// which it releases before committing the job's D line.
+//
+// The D line is logged before the queue changes: a failed per-event
+// write leaves the job queued and the log without a D. A group batch
+// that fails to reach disk fails only the commit, after the removal:
+// the delete was not acknowledged durably and recovery may resurrect
+// the job, which is the safe direction.
+func (s *Server) deleteAndUnlock(j *Job) error {
+	var err error
 	var batch uint64
-	group := s.journal != nil && s.journal.group
-	if s.journal != nil {
-		if group {
-			batch = s.journal.enqueue(deleteLine(j.ID))
-		} else if err := s.journal.recordDelete(j.ID); err != nil {
-			s.qmu.Unlock()
-			return 0, err
-		}
+	switch {
+	case s.closed:
+		err = errClosed
+	case j == nil:
+		err = ErrUnknownJob
+	default:
+		batch, err = s.journal.log('D', j)
 	}
+	if err != nil {
+		s.qmu.Unlock()
+		return err
+	}
+	wasHead := s.queue.Front() == j.elem
 	j.State = Deleted
+	s.dequeueLocked(j)
+	s.noteDrain()
+	s.cycleRemoval(wasHead)
+	s.qmu.Unlock()
+	return s.journal.commit(batch)
+}
+
+// dequeueLocked takes a pending job out of the queue; callers hold
+// qmu.
+func (s *Server) dequeueLocked(j *Job) {
 	s.queue.Remove(j.elem)
 	delete(s.jobs, j.ID)
 	s.qlen.Add(-1)
-	s.noteDrain()
-	s.cycleRemoval(true)
-	s.qmu.Unlock()
-	if group {
-		if err := s.journal.syncBatch(batch); err != nil {
-			return 0, err
-		}
-	}
-	return j.ID, nil
 }
 
 // noteDrain updates the admission-control drain EWMA on a
@@ -507,19 +488,42 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// cycleSubmit is the scheduling reaction to one enqueued job; callers
-// hold qmu. In full-scan mode it is the Maui-like whole-queue pass. In
-// incremental mode only the arriving job is examined: it starts
-// immediately when it is the only pending job and fits, backfills
-// against the head's shadow otherwise, and is queued (lowering the
-// watermark) when neither applies. The head itself cannot have become
-// startable — capacity did not change.
-func (s *Server) cycleSubmit(j *Job) {
+// beginCycle counts one scheduling cycle; callers hold qmu. Under
+// FullScanCycle it also charges the cycle the Maui-like pass the paper
+// measured: every pending job is counted into scanned, its priority
+// (queue age) refreshed, and the queue sorted by it. The sorted order
+// is never read: priority = queue age sorts the queue into its own
+// order, so the incremental reaction that follows decides exactly what
+// the pass would. The pass is kept for its cost, which grows with queue
+// depth as Figure 5's does.
+func (s *Server) beginCycle() {
 	s.cycles.Add(1)
-	if s.cfg.FullScanCycle {
-		s.fullScan()
+	if !s.cfg.FullScanCycle {
 		return
 	}
+	n := s.queue.Len()
+	s.scanned.Add(uint64(n))
+	if n == 0 {
+		return
+	}
+	now := time.Now()
+	order := make([]*Job, 0, n)
+	for e := s.queue.Front(); e != nil; e = e.Next() {
+		j := e.Value.(*Job)
+		j.priority = now.Sub(j.Submit).Seconds()
+		order = append(order, j)
+	}
+	sortByPriority(order)
+}
+
+// cycleSubmit is the scheduling reaction to one enqueued job; callers
+// hold qmu. Only the arriving job is examined: it starts immediately
+// when it is the only pending job and fits, backfills against the
+// head's shadow otherwise, and is queued (lowering the watermark) when
+// neither applies. The head itself cannot have become startable —
+// capacity did not change.
+func (s *Server) cycleSubmit(j *Job) {
+	s.beginCycle()
 	if !s.cfg.Execute {
 		// Nothing ever starts: the arriving job just queues, and no
 		// examination can change that.
@@ -553,11 +557,7 @@ func (s *Server) cycleSubmit(j *Job) {
 // shadow — can start work, and then only when the free capacity has
 // already crossed the watermark.
 func (s *Server) cycleRemoval(wasHead bool) {
-	s.cycles.Add(1)
-	if s.cfg.FullScanCycle {
-		s.fullScan()
-		return
-	}
+	s.beginCycle()
 	if !s.cfg.Execute {
 		return
 	}
@@ -566,7 +566,7 @@ func (s *Server) cycleRemoval(wasHead bool) {
 		return
 	}
 	if wasHead && s.free.Load() >= int64(s.watermark) {
-		s.fullScan()
+		s.rescanLocked()
 	}
 }
 
@@ -574,72 +574,39 @@ func (s *Server) cycleRemoval(wasHead bool) {
 // hold qmu. The release can only start work when it lifts free
 // capacity over the watermark.
 func (s *Server) cycleRelease() {
-	s.cycles.Add(1)
-	if s.cfg.FullScanCycle {
-		s.fullScan()
-		return
-	}
+	s.beginCycle()
 	if s.queue.Len() > 0 && s.free.Load() >= int64(s.watermark) {
-		s.fullScan()
+		s.rescanLocked()
 	}
 }
 
-// fullScan is the Maui-like scheduling pass; callers hold qmu.
-//
-// The pass walks every pending job to refresh its priority, orders the
-// queue by priority, starts jobs that fit, and backfills around the
-// top blocked job. In full-scan mode the deliberate whole-queue scan
-// is what couples per-operation cost to queue depth; in incremental
-// mode this pass runs only when an event crossed the watermark, and
-// refreshes the watermark from whatever stays pending. The event that
-// triggered the pass counts the cycle; the pass counts the jobs it
-// examined.
-func (s *Server) fullScan() {
-	n := s.queue.Len()
-	s.scanned.Add(uint64(n))
-	if n > 0 {
-		now := time.Now()
-		// Refresh priorities (full scan, as Maui does each iteration).
-		order := make([]*Job, 0, n)
-		for e := s.queue.Front(); e != nil; e = e.Next() {
-			j := e.Value.(*Job)
-			j.priority = now.Sub(j.Submit).Seconds()
-			order = append(order, j)
+// rescanLocked is the one pass over the pending queue, run only when an
+// event crossed the watermark (and on recovery); callers hold qmu and
+// Execute is on. It walks the queue in order, starting the jobs that
+// fit until one is blocked, then backfills the jobs behind it that fit
+// right now and end before the blocked job could plausibly start
+// (simple shadow: earliest completion among running jobs). Whatever
+// stays pending sets the new watermark. The event that triggered the
+// pass counts the cycle; the pass counts the jobs it examined.
+func (s *Server) rescanLocked() {
+	s.scanned.Add(uint64(s.queue.Len()))
+	now := time.Now()
+	var blocked *Job
+	var shadow time.Time
+	s.watermark = watermarkIdle
+	for e := s.queue.Front(); e != nil; {
+		j := e.Value.(*Job)
+		e = e.Next() // before a start takes j out of the queue
+		fits := int64(j.Nodes) <= s.free.Load()
+		switch {
+		case fits && (blocked == nil || now.Add(j.Walltime).Before(shadow)):
+			s.startLocked(j, now)
+			continue
+		case blocked == nil:
+			blocked = j
+			shadow = s.shadowLocked(j, now)
 		}
-		sortByPriority(order)
-		if s.cfg.Execute {
-			blockedAt := -1
-			for i, j := range order {
-				if int64(j.Nodes) <= s.free.Load() {
-					s.startLocked(j, now)
-				} else {
-					blockedAt = i
-					break
-				}
-			}
-			if blockedAt >= 0 {
-				// Backfill: start lower-priority jobs that fit right now
-				// and end before the blocked job could plausibly start
-				// (simple shadow: earliest completion among running jobs).
-				shadow := s.shadowLocked(order[blockedAt], now)
-				for _, j := range order[blockedAt+1:] {
-					if s.free.Load() == 0 {
-						break
-					}
-					if int64(j.Nodes) <= s.free.Load() && now.Add(j.Walltime).Before(shadow) {
-						s.startLocked(j, now)
-					}
-				}
-			}
-		}
-	}
-	if !s.cfg.FullScanCycle {
-		s.watermark = watermarkIdle
-		for e := s.queue.Front(); e != nil; e = e.Next() {
-			if n := e.Value.(*Job).Nodes; n < s.watermark {
-				s.watermark = n
-			}
-		}
+		s.watermark = min(s.watermark, j.Nodes)
 	}
 }
 
@@ -648,17 +615,21 @@ func (s *Server) fullScan() {
 // hold qmu; the running set is read under rmu.
 func (s *Server) shadowLocked(blocked *Job, now time.Time) time.Time {
 	s.rmu.Lock()
-	rels := make([]nodeRelease, 0, len(s.running))
+	running := make([]*Job, 0, len(s.running))
 	for _, j := range s.running {
-		rels = append(rels, nodeRelease{j.Start.Add(j.Walltime), j.Nodes})
+		running = append(running, j)
 	}
 	s.rmu.Unlock()
-	sortRels(rels)
+	// A running job's Start, Walltime and Nodes were set when it started,
+	// under the qmu the caller holds, and do not change. Jobs ending at
+	// the same instant give the same shadow in any order.
+	end := func(j *Job) time.Time { return j.Start.Add(j.Walltime) }
+	slices.SortFunc(running, func(a, b *Job) int { return end(a).Compare(end(b)) })
 	avail := int(s.free.Load())
-	for _, r := range rels {
-		avail += r.nodes
+	for _, j := range running {
+		avail += j.Nodes
 		if avail >= blocked.Nodes {
-			return r.at
+			return end(j)
 		}
 	}
 	return now.Add(1000 * time.Hour)
@@ -670,18 +641,15 @@ func (s *Server) startLocked(j *Job, now time.Time) {
 	j.State = Started
 	j.Start = now
 	s.free.Add(-int64(j.Nodes))
-	s.queue.Remove(j.elem)
-	delete(s.jobs, j.ID)
-	s.qlen.Add(-1)
+	s.dequeueLocked(j)
 	s.rmu.Lock()
 	s.running[j.ID] = j
 	s.rmu.Unlock()
 	s.nrun.Add(1)
-	// A start drains the queue like a delete does; a failed journal
-	// write here is tolerable (replay requeues R-without-C anyway).
-	if s.journal != nil {
-		s.journal.recordStart(j.ID)
-	}
+	// A start drains the queue like a delete does. Its R line is not
+	// waited for, and a failed write is tolerable: replay requeues a job
+	// whose S line has no C after it, R or no R.
+	s.journal.logAsync('R', j)
 	s.noteDrain()
 	id := j.ID
 	time.AfterFunc(j.Walltime, func() { s.complete(id) })
@@ -704,9 +672,7 @@ func (s *Server) complete(id int64) {
 	}
 	s.nrun.Add(-1)
 	s.free.Add(int64(j.Nodes))
-	if s.journal != nil {
-		s.journal.recordComplete(id)
-	}
+	s.journal.logAsync('C', j)
 	s.qmu.Lock()
 	if !s.closed {
 		s.cycleRelease()
@@ -733,22 +699,5 @@ func sortByPriority(js []*Job) {
 		}
 		copy(js[lo+1:i+1], js[lo:i])
 		js[lo] = j
-	}
-}
-
-type nodeRelease struct {
-	at    time.Time
-	nodes int
-}
-
-func sortRels(rels []nodeRelease) {
-	for i := 1; i < len(rels); i++ {
-		r := rels[i]
-		k := i - 1
-		for k >= 0 && rels[k].at.After(r.at) {
-			rels[k+1] = rels[k]
-			k--
-		}
-		rels[k+1] = r
 	}
 }

@@ -317,3 +317,47 @@ func TestLoadBound(t *testing.T) {
 		t.Errorf("LoadBound(-1,5) = %d", got)
 	}
 }
+
+// After Close, Delete and DeleteHead are refused with Submit's error,
+// whatever the journal, and the queue keeps its jobs.
+func TestDeleteAfterClose(t *testing.T) {
+	for _, mode := range []struct {
+		name           string
+		journal, group bool
+	}{{"no-journal", false, false}, {"per-event", true, false}, {"group", true, true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := Config{Nodes: 4, GroupCommit: mode.group}
+			if mode.journal {
+				cfg.JournalDir = t.TempDir()
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := s.Submit("a", 1, time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Submit("b", 1, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			_, want := s.Submit("late", 1, time.Hour)
+			if want == nil {
+				t.Fatal("submit after close accepted")
+			}
+			if err := s.Delete(id); err == nil || err.Error() != want.Error() {
+				t.Errorf("Delete after close = %v, want %q", err, want)
+			}
+			if _, err := s.DeleteHead(); err == nil || err.Error() != want.Error() {
+				t.Errorf("DeleteHead after close = %v, want %q", err, want)
+			}
+			if q, _, _ := s.Stat(); q != 2 {
+				t.Errorf("queue = %d after refused deletes, want 2", q)
+			}
+			if got := s.Pending(); len(got) != 2 {
+				t.Errorf("pending = %+v after refused deletes, want 2 jobs", got)
+			}
+		})
+	}
+}
